@@ -202,35 +202,13 @@ def _lie_coefficient(field: VectorField, density: Expr) -> Expr:
     return acc
 
 
-class _SymbolCache:
-    """Per-run cache of operator images and their coordinate gradients."""
-
-    def __init__(self, op: DivOperator):
-        self.op = op
-        self.images: dict[int, Expr] = {}
-        self.grads: dict[int, tuple[Expr, ...]] = {}
-
-    def image(self, field: VectorField) -> Expr:
-        key = id(field)
-        if key not in self.images:
-            self.images[key] = self.op.symbolic(field)
-        return self.images[key]
-
-    def grad(self, field: VectorField) -> tuple[Expr, ...]:
-        key = id(field)
-        if key not in self.grads:
-            img = self.image(field)
-            self.grads[key] = tuple(img.diff(nm) for nm in self.op.chart.coords)
-        return self.grads[key]
-
-
-def _cocycle_residuals_symbolic(op, cache, x, y, pts_arrays):
-    lhs = op.symbolic(bracket(x, y))
-    expr = lhs
-    for comp, d in zip(x.components, cache.grad(y)):
-        expr = expr - comp * d
-    for comp, d in zip(y.components, cache.grad(x)):
-        expr = expr + comp * d
+def _cocycle_residuals_symbolic(op, x, y, pts_arrays):
+    dx, dy = op.symbolic(x), op.symbolic(y)
+    expr = op.symbolic(bracket(x, y))
+    for comp, nm in zip(x.components, op.chart.coords):
+        expr = expr - comp * dy.diff(nm)
+    for comp, nm in zip(y.components, op.chart.coords):
+        expr = expr + comp * dx.diff(nm)
     vals = expr.eval_many(pts_arrays)
     return np.abs(vals)
 
@@ -282,14 +260,14 @@ def _cocycle_residuals_fd(op, x, y, pts, h0):
     return vals, valid
 
 
-def _leibniz_residuals(op, cache, f: Expr, x: VectorField, weight: float,
+def _leibniz_residuals(op, f: Expr, x: VectorField, weight: float,
                        pts: np.ndarray):
     chart = op.chart
     arrays = chart.arrays(pts)
     fx = VectorField(chart, tuple((f * c).simplify() for c in x.components))
     xf = apply_field(x, f)
     if op.is_symbolic:
-        expr = op.symbolic(fx) - f * cache.image(x) - const(weight) * xf
+        expr = op.symbolic(fx) - f * op.symbolic(x) - const(weight) * xf
         return np.abs(expr.eval_many(arrays))
     dfx = op.apply_many(fx, pts)
     dx = op.apply_many(x, pts)
@@ -307,8 +285,7 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
     op.chart.require_inside(point)
     pts = np.asarray([point], dtype=float)
     if op.is_symbolic:
-        cache = _SymbolCache(op)
-        vals = _cocycle_residuals_symbolic(op, cache, x, y, op.chart.arrays(pts))
+        vals = _cocycle_residuals_symbolic(op, x, y, op.chart.arrays(pts))
         val, ok = float(vals[0]), math.isfinite(float(vals[0]))
     else:
         vals, valid = _cocycle_residuals_fd(op, x, y, pts,
@@ -326,8 +303,7 @@ def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
     op.chart.require_inside(point)
     w = op.weight if weight is None else float(weight)
     pts = np.asarray([point], dtype=float)
-    cache = _SymbolCache(op) if op.is_symbolic else None
-    vals = _leibniz_residuals(op, cache, f, x, w, pts)
+    vals = _leibniz_residuals(op, f, x, w, pts)
     val = float(vals[0])
     if not math.isfinite(val):
         raise DomainError("residual could not be evaluated at this point")
@@ -375,7 +351,6 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
     tol = config.tol if config.tol is not None else (1e-9 if op.is_symbolic else 1e-6)
     h0 = config.fd_step_scale * chart.min_side
 
-    cache = _SymbolCache(op) if op.is_symbolic else None
     entries: list[AxiomEntry] = []
 
     def finish(axiom, label, vals, valid):
@@ -397,7 +372,7 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
             name_y, y = fields[b]
             label = f"cocycle({name_x},{name_y})"
             if op.is_symbolic:
-                vals = _cocycle_residuals_symbolic(op, cache, x, y, arrays)
+                vals = _cocycle_residuals_symbolic(op, x, y, arrays)
                 finish("cocycle", label, vals, np.isfinite(vals))
             else:
                 vals, valid = _cocycle_residuals_fd(op, x, y, pts, h0)
@@ -405,7 +380,7 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
 
     for fname, f in scalars:
         for name_x, x in fields:
-            vals = _leibniz_residuals(op, cache, f, x, op.weight, pts)
+            vals = _leibniz_residuals(op, f, x, op.weight, pts)
             finish("leibniz", f"leibniz({fname},{name_x})", vals, np.isfinite(vals))
 
     manifest = {

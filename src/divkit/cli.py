@@ -294,6 +294,9 @@ def main(argv=None) -> int:
     except (DomainError, EvalDomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -86,9 +86,14 @@ class Expr:
     ``kind`` is one of const/var, the arithmetic tags, or a function name.
     Structural equality and hashing let tests compare trees directly;
     evaluation is purely functional.
+
+    Because nodes never change, each one keeps what ``simplify`` and
+    ``diff`` returned for it: ``_simple`` holds the simplified node, or
+    ``True`` when the node is its own simplification, and ``_diffs`` maps a
+    coordinate name to the partial derivative.
     """
 
-    __slots__ = ("kind", "args", "value", "name", "_hash")
+    __slots__ = ("kind", "args", "value", "name", "_hash", "_simple", "_diffs")
 
     def __init__(self, kind: str, args: tuple["Expr", ...] = (),
                  value: float | None = None, name: str | None = None):
@@ -97,6 +102,8 @@ class Expr:
         self.value = value
         self.name = name
         self._hash = None
+        self._simple = None
+        self._diffs = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -279,7 +286,10 @@ def _apply_function(kind: str, u: float) -> float:
     elif kind == "exp":
         if u > 700.0:
             raise EvalDomainError("overflow in exp")
-    return FUNCTIONS[kind](u)
+    try:
+        return FUNCTIONS[kind](u)
+    except ValueError:  # sin or cos of an infinite value
+        raise EvalDomainError(f"{kind} of a non-finite value") from None
 
 
 def _eval_scalar(root: Expr, point: Mapping[str, float], memo: dict) -> float:
@@ -423,53 +433,67 @@ def _neg(a: Expr) -> Expr:
 
 
 def _diff(e: Expr, name: str) -> Expr:
+    # The memo check stays inline: a wrapper would add a frame per tree level
+    # and halve the deepest tree that can be differentiated.
     kind = e.kind
     if kind == "const":
         return _ZERO
     if kind == "var":
         return _ONE if e.name == name else _ZERO
+    memo = e._diffs
+    if memo is None:
+        memo = e._diffs = {}
+    else:
+        hit = memo.get(name)
+        if hit is not None:
+            return hit
     if kind == "neg":
-        return _neg(_diff(e.args[0], name))
-    if kind == "add":
-        return _add(_diff(e.args[0], name), _diff(e.args[1], name))
-    if kind == "sub":
-        return _sub(_diff(e.args[0], name), _diff(e.args[1], name))
-    if kind == "mul":
+        out = _neg(_diff(e.args[0], name))
+    elif kind == "add":
+        out = _add(_diff(e.args[0], name), _diff(e.args[1], name))
+    elif kind == "sub":
+        out = _sub(_diff(e.args[0], name), _diff(e.args[1], name))
+    elif kind == "mul":
         a, b = e.args
-        return _add(_mul(_diff(a, name), b), _mul(a, _diff(b, name)))
-    if kind == "div":
+        out = _add(_mul(_diff(a, name), b), _mul(a, _diff(b, name)))
+    elif kind == "div":
         a, b = e.args
         num = _sub(_mul(_diff(a, name), b), _mul(a, _diff(b, name)))
-        return _div(num, _pow(b, const(2.0)))
-    if kind == "pow":
+        out = _div(num, _pow(b, const(2.0)))
+    elif kind == "pow":
         a, b = e.args
         if _is_const(b):
             # d(a^c) = c * a^(c-1) * da
-            return _mul(_mul(b, _pow(a, const(b.value - 1.0))), _diff(a, name))
-        # general case via a^b = exp(b log a)
-        da, db = _diff(a, name), _diff(b, name)
-        return _mul(e, _add(_mul(db, Expr("log", (a,))), _div(_mul(b, da), a)))
-    u = e.args[0]
-    du = _diff(u, name)
-    if kind == "sin":
-        return _mul(Expr("cos", (u,)), du)
-    if kind == "cos":
-        return _mul(_neg(Expr("sin", (u,))), du)
-    if kind == "exp":
-        return _mul(e, du)
-    if kind == "log":
-        return _div(du, u)
-    if kind == "sqrt":
-        return _div(du, _mul(const(2.0), e))
-    if kind == "tanh":
-        return _mul(_sub(_ONE, _pow(e, const(2.0))), du)
-    if kind == "bump":
-        # bump'(t) = bump(t) * (-2t)/(1-t^2)^2, kept as a product so the
-        # outside-support zero of bump kills the rational factor.
-        rational = _div(_mul(const(-2.0), u),
-                        _pow(_sub(_ONE, _pow(u, const(2.0))), const(2.0)))
-        return _mul(_mul(e, rational), du)
-    raise ExprError(f"cannot differentiate node kind {kind!r}")
+            out = _mul(_mul(b, _pow(a, const(b.value - 1.0))), _diff(a, name))
+        else:
+            # general case via a^b = exp(b log a)
+            da, db = _diff(a, name), _diff(b, name)
+            out = _mul(e, _add(_mul(db, Expr("log", (a,))), _div(_mul(b, da), a)))
+    else:
+        u = e.args[0]
+        du = _diff(u, name)
+        if kind == "sin":
+            out = _mul(Expr("cos", (u,)), du)
+        elif kind == "cos":
+            out = _mul(_neg(Expr("sin", (u,))), du)
+        elif kind == "exp":
+            out = _mul(e, du)
+        elif kind == "log":
+            out = _div(du, u)
+        elif kind == "sqrt":
+            out = _div(du, _mul(const(2.0), e))
+        elif kind == "tanh":
+            out = _mul(_sub(_ONE, _pow(e, const(2.0))), du)
+        elif kind == "bump":
+            # bump'(t) = bump(t) * (-2t)/(1-t^2)^2, kept as a product so the
+            # outside-support zero of bump kills the rational factor.
+            rational = _div(_mul(const(-2.0), u),
+                            _pow(_sub(_ONE, _pow(u, const(2.0))), const(2.0)))
+            out = _mul(_mul(e, rational), du)
+        else:
+            raise ExprError(f"cannot differentiate node kind {kind!r}")
+    memo[name] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -489,28 +513,39 @@ def _fold_if_const(e: Expr) -> Expr:
 
 
 def _simplify(e: Expr) -> Expr:
+    # Memo check inline and a plain loop over the arguments, for the same
+    # recursion-depth reason as in _diff.
+    done = e._simple
+    if done is not None:
+        return e if done is True else done
     kind = e.kind
     if kind in _LEAF:
         return e
-    args = tuple(_simplify(a) for a in e.args)
+    args = []
+    for a in e.args:
+        args.append(_simplify(a))
+    args = tuple(args)
     if all(a.kind == "const" for a in args):
-        return _fold_if_const(Expr(kind, args, name=e.name))
-    if kind == "neg":
-        return _neg(args[0])
-    if kind == "add":
-        return _add(*args)
-    if kind == "sub":
+        out = _fold_if_const(Expr(kind, args, name=e.name))
+    elif kind == "neg":
+        out = _neg(args[0])
+    elif kind == "add":
+        out = _add(*args)
+    elif kind == "sub":
         a, b = args
-        if a == b:
-            return _ZERO
-        return _sub(a, b)
-    if kind == "mul":
-        return _mul(*args)
-    if kind == "div":
-        return _div(*args)
-    if kind == "pow":
-        return _pow(*args)
-    return Expr(kind, args)
+        out = _ZERO if a == b else _sub(a, b)
+    elif kind == "mul":
+        out = _mul(*args)
+    elif kind == "div":
+        out = _div(*args)
+    elif kind == "pow":
+        out = _pow(*args)
+    else:
+        out = Expr(kind, args)
+    # simplify is idempotent, so its result is its own simplification
+    e._simple = out
+    out._simple = True
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,16 @@ def _floats(value: str, line_no: int) -> tuple[float, ...]:
                         line_no) from None
 
 
+_TOO_DEEP = "expression nested too deeply"
+
+
 def _expr(value: str, coords, line_no: int) -> Expr:
     try:
         return parse_expr(value, coords)
     except ParseError as e:
         raise SpecError(f"bad expression {value!r}: {e}", line_no) from None
+    except RecursionError:
+        raise SpecError(_TOO_DEEP, line_no) from None
 
 
 def _expr_list(value: str, coords, line_no: int) -> tuple[Expr, ...]:
@@ -294,6 +299,8 @@ def parse_spec_text(text: str) -> SpecFile:
         if section.name in registry:
             raise SpecError(f"duplicate {section.kind} {section.name!r}",
                             section.line)
+        # the line named if building the object exceeds the recursion limit
+        line_no = section.line
         try:
             if section.kind == "volume":
                 entries = _entry_map(section, ("density",))
@@ -336,6 +343,8 @@ def parse_spec_text(text: str) -> SpecFile:
             raise
         except (ValidationError, ChartMismatch) as e:
             raise SpecError(str(e), section.line) from None
+        except RecursionError:
+            raise SpecError(_TOO_DEEP, line_no) from None
         registry[section.name] = obj
     return spec
 

@@ -10,8 +10,17 @@ import hypothesis.strategies as st
 from divkit.expr import (
     EvalDomainError,
     Expr,
+    ExprError,
     ParseError,
     UnknownIdentifierError,
+    _add,
+    _div,
+    _fold_if_const,
+    _is_const,
+    _mul,
+    _neg,
+    _pow,
+    _sub,
     const,
     parse_expr,
     var,
@@ -98,6 +107,8 @@ def test_eval_domain_errors():
         ("sqrt(x)", {"x": -1.0}),
         ("x^y", {"x": 0.0, "y": -1.0}),
         ("x^y", {"x": -2.0, "y": 0.5}),
+        ("sin(x/y)", {"x": 0.5, "y": 5e-324}),  # x/y overflows to inf
+        ("cos(x/y)", {"x": 0.5, "y": 5e-324}),
     ]
     for text, point in cases:
         with pytest.raises(EvalDomainError):
@@ -261,7 +272,7 @@ _leaf = st.one_of(
 )
 
 
-def _tree(children, funcs, allow_div, allow_pow):
+def _tree(children, funcs, allow_div, allow_pow, general_pow):
     options = [
         st.tuples(children, children).map(lambda ab: Expr("add", ab)),
         st.tuples(children, children).map(lambda ab: Expr("sub", ab)),
@@ -278,13 +289,18 @@ def _tree(children, funcs, allow_div, allow_pow):
                 lambda ab: Expr("pow", (ab[0], const(ab[1])))
             )
         )
+    if general_pow:
+        options.append(st.tuples(children, children).map(lambda ab: Expr("pow", ab)))
     return st.one_of(*options)
 
 
-def expr_trees(funcs=("sin", "cos", "tanh", "bump"), allow_div=False, allow_pow=False):
+def expr_trees(funcs=("sin", "cos", "tanh", "bump"), allow_div=False, allow_pow=False,
+               general_pow=False):
+    """Random trees over x and y; ``general_pow`` adds powers whose exponent
+    is itself a tree."""
     return st.recursive(
         _leaf,
-        lambda c: _tree(c, funcs, allow_div, allow_pow),
+        lambda c: _tree(c, funcs, allow_div, allow_pow, general_pow),
         max_leaves=12,
     )
 
@@ -356,3 +372,128 @@ def test_fd_agrees_on_polynomials(e, pt):
     assume(sym is not None and abs(sym) < 1e3)
     fd = _fd(e, "x", pt, h=1e-5)
     assert fd == pytest.approx(sym, rel=1e-5, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# memoized simplify and diff
+#
+# Each node keeps what simplify and diff returned for it.  The reference below
+# is the plain recursion without those memos; the memoized results must match
+# it node for node and evaluate to the same bits.
+
+
+def _ref_diff(e, name):
+    kind = e.kind
+    if kind == "const":
+        return const(0.0)
+    if kind == "var":
+        return const(1.0 if e.name == name else 0.0)
+    if kind == "neg":
+        return _neg(_ref_diff(e.args[0], name))
+    if kind == "add":
+        return _add(_ref_diff(e.args[0], name), _ref_diff(e.args[1], name))
+    if kind == "sub":
+        return _sub(_ref_diff(e.args[0], name), _ref_diff(e.args[1], name))
+    if kind == "mul":
+        a, b = e.args
+        return _add(_mul(_ref_diff(a, name), b), _mul(a, _ref_diff(b, name)))
+    if kind == "div":
+        a, b = e.args
+        num = _sub(_mul(_ref_diff(a, name), b), _mul(a, _ref_diff(b, name)))
+        return _div(num, _pow(b, const(2.0)))
+    if kind == "pow":
+        a, b = e.args
+        if _is_const(b):
+            return _mul(_mul(b, _pow(a, const(b.value - 1.0))), _ref_diff(a, name))
+        da, db = _ref_diff(a, name), _ref_diff(b, name)
+        return _mul(e, _add(_mul(db, Expr("log", (a,))), _div(_mul(b, da), a)))
+    u = e.args[0]
+    du = _ref_diff(u, name)
+    if kind == "sin":
+        return _mul(Expr("cos", (u,)), du)
+    if kind == "cos":
+        return _mul(_neg(Expr("sin", (u,))), du)
+    if kind == "exp":
+        return _mul(e, du)
+    if kind == "log":
+        return _div(du, u)
+    if kind == "sqrt":
+        return _div(du, _mul(const(2.0), e))
+    if kind == "tanh":
+        return _mul(_sub(const(1.0), _pow(e, const(2.0))), du)
+    if kind == "bump":
+        rational = _div(_mul(const(-2.0), u),
+                        _pow(_sub(const(1.0), _pow(u, const(2.0))), const(2.0)))
+        return _mul(_mul(e, rational), du)
+    raise ExprError(kind)
+
+
+def _ref_simplify(e):
+    kind = e.kind
+    if kind in ("const", "var"):
+        return e
+    args = tuple(_ref_simplify(a) for a in e.args)
+    if all(a.kind == "const" for a in args):
+        return _fold_if_const(Expr(kind, args, name=e.name))
+    if kind == "neg":
+        return _neg(args[0])
+    if kind == "add":
+        return _add(*args)
+    if kind == "sub":
+        a, b = args
+        return const(0.0) if a == b else _sub(a, b)
+    if kind == "mul":
+        return _mul(*args)
+    if kind == "div":
+        return _div(*args)
+    if kind == "pow":
+        return _pow(*args)
+    return Expr(kind, args)
+
+
+_GRID = {"x": np.linspace(-0.9, 0.9, 7), "y": np.linspace(0.8, -0.8, 7)}
+
+
+def _same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(got.eval_many(_GRID), want.eval_many(_GRID),
+                              equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr_trees(funcs=("sin", "cos", "exp", "tanh", "bump", "sqrt", "log"),
+                  allow_div=True, allow_pow=True, general_pow=True))
+def test_memoized_calculus_matches_reference(e):
+    s = e.simplify()
+    _same(s, _ref_simplify(e))
+    assert e.simplify() is s
+    assert s.simplify() is s
+    for name in XY:
+        d = e.diff(name)
+        _same(d, _ref_diff(e, name))
+        assert e.diff(name) is d
+    # trees that reuse memoized nodes: the fixed-point mark on s and the
+    # memoized derivatives must give what a fresh recursion gives
+    g = Expr("add", (Expr("mul", (s, e)), Expr("sub", (e.diff("x"), s))))
+    gs = g.simplify()
+    _same(gs, _ref_simplify(g))
+    for name in XY:
+        _same(g.diff(name), _ref_diff(g, name))
+        _same(gs.diff(name).simplify(),
+              _ref_simplify(_ref_diff(_ref_simplify(g), name)))
+
+
+def test_deep_sum_within_recursion_limit():
+    # one Python frame per tree level: 400 levels stay well inside the
+    # default recursion limit of 1000
+    e = var("x")
+    for k in range(400):
+        e = Expr("add", (e, Expr("mul", (const(k + 1.0), Expr("pow", (var("x"), const(2.0)))))))
+    s = e.simplify()
+    d = e.diff("x")
+    ds = d.simplify()
+    pt = {"x": 0.5}
+    assert s.eval(pt) == pytest.approx(0.5 + 0.25 * 400 * 401 / 2, rel=1e-12)
+    assert ds.eval(pt) == pytest.approx(1.0 + 400 * 401 / 2, rel=1e-12)
