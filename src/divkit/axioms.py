@@ -24,6 +24,7 @@ from .geometry import (
     VolumeForm,
     apply_field,
     bracket,
+    lie_coefficient,
     sample_points,
 )
 from .operators import DivOperator
@@ -185,23 +186,6 @@ def random_scalars(chart: Chart, count: int, rng) -> list[tuple[str, Expr]]:
 _TINY = 1e-300
 
 
-def _flat_divergence(field: VectorField) -> Expr:
-    acc = const(0.0)
-    for comp, nm in zip(field.components, field.chart.coords):
-        acc = acc + comp.diff(nm)
-    return acc
-
-
-def _lie_coefficient(field: VectorField, density: Expr) -> Expr:
-    """X(rho) + rho * div_flat(X) for an arbitrary (not necessarily positive)
-    density expression."""
-    acc = const(0.0)
-    for comp, nm in zip(field.components, field.chart.coords):
-        acc = acc + comp * density.diff(nm)
-        acc = acc + density * comp.diff(nm)
-    return acc
-
-
 def _cocycle_residuals_symbolic(op, x, y, pts_arrays):
     dx, dy = op.symbolic(x), op.symbolic(y)
     expr = op.symbolic(bracket(x, y))
@@ -315,9 +299,9 @@ def cartan_identity_residual(x: VectorField, y: VectorField, volume: VolumeForm,
     """|L_[X,Y] - (L_X L_Y - L_Y L_X)| applied to the volume, at one point."""
     volume.chart.require_inside(point)
     rho = volume.density
-    lhs = _lie_coefficient(bracket(x, y), rho)
-    rhs = _lie_coefficient(x, _lie_coefficient(y, rho)) \
-        - _lie_coefficient(y, _lie_coefficient(x, rho))
+    lhs = lie_coefficient(bracket(x, y), rho)
+    rhs = lie_coefficient(x, lie_coefficient(y, rho)) \
+        - lie_coefficient(y, lie_coefficient(x, rho))
     env = volume.chart.env(point)
     return abs((lhs - rhs).eval(env))
 

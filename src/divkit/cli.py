@@ -19,7 +19,7 @@ import numpy as np
 
 from .axioms import CheckConfig, check_axioms, library_fields
 from .errors import DomainError, SpecError, ValidationError
-from .expr import EvalDomainError, Expr, ParseError
+from .expr import EvalDomainError, ParseError
 from .geometry import sample_points
 from .operators import div_affine, div_volume, parallel_residual
 from .quadrature import bump_field, grid_integral
@@ -226,25 +226,20 @@ def run_verify_kn(spec, args) -> int:
     return 1
 
 
-def _integrand_parts(spec, name):
-    """Operator, density expression, and whether the vanishing claim applies."""
+def _integrand_operator(spec, name):
+    """Operator to integrate against its own density; a volume name stands
+    for the divergence of that volume."""
     if name in spec.volumes:
-        volume = spec.volumes[name]
-        return div_volume(volume), volume.density, True
+        return div_volume(spec.volumes[name])
     op = spec.operator(name)
-    if op.volume is not None:
-        density = op.volume.density
-    elif op.metric is not None:
-        density = Expr("sqrt", (op.metric.det(),)).simplify()
-    else:
+    if op.density is None:
         raise ValidationError(
             f"{name!r} carries no density to integrate against")
-    claim = op.kind in ("volume", "metric", "sdensity") and op.weight == 1.0
-    return op, density, claim
+    return op
 
 
 def run_integrate_vanish(spec, args) -> int:
-    op, density, claim = _integrand_parts(spec, args.name)
+    op = _integrand_operator(spec, args.name)
     seed, tol, points = _settings(spec, args)
     tol = tol if tol is not None else 1e-6
     chart = op.chart
@@ -254,12 +249,12 @@ def run_integrate_vanish(spec, args) -> int:
     resolution = args.resolution if args.resolution is not None \
         else spec.config.get("resolution", 64)
     field = bump_field(chart, center, radius, args.direction)
-    integrand = (op.symbolic(field) * density).simplify()
+    integrand = (op.symbolic(field) * op.density).simplify()
     value = grid_integral(lambda arrays: integrand.eval_many(arrays), chart,
                           resolution=resolution, batch=True)
     print(f"bump center={_point_str(center)} radius={_fmt(radius)} "
           f"direction={args.direction} resolution={resolution}")
-    if not claim:
+    if op.weight != 1.0:  # the integral vanishes for true divergences only
         print(f"VALUE {_fmt(value)} NO_CLAIM")
         return 0
     print(f"VALUE {_fmt(value)}")

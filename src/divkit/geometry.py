@@ -9,13 +9,13 @@ components are all expression trees from divkit.expr.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field as dc_field
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ChartMismatch, DomainError, ValidationError
-from .expr import FUNCTIONS, EvalDomainError, Expr, _IDENT_RE, const, parse_expr
+from .expr import FUNCTIONS, Expr, _IDENT_RE, const, parse_expr
 from .quadrature import QuadratureRule, default_rule
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "sample_points",
     "apply_field",
     "bracket",
+    "lie_coefficient",
     "lie_derivative_top",
     "d_function",
     "d_oneform",
@@ -329,16 +330,21 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.chart, tuple(comps))
 
 
+def lie_coefficient(field: VectorField, density: Expr) -> Expr:
+    """X(rho) + rho * sum_i dX^i/dx_i, unsimplified, for any density
+    expression (positive or not, nested or not)."""
+    total = const(0.0)
+    for comp, name in zip(field.components, field.chart.coords):
+        total = total + comp * density.diff(name)
+        total = total + density * comp.diff(name)
+    return total
+
+
 def lie_derivative_top(field: VectorField, volume: VolumeForm) -> Expr:
     """Coefficient of the Lie derivative of the volume form along the field:
     X(rho) + rho * sum_i dX^i/dx_i."""
     _require_same_chart(field.chart, volume.chart)
-    rho = volume.density
-    total = const(0.0)
-    for comp, name in zip(field.components, field.chart.coords):
-        total = total + comp * rho.diff(name)
-        total = total + rho * comp.diff(name)
-    return total.simplify()
+    return lie_coefficient(field, volume.density).simplify()
 
 
 def d_function(chart: Chart, f: Expr) -> OneForm:

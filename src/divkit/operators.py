@@ -1,11 +1,24 @@
 """Divergence operators and the geometric data that induces them.
 
 An operator here is a map from vector fields to scalar functions on a chart.
-The built-in constructions: divergence of a positive volume density, of a
-metric (through the square root of its determinant), of an affine connection
-(minus the trace of the Lie-minus-covariant difference map), the s-weighted
-density variant, a base operator shifted by a one-form, and opaque callables
-for which only pointwise evaluation is available.
+Every symbolic operator has one normal form,
+
+    D(X) = s * sum_i d_i X^i + theta(X),
+
+a product-rule weight s plus a one-form theta, fixed when it is built:
+
+    constructor                  s        theta                    density
+    div_volume(rho)              1        d log rho                rho
+    div_sdensity(rho, s)         s        d log rho                rho
+    div_metric(g)                1        d log sqrt(det g)        sqrt(det g)
+    div_affine(Gamma)            1        sum_k Gamma^k_{ik}       none
+    perturbed_operator(D, E)     D's s    D's theta + E            none
+
+``density`` is the volume the operator is the divergence of, when the
+construction has one.  Two operators differ by a one-form exactly when their
+weights agree, and that one-form is theta - theta0.  A perturbed operator
+over a blackbox base, and every blackbox, has no theta and only evaluates
+pointwise.
 """
 
 from __future__ import annotations
@@ -265,31 +278,26 @@ def parallel_residual(connection: Connection, volume: VolumeForm) -> OneForm:
 
 
 class DivOperator:
-    """Divergence-type operator over one chart.
+    """Divergence-type operator over one chart, in one normal form.
 
-    ``kind`` is one of volume/metric/affine/sdensity/perturbed/blackbox.
-    Symbolic kinds expose the image of a field as an expression; blackbox
-    operators only evaluate pointwise (optionally batched).  ``weight`` is
-    the scalar-multiplication weight the operator is expected to satisfy in
-    the product rule.
+    A symbolic operator is D(X) = sum_i X^i theta_i + s * d_i X^i: ``weight``
+    is the product-rule weight s and ``theta`` the one-form.  ``density`` is
+    the positive density whose divergence the operator is, when the
+    construction carries one.  An operator without ``theta`` is a blackbox,
+    evaluated only pointwise through ``fn`` (batched through ``fn_many``
+    when given).  ``kind`` names the construction and decides nothing.
     """
 
     def __init__(self, chart: Chart, kind: str, *, weight: float = 1.0,
-                 volume: VolumeForm | None = None,
-                 metric: Metric | None = None,
-                 connection: Connection | None = None,
-                 base: "DivOperator | None" = None,
-                 shift: OneForm | None = None,
+                 theta: OneForm | None = None,
+                 density: Expr | None = None,
                  fn: Callable | None = None,
                  fn_many: Callable | None = None):
         self.chart = chart
         self.kind = kind
         self.weight = float(weight)
-        self.volume = volume
-        self.metric = metric
-        self.connection = connection
-        self.base = base
-        self.shift = shift
+        self.theta = theta
+        self.density = density
         self.fn = fn
         self.fn_many = fn_many
 
@@ -298,7 +306,7 @@ class DivOperator:
 
     @property
     def is_symbolic(self) -> bool:
-        return self.kind != "blackbox"
+        return self.theta is not None
 
     def _require_field(self, field: VectorField):
         if field.chart != self.chart:
@@ -307,57 +315,22 @@ class DivOperator:
     def symbolic(self, field: VectorField) -> Expr | None:
         """Expression for D(X), or None for blackbox operators."""
         self._require_field(field)
-        names = self.chart.coords
-        n = self.chart.dim
-        comps = field.components
-        if self.kind == "volume":
-            rho = self.volume.density
-            acc = const(0.0)
-            for i, nm in enumerate(names):
-                acc = acc + comps[i] * rho.diff(nm) / rho
-                acc = acc + comps[i].diff(nm)
-            return acc.simplify()
-        if self.kind == "metric":
-            root = Expr("sqrt", (self.metric.det(),))
-            acc = const(0.0)
-            for i, nm in enumerate(names):
-                acc = acc + (root * comps[i]).diff(nm) / root
-            return acc.simplify()
-        if self.kind == "affine":
-            acc = const(0.0)
-            for k, nm in enumerate(names):
-                acc = acc + comps[k].diff(nm)
-                for i in range(n):
-                    acc = acc + self.connection.gamma[k][i][k] * comps[i]
-            return acc.simplify()
-        if self.kind == "sdensity":
-            rho = self.volume.density
-            acc = const(0.0)
-            for i, nm in enumerate(names):
-                acc = acc + comps[i] * rho.diff(nm) / rho
-                acc = acc + const(self.weight) * comps[i].diff(nm)
-            return acc.simplify()
-        if self.kind == "perturbed":
-            acc = self.base.symbolic(field)
-            if acc is None:
-                return None
-            for i in range(n):
-                acc = acc + self.shift.components[i] * comps[i]
-            return acc.simplify()
-        return None
+        if self.theta is None:
+            return None
+        s = const(self.weight)
+        acc = const(0.0)
+        for comp, t, nm in zip(field.components, self.theta.components,
+                               self.chart.coords):
+            acc = acc + comp * t
+            acc = acc + s * comp.diff(nm)
+        return acc.simplify()
 
     def apply(self, field: VectorField, point: Sequence[float]) -> float:
         """Evaluate D(X) at a chart point."""
         self._require_field(field)
         self.chart.require_inside(point)
-        if self.kind == "blackbox":
+        if self.theta is None:
             return float(self.fn(field, tuple(float(c) for c in point)))
-        if self.kind == "perturbed":
-            env = self.chart.env(point)
-            value = self.base.apply(field, point)
-            for e, c in zip(self.shift.components, field.components):
-                value += e.eval(env) * c.eval(env)
-            return value
         return self.symbolic(field).eval(self.chart.env(point))
 
     def apply_many(self, field: VectorField, points) -> np.ndarray:
@@ -367,15 +340,10 @@ class DivOperator:
         arrays = self.chart.arrays(pts)
         if not np.all(self.chart.contains_mask(arrays)):
             raise DomainError("a point lies outside the chart domain")
-        if self.kind == "blackbox":
+        if self.theta is None:
             if self.fn_many is not None:
                 return np.asarray(self.fn_many(field, pts), dtype=float)
             return np.array([self.fn(field, tuple(row)) for row in pts], dtype=float)
-        if self.kind == "perturbed":
-            out = self.base.apply_many(field, pts)
-            for e, c in zip(self.shift.components, field.components):
-                out = out + e.eval_many(arrays) * c.eval_many(arrays)
-            return out
         return self.symbolic(field).eval_many(arrays)
 
     def as_blackbox(self) -> "DivOperator":
@@ -387,20 +355,39 @@ class DivOperator:
         )
 
 
+def _log_gradient(chart: Chart, rho: Expr) -> OneForm:
+    """d log rho, componentwise d_i rho / rho."""
+    return OneForm(chart, tuple((rho.diff(nm) / rho).simplify()
+                                for nm in chart.coords))
+
+
 def div_volume(volume: VolumeForm) -> DivOperator:
     """Divergence of the volume form: X(rho)/rho + sum_i d_i X^i."""
-    return DivOperator(volume.chart, "volume", volume=volume)
+    rho = volume.density
+    return DivOperator(volume.chart, "volume",
+                       theta=_log_gradient(volume.chart, rho), density=rho)
 
 
 def div_metric(metric: Metric) -> DivOperator:
     """Riemannian divergence: sum_i d_i(sqrt(det g) X^i) / sqrt(det g)."""
-    return DivOperator(metric.chart, "metric", metric=metric)
+    root = Expr("sqrt", (metric.det(),)).simplify()
+    return DivOperator(metric.chart, "metric",
+                       theta=_log_gradient(metric.chart, root), density=root)
 
 
 def div_affine(connection: Connection) -> DivOperator:
     """Divergence of the connection: minus the trace of the difference map,
     i.e. sum_k d_k X^k + gamma^k_{ik} X^i."""
-    return DivOperator(connection.chart, "affine", connection=connection)
+    chart = connection.chart
+    n = chart.dim
+    gamma = connection.gamma
+    traces = []
+    for i in range(n):
+        acc = const(0.0)
+        for k in range(n):
+            acc = acc + gamma[k][i][k]
+        traces.append(acc.simplify())
+    return DivOperator(chart, "affine", theta=OneForm(chart, tuple(traces)))
 
 
 def div_sdensity(volume: VolumeForm, s: float) -> DivOperator:
@@ -408,15 +395,32 @@ def div_sdensity(volume: VolumeForm, s: float) -> DivOperator:
     rule with weight s instead of 1."""
     if not math.isfinite(s):
         raise ValidationError("weight must be finite")
-    return DivOperator(volume.chart, "sdensity", volume=volume, weight=s)
+    rho = volume.density
+    return DivOperator(volume.chart, "sdensity", weight=s,
+                       theta=_log_gradient(volume.chart, rho), density=rho)
 
 
 def perturbed_operator(base: DivOperator, shift: OneForm) -> DivOperator:
     """Base operator plus the pairing of a one-form with the field."""
     if base.chart != shift.chart:
         raise ChartMismatch("base operator and shift live on different charts")
-    return DivOperator(base.chart, "perturbed", weight=base.weight,
-                       base=base, shift=shift)
+    chart = base.chart
+    if base.is_symbolic:
+        theta = tuple((t + e).simplify()
+                      for t, e in zip(base.theta.components, shift.components))
+        return DivOperator(chart, "perturbed", weight=base.weight,
+                           theta=OneForm(chart, theta))
+
+    def fn_many(field, pts):
+        arrays = chart.arrays(pts)
+        out = base.apply_many(field, pts)
+        for e, c in zip(shift.components, field.components):
+            out = out + e.eval_many(arrays) * c.eval_many(arrays)
+        return out
+
+    return DivOperator(
+        chart, "perturbed", weight=base.weight, fn_many=fn_many,
+        fn=lambda field, point: fn_many(field, np.asarray([point]))[0])
 
 
 def blackbox_operator(chart: Chart, fn: Callable, fn_many: Callable | None = None,

@@ -167,16 +167,16 @@ def _unit_fields(chart: Chart) -> list[VectorField]:
 def extract_oneform(op: DivOperator, base: DivOperator):
     """Candidate one-form E with E_i = (D - D0)(unit field i).
 
-    Symbolic when both operators are; pointwise otherwise.
+    For two symbolic operators that is theta - theta0; pointwise otherwise.
     """
     if op.chart != base.chart:
         raise ChartMismatch("operators live on different charts")
     chart = op.chart
-    units = _unit_fields(chart)
     if op.is_symbolic and base.is_symbolic:
-        comps = tuple((op.symbolic(u) - base.symbolic(u)).simplify()
-                      for u in units)
-        return OneForm(chart, comps)
+        return OneForm(chart, tuple(
+            (t - t0).simplify()
+            for t, t0 in zip(op.theta.components, base.theta.components)))
+    units = _unit_fields(chart)
 
     def fn(point):
         return tuple(op.apply(u, point) - base.apply(u, point) for u in units)
@@ -187,21 +187,6 @@ def extract_oneform(op: DivOperator, base: DivOperator):
             axis=1)
 
     return PointwiseOneForm(chart, fn, fn_many)
-
-
-def tensoriality_residual(op: DivOperator, base: DivOperator, f: Expr,
-                          field: VectorField, point: Sequence[float]) -> float:
-    """|(D - D0)(fX) - f * (D - D0)(X)| at one point.
-
-    Zero for every f and X exactly when the difference pairs fields with a
-    one-form, i.e. when D obeys the product rule at the reference weight.
-    """
-    op.chart.require_inside(point)
-    fx = VectorField(op.chart, tuple((f * c).simplify() for c in field.components))
-    env = op.chart.env(point)
-    lhs = op.apply(fx, point) - base.apply(fx, point)
-    rhs = f.eval(env) * (op.apply(field, point) - base.apply(field, point))
-    return abs(lhs - rhs)
 
 
 def _closedness_details(form, pts: np.ndarray, fd_step: float):
@@ -393,14 +378,19 @@ def _tensoriality_stage(op, base, fields, scalars, pts):
     return worst, witness
 
 
-def _reference_volume(base: DivOperator) -> VolumeForm | None:
-    """Reference density for the rebuild, when the base operator has one."""
-    if base.volume is not None:
-        return base.volume
-    if base.kind == "metric":
-        root = Expr("sqrt", (base.metric.det(),)).simplify()
-        return VolumeForm(base.chart, root, validate=False)
-    return None
+def tensoriality_residual(op: DivOperator, base: DivOperator, f: Expr,
+                          field: VectorField, point: Sequence[float]) -> float:
+    """|(D - D0)(fX) - f * (D - D0)(X)| at one point.
+
+    Zero for every f and X exactly when the difference pairs fields with a
+    one-form, i.e. when D obeys the product rule at the reference weight.
+    """
+    op.chart.require_inside(point)
+    worst, _ = _tensoriality_stage(op, base, [("X", field)], [("f", f)],
+                                   np.asarray([point], dtype=float))
+    if not math.isfinite(worst):
+        raise DomainError("residual could not be evaluated at this point")
+    return worst
 
 
 def _density_verification(op, density: NumericScalarField, weight: float,
@@ -533,10 +523,10 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
         dtype=float)
     h = config.fd_step_scale * work_chart.min_side
 
-    reference = _reference_volume(base)
     volume = None
-    if reference is not None:
-        volume = rebuild_volume(potential, reference)
+    if base.density is not None:
+        volume = rebuild_volume(
+            potential, VolumeForm(base.chart, base.density, validate=False))
         verify = _density_verification(verify_op, volume.density, base.weight,
                                        verify_fields, verify_pts, h)
     else:

@@ -366,6 +366,27 @@ def test_operator_without_density_rejected(capsys):
     assert "density" in err
 
 
+def test_perturbed_blackbox_base_runs_pointwise(capsys, tmp_path):
+    # a one-form shift of an opaque operator stays opaque: it is swept by
+    # finite differences and classified pointwise, never symbolically
+    spec = tmp_path / "perturbed_opaque.dvk"
+    spec.write_text((DATA / "box.dvk").read_text() + """
+[operator P]
+kind = perturbed
+base = D_opaque
+oneform = swirl
+""")
+    code, out, err = run(capsys, "check-axioms", "--spec", str(spec), "P")
+    assert code == 1
+    assert "mode=finite-difference" in out.splitlines()[0]
+    assert out.splitlines()[-1] == "VERDICT FAIL"
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "classify", "--spec", str(spec), "P", "D0")
+    assert code == 1
+    assert out.splitlines()[-1] == "VERDICT not_cocycle"
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify-kn verdict logic
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from divkit.errors import ChartMismatch, DomainError, ValidationError
-from divkit.expr import const, parse_expr
+from divkit.expr import Expr, const, parse_expr
 from divkit.geometry import Chart, OneForm, VectorField, VolumeForm, sample_points
 from divkit.operators import (
     Connection,
@@ -24,6 +24,7 @@ from divkit.operators import (
     perturbed_operator,
     torsion_connection,
 )
+from divkit.reconstruct import extract_oneform
 
 BOX = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
 POLAR = Chart(("r", "th"), ((1.0, 2.5), (0.0, 1.5)))
@@ -367,3 +368,132 @@ def test_parallel_iff_operators_agree():
         gaps.append(abs(da2.apply(unit, p) - dv2.apply(unit, p)))
     assert min(residuals) > 1e-3
     assert min(gaps) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the (s, theta) normal form against the per-construction formulas
+#
+# Every operator here computes D(X) = sum_i X^i theta_i + s * d_i X^i with
+# theta fixed at construction.  Before that normal form each construction
+# derived its image in its own branch; the reference below keeps those
+# branches, keyed by the data the construction was given.
+
+
+def _reference_symbolic(ref, field):
+    kind = ref[0]
+    names = field.chart.coords
+    n = field.chart.dim
+    comps = field.components
+    acc = const(0.0)
+    if kind == "volume":
+        rho = ref[1].density
+        for i, nm in enumerate(names):
+            acc = acc + comps[i] * rho.diff(nm) / rho
+            acc = acc + comps[i].diff(nm)
+    elif kind == "metric":
+        root = Expr("sqrt", (ref[1].det(),))
+        for i, nm in enumerate(names):
+            acc = acc + (root * comps[i]).diff(nm) / root
+    elif kind == "affine":
+        gamma = ref[1].gamma
+        for k, nm in enumerate(names):
+            acc = acc + comps[k].diff(nm)
+            for i in range(n):
+                acc = acc + gamma[k][i][k] * comps[i]
+    elif kind == "sdensity":
+        rho, s = ref[1].density, ref[2]
+        for i, nm in enumerate(names):
+            acc = acc + comps[i] * rho.diff(nm) / rho
+            acc = acc + const(s) * comps[i].diff(nm)
+    else:  # perturbed: the base image plus the pairing with the shift
+        acc = _reference_symbolic(ref[1], field)
+        for i in range(n):
+            acc = acc + ref[2].components[i] * comps[i]
+    return acc.simplify()
+
+
+def _build(ref):
+    kind = ref[0]
+    if kind == "volume":
+        return div_volume(ref[1])
+    if kind == "metric":
+        return div_metric(ref[1])
+    if kind == "affine":
+        return div_affine(ref[1])
+    if kind == "sdensity":
+        return div_sdensity(ref[1], ref[2])
+    return perturbed_operator(_build(ref[1]), ref[2])
+
+
+_FLAT_BOX = ("volume", VolumeForm.from_string(BOX, "1"))
+_WEIGHTED = ("volume", VolumeForm.from_string(BOX, "exp(x^2 - y)"))
+_TILTED_POLAR = ("volume", VolumeForm.from_string(POLAR, "r + th"))
+
+# (name, operator, reference): the six criterion-1 operators, then perturbed
+# operators over curved bases; every reference but one has theta0 != 0
+NORMAL_FORM_CASES = [
+    ("flat", _FLAT_BOX, _WEIGHTED),
+    ("weighted", _WEIGHTED, _FLAT_BOX),
+    ("polar-metric", ("metric", POLAR_METRIC), _TILTED_POLAR),
+    ("levi-civita", ("affine", levi_civita(POLAR_METRIC)), _TILTED_POLAR),
+    ("s-half", ("sdensity", _WEIGHTED[1], 0.5), _WEIGHTED),
+    ("perturbed-closed",
+     ("perturbed", _FLAT_BOX, OneForm.from_strings(BOX, ("2*x", "-1"))),
+     _WEIGHTED),
+    ("perturbed-s-half",
+     ("perturbed", ("sdensity", _WEIGHTED[1], 0.5),
+      OneForm.from_strings(BOX, ("-y", "x*y"))), _WEIGHTED),
+    ("perturbed-metric",
+     ("perturbed", ("metric", POLAR_METRIC),
+      OneForm.from_strings(POLAR, ("sin(th)", "1/r"))), _TILTED_POLAR),
+]
+
+
+@pytest.mark.parametrize("ref,base_ref", [c[1:] for c in NORMAL_FORM_CASES],
+                         ids=[c[0] for c in NORMAL_FORM_CASES])
+def test_normal_form_matches_per_construction_formulas(ref, base_ref):
+    from divkit.axioms import library_fields, random_fields
+
+    op = _build(ref)
+    chart = op.chart
+    assert op.is_symbolic and op.kind == ref[0]
+    fields = library_fields(chart) + random_fields(
+        chart, 4, np.random.default_rng(31))
+    pts = np.asarray(sample_points(chart, 20, seed=32))
+    arrays = chart.arrays(pts)
+    for _, x in fields:
+        want = _reference_symbolic(ref, x).eval_many(arrays)
+        np.testing.assert_allclose(op.symbolic(x).eval_many(arrays), want,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(op.apply_many(x, pts), want,
+                                   rtol=1e-12, atol=1e-12)
+
+    # theta - theta0 is what (D - D0) gives on the unit fields
+    base = _build(base_ref)
+    form = extract_oneform(op, base)
+    units = [x for name, x in library_fields(chart) if name.startswith("unit_")]
+    for comp, u in zip(form.components, units):
+        want = (_reference_symbolic(ref, u)
+                - _reference_symbolic(base_ref, u)).eval_many(arrays)
+        np.testing.assert_allclose(comp.eval_many(arrays), want,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            comp.eval_many(arrays),
+            op.apply_many(u, pts) - base.apply_many(u, pts),
+            rtol=1e-12, atol=1e-12)
+
+
+def test_perturbed_blackbox_base_stays_pointwise():
+    base = div_volume(VolumeForm.from_string(BOX, "exp(x^2 - y)"))
+    shift = OneForm.from_strings(BOX, ("-y", "x*y"))
+    symbolic = perturbed_operator(base, shift)
+    opaque = perturbed_operator(base.as_blackbox(), shift)
+    x = VectorField.from_strings(BOX, ("x*y", "cos(x)"))
+    assert opaque.kind == "perturbed"
+    assert not opaque.is_symbolic and opaque.symbolic(x) is None
+    assert opaque.weight == base.weight and opaque.density is None
+    pts = np.asarray(sample_points(BOX, 12, seed=33))
+    np.testing.assert_allclose(opaque.apply_many(x, pts),
+                               symbolic.apply_many(x, pts), rtol=1e-13, atol=1e-13)
+    assert opaque.apply(x, pts[0]) == pytest.approx(
+        symbolic.apply(x, tuple(pts[0])), rel=1e-13, abs=1e-13)

@@ -158,6 +158,15 @@ def test_tensoriality_residual_constant_scalar():
     assert r <= 1e-12
 
 
+def test_tensoriality_residual_singular_point():
+    f = parse_expr("1/x", BOX.coords)
+    x_field = VectorField.from_strings(BOX, ["x*y", "cos(x)"])
+    with pytest.raises(DomainError):
+        tensoriality_residual(weighted_op(), flat_op(), f, x_field, (0.0, 0.3))
+    with pytest.raises(DomainError):
+        tensoriality_residual(weighted_op(), flat_op(), f, x_field, (1.5, 0.3))
+
+
 # ---------------------------------------------------------------------------
 # closedness
 
