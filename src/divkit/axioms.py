@@ -4,8 +4,12 @@ An operator D is a divergence when it turns brackets into directional
 derivatives, D([X, Y]) = X(D(Y)) - Y(D(X)), and satisfies the product rule
 D(fX) = f D(X) + X(f) (with the scalar term weighted for the s-density
 variants).  The checker samples both residuals over a battery of fields and
-scalars; symbolic operators are differentiated exactly, opaque ones through
-central differences along the field direction.
+scalars.  One routine computes the cocycle residual on either route: a
+symbolic operator's image is differentiated exactly, an opaque one through
+central differences along each field's direction.  The Leibniz residual of
+a symbolic operator is one combined expression; an opaque one is applied
+term by term.  Each residual's worst sample is taken by ``_finite_max``,
+which ``classify`` shares.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ class CheckConfig:
     def __post_init__(self):
         if self.n_points < 1 or self.n_fields < 0 or self.n_scalars < 0:
             raise ValidationError("check sizes must be positive")
-        if self.tol is not None and not self.tol > 0:
-            raise ValidationError("tolerance must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -186,15 +190,13 @@ def random_scalars(chart: Chart, count: int, rng) -> list[tuple[str, Expr]]:
 _TINY = 1e-300
 
 
-def _cocycle_residuals_symbolic(op, x, y, pts_arrays):
-    dx, dy = op.symbolic(x), op.symbolic(y)
-    expr = op.symbolic(bracket(x, y))
-    for comp, nm in zip(x.components, op.chart.coords):
-        expr = expr - comp * dy.diff(nm)
-    for comp, nm in zip(y.components, op.chart.coords):
-        expr = expr + comp * dx.diff(nm)
-    vals = expr.eval_many(pts_arrays)
-    return np.abs(vals)
+def _finite_max(vals: np.ndarray) -> tuple[float, int | None]:
+    """Largest finite value and its index; (inf, None) when none is finite."""
+    finite = np.isfinite(vals)
+    if not np.any(finite):
+        return math.inf, None
+    k = int(np.argmax(np.where(finite, vals, -1.0)))
+    return float(vals[k]), k
 
 
 def _directional_fd(op, along: VectorField, of: VectorField, pts: np.ndarray,
@@ -202,8 +204,7 @@ def _directional_fd(op, along: VectorField, of: VectorField, pts: np.ndarray,
     """Derivative of p -> D(of)(p) along the field, by central differences on
     the normalised direction.  Returns (values, valid mask)."""
     chart = op.chart
-    arrays = chart.arrays(pts)
-    comps = np.stack([c.eval_many(arrays) for c in along.components], axis=1)
+    comps = along.values_matrix(pts)
     norms = np.linalg.norm(comps, axis=1)
     m = pts.shape[0]
     values = np.zeros(m)
@@ -235,13 +236,25 @@ def _directional_fd(op, along: VectorField, of: VectorField, pts: np.ndarray,
     return values, valid
 
 
-def _cocycle_residuals_fd(op, x, y, pts, h0):
+def _cocycle_residuals(op, x, y, pts: np.ndarray, h0: float):
+    """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at each point, with a validity mask.
+
+    Symbolic operators are differentiated exactly; opaque ones by central
+    differences along each field with base step h0."""
+    if op.is_symbolic:
+        dx, dy = op.symbolic(x), op.symbolic(y)
+        expr = op.symbolic(bracket(x, y))
+        for comp, nm in zip(x.components, op.chart.coords):
+            expr = expr - comp * dy.diff(nm)
+        for comp, nm in zip(y.components, op.chart.coords):
+            expr = expr + comp * dx.diff(nm)
+        vals = np.abs(expr.eval_many(op.chart.arrays(pts)))
+        return vals, np.isfinite(vals)
     term = op.apply_many(bracket(x, y), pts)
     dxy, ok_x = _directional_fd(op, x, y, pts, h0)
     dyx, ok_y = _directional_fd(op, y, x, pts, h0)
     vals = np.abs(term - (dxy - dyx))
-    valid = ok_x & ok_y & np.isfinite(vals)
-    return vals, valid
+    return vals, ok_x & ok_y & np.isfinite(vals)
 
 
 def _leibniz_residuals(op, f: Expr, x: VectorField, weight: float,
@@ -268,16 +281,11 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
     """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at one point."""
     op.chart.require_inside(point)
     pts = np.asarray([point], dtype=float)
-    if op.is_symbolic:
-        vals = _cocycle_residuals_symbolic(op, x, y, op.chart.arrays(pts))
-        val, ok = float(vals[0]), math.isfinite(float(vals[0]))
-    else:
-        vals, valid = _cocycle_residuals_fd(op, x, y, pts,
-                                            fd_step_scale * op.chart.min_side)
-        val, ok = float(vals[0]), bool(valid[0])
-    if not ok:
+    vals, valid = _cocycle_residuals(op, x, y, pts,
+                                     fd_step_scale * op.chart.min_side)
+    if not valid[0]:
         raise DomainError("residual could not be evaluated at this point")
-    return val
+    return float(vals[0])
 
 
 def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
@@ -331,36 +339,23 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
     else:
         scalars = list(scalars)
     pts = np.asarray(sample_points(chart, config.n_points, config.seed), dtype=float)
-    arrays = chart.arrays(pts)
     tol = config.tol if config.tol is not None else (1e-9 if op.is_symbolic else 1e-6)
     h0 = config.fd_step_scale * chart.min_side
 
     entries: list[AxiomEntry] = []
 
     def finish(axiom, label, vals, valid):
-        vals = np.asarray(vals, dtype=float)
-        valid = valid & np.isfinite(vals)
-        skipped = int(vals.size - valid.sum())
-        if np.any(valid):
-            live = np.where(valid, vals, -1.0)
-            k = int(np.argmax(live))
-            entries.append(AxiomEntry(axiom, label, float(vals[k]),
-                                      tuple(pts[k]), int(vals.size), skipped))
-        else:
-            entries.append(AxiomEntry(axiom, label, math.inf, None,
-                                      int(vals.size), skipped))
+        worst, k = _finite_max(np.where(valid, vals, np.nan))
+        entries.append(AxiomEntry(axiom, label, worst,
+                                  None if k is None else tuple(pts[k]),
+                                  int(vals.size), int(vals.size - valid.sum())))
 
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
             name_x, x = fields[a]
             name_y, y = fields[b]
-            label = f"cocycle({name_x},{name_y})"
-            if op.is_symbolic:
-                vals = _cocycle_residuals_symbolic(op, x, y, arrays)
-                finish("cocycle", label, vals, np.isfinite(vals))
-            else:
-                vals, valid = _cocycle_residuals_fd(op, x, y, pts, h0)
-                finish("cocycle", label, vals, valid)
+            vals, valid = _cocycle_residuals(op, x, y, pts, h0)
+            finish("cocycle", f"cocycle({name_x},{name_y})", vals, valid)
 
     for fname, f in scalars:
         for name_x, x in fields:

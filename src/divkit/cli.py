@@ -12,6 +12,7 @@ how many of the printed digits of each number, are contract.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -96,14 +97,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _settings(spec, args):
-    """Effective seed/tol/points with flag > file > environment precedence."""
+    """Effective seed/tol/points with flag > file > environment precedence.
+
+    The seed must be a non-negative integer and the tolerance, when given,
+    finite and positive; anything else is a ValidationError (exit 2).
+    """
     seed = args.seed
     if seed is None:
         seed = spec.config.get("seed")
     if seed is None:
         env = os.environ.get("DIVKIT_SEED")
-        seed = int(env) if env else 0
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise ValidationError(f"DIVKIT_SEED {env!r} is not an integer") from None
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     tol = args.tol if args.tol is not None else spec.config.get("tol")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tol}")
     points = args.points if args.points is not None else spec.config.get("points", 100)
     return seed, tol, points
 

@@ -584,11 +584,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the token list.
+# infix operator -> (precedence, node name); all are left associative
+_INFIX = {"+": (1, "add"), "-": (1, "sub"), "*": (2, "mul"), "/": (2, "div")}
 
-    Grammar, loosest to tightest:  sum -> product -> unary minus -> power
-    (right associative) -> atom.
+
+class _Parser:
+    """Precedence climbing over the token list.
+
+    Loosest to tightest: + and -, then * and /, then unary minus, then ^
+    (right associative, its exponent may carry a unary minus), then atoms.
     """
 
     def __init__(self, tokens, variables: frozenset[str]):
@@ -610,41 +614,25 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}", off)
         self.advance()
 
-    def parse_sum(self) -> Expr:
-        node = self.parse_product()
-        while True:
-            typ, text, _ = self.peek()
-            if typ == "op" and text in "+-":
-                self.advance()
-                rhs = self.parse_product()
-                node = Expr("add" if text == "+" else "sub", (node, rhs))
-            else:
-                return node
-
-    def parse_product(self) -> Expr:
+    def parse_sum(self, min_prec: int = 1) -> Expr:
         node = self.parse_unary()
         while True:
             typ, text, _ = self.peek()
-            if typ == "op" and text in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                node = Expr("mul" if text == "*" else "div", (node, rhs))
-            else:
+            prec, name = _INFIX.get(text, (0, "")) if typ == "op" else (0, "")
+            if prec < min_prec:
                 return node
+            self.advance()
+            node = Expr(name, (node, self.parse_sum(prec + 1)))
 
     def parse_unary(self) -> Expr:
         typ, text, _ = self.peek()
         if typ == "op" and text == "-":
             self.advance()
             return Expr("neg", (self.parse_unary(),))
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
         base = self.parse_atom()
         typ, text, _ = self.peek()
         if typ == "op" and text == "^":
             self.advance()
-            # right associative, and the exponent may carry a unary minus
             return Expr("pow", (base, self.parse_unary()))
         return base
 

@@ -198,6 +198,10 @@ class _Components:
     def values_many(self, arrays: dict) -> list[np.ndarray]:
         return [c.eval_many(arrays) for c in self.components]
 
+    def values_matrix(self, pts: np.ndarray) -> np.ndarray:
+        """Component values at an (m, n) point array, shape (m, n)."""
+        return np.stack(self.values_many(self.chart.arrays(pts)), axis=1)
+
 
 @dataclass(frozen=True)
 class VectorField(_Components):
@@ -368,28 +372,27 @@ def d_oneform(form: OneForm) -> tuple[tuple[Expr, ...], ...]:
     return tuple(rows)
 
 
-def line_integral(form: OneForm, path: Path,
+def line_integral(form, path: Path,
                   rule: QuadratureRule | None = None) -> float:
     """Integral of a one-form along a path by composite quadrature.
 
-    Every quadrature node must land inside the chart domain and the form must
-    be finite there.
+    The form is anything with a chart and ``values_matrix`` (a symbolic
+    ``OneForm`` or a pointwise one).  Every quadrature node must land inside
+    the chart domain and the form must be finite there.
     """
     _require_same_chart(form.chart, path.chart)
     rule = rule or default_rule()
     segments = path.segments if path.segments is not None else rule.segment_count(1.0)
     t_nodes, t_weights = rule.mapped(0.0, 1.0, segments=segments)
     t_arrays = {"t": t_nodes}
-    coords = {nm: c.eval_many(t_arrays)
-              for nm, c in zip(path.chart.coords, path.components)}
-    mask = path.chart.contains_mask(coords)
+    pts = np.stack([c.eval_many(t_arrays) for c in path.components], axis=1)
+    mask = path.chart.contains_mask(path.chart.arrays(pts))
     if not np.all(mask):
         bad = int(np.argmin(mask))
-        pt = tuple(float(coords[nm][bad]) for nm in path.chart.coords)
-        raise DomainError(f"path leaves the chart domain at {pt}")
-    integrand = np.zeros_like(t_nodes)
-    for comp, vel in zip(form.components, path.velocity()):
-        integrand = integrand + comp.eval_many(coords) * vel.eval_many(t_arrays)
+        raise DomainError(
+            f"path leaves the chart domain at {tuple(map(float, pts[bad]))}")
+    vels = np.stack([v.eval_many(t_arrays) for v in path.velocity()], axis=1)
+    integrand = np.einsum("mn,mn->m", form.values_matrix(pts), vels)
     if not np.all(np.isfinite(integrand)):
         raise DomainError("one-form is singular along the path")
     return float(t_weights @ integrand)

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .axioms import _finite_max, library_fields, random_fields, random_scalars
 from .errors import ChartMismatch, DomainError, ValidationError
 from .expr import Expr, const
 from .geometry import (
@@ -28,6 +29,7 @@ from .geometry import (
     VectorField,
     VolumeForm,
     d_oneform,
+    line_integral,
     sample_points,
 )
 from .operators import DivOperator, blackbox_operator
@@ -81,14 +83,6 @@ class PointwiseOneForm:
         if self.fn_many is not None:
             return np.asarray(self.fn_many(pts), dtype=float)
         return np.array([self.fn(tuple(row)) for row in pts], dtype=float)
-
-
-def _form_matrix(form, pts: np.ndarray) -> np.ndarray:
-    """Component values of a symbolic or pointwise one-form, shape (m, n)."""
-    if isinstance(form, OneForm):
-        arrays = form.chart.arrays(pts)
-        return np.stack([c.eval_many(arrays) for c in form.components], axis=1)
-    return form.values_matrix(pts)
 
 
 @dataclass(frozen=True)
@@ -202,13 +196,8 @@ def _closedness_details(form, pts: np.ndarray, fd_step: float):
         def pair_values(i, j):
             return matrix[i][j].eval_many(arrays)
     else:
-        partials = np.empty((pts.shape[0], n, n))  # [point, axis, component]
-        for i in range(n):
-            shift = np.zeros(n)
-            shift[i] = fd_step
-            up = _form_matrix(form, pts + shift)
-            dn = _form_matrix(form, pts - shift)
-            partials[:, i, :] = (up - dn) / (2.0 * fd_step)
+        # [point, axis, component]
+        partials = _central_partials(form.values_matrix, pts, fd_step)
 
         def pair_values(i, j):
             return partials[:, i, j] - partials[:, j, i]
@@ -216,13 +205,11 @@ def _closedness_details(form, pts: np.ndarray, fd_step: float):
     worst, pair, where = 0.0, None, None
     for i in range(n):
         for j in range(i + 1, n):
-            vals = np.abs(pair_values(i, j))
-            finite = np.isfinite(vals)
-            if not np.any(finite):
+            local, k = _finite_max(np.abs(pair_values(i, j)))
+            if k is None:
                 return math.inf, (i, j), None
-            k = int(np.argmax(np.where(finite, vals, -1.0)))
-            if vals[k] > worst:
-                worst, pair, where = float(vals[k]), (i, j), tuple(pts[k])
+            if local > worst:
+                worst, pair, where = local, (i, j), tuple(pts[k])
     return worst, pair, where
 
 
@@ -256,7 +243,7 @@ def integrate_potential(form, chart: Chart | None = None,
         m, n = pts.shape
         deltas = pts - base[None, :]
         seg = base[None, None, :] + t_nodes[None, :, None] * deltas[:, None, :]
-        vals = _form_matrix(form, seg.reshape(m * len(t_nodes), n))
+        vals = form.values_matrix(seg.reshape(m * len(t_nodes), n))
         vals = vals.reshape(m, len(t_nodes), n)
         integrand = np.einsum("mkn,mn->mk", vals, deltas)
         return integrand @ t_weights
@@ -274,25 +261,9 @@ def monodromy_period(form, loop: Path,
     A value bounded away from zero certifies the form is closed but not
     exact, so no single volume reproduces the operator on the whole chart.
     """
-    if loop.chart != form.chart:
-        raise ChartMismatch("form and loop live on different charts")
     if not loop.is_loop():
         raise ValidationError("monodromy needs a closed loop")
-    rule = rule or default_rule()
-    segments = loop.segments if loop.segments is not None else rule.segment_count(1.0)
-    t_nodes, t_weights = rule.mapped(0.0, 1.0, segments=segments)
-    t_arrays = {"t": t_nodes}
-    pts = np.stack([c.eval_many(t_arrays) for c in loop.components], axis=1)
-    mask = loop.chart.contains_mask(loop.chart.arrays(pts))
-    if not np.all(mask):
-        bad = pts[int(np.argmin(mask))]
-        raise DomainError(f"loop leaves the chart domain at {tuple(bad)}")
-    vals = _form_matrix(form, pts)
-    vels = np.stack([v.eval_many(t_arrays) for v in loop.velocity()], axis=1)
-    integrand = np.einsum("mn,mn->m", vals, vels)
-    if not np.all(np.isfinite(integrand)):
-        raise DomainError("one-form is singular along the loop")
-    return float(t_weights @ integrand)
+    return line_integral(form, loop, rule)
 
 
 def rebuild_volume(potential: NumericScalarField, base: VolumeForm) -> NumericVolume:
@@ -344,12 +315,16 @@ def star_shaped_subchart(chart: Chart) -> Chart | None:
 # the decision pipeline
 
 
-def _finite_max(vals: np.ndarray) -> tuple[float, int | None]:
-    finite = np.isfinite(vals)
-    if not np.any(finite):
-        return math.inf, None
-    k = int(np.argmax(np.where(finite, vals, -1.0)))
-    return float(vals[k]), k
+def _central_partials(fn_many: Callable, pts: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of a batch function along each coordinate axis:
+    entry [:, i] (or [:, i, ...] for array values) is the i-th partial."""
+    n = pts.shape[1]
+    cols = []
+    for i in range(n):
+        shift = np.zeros(n)
+        shift[i] = h
+        cols.append((fn_many(pts + shift) - fn_many(pts - shift)) / (2.0 * h))
+    return np.stack(cols, axis=1)
 
 
 def _tensoriality_stage(op, base, fields, scalars, pts):
@@ -404,12 +379,7 @@ def _density_verification(op, density: NumericScalarField, weight: float,
     arrays = chart.arrays(pts)
     n = chart.dim
     rho = density.many(pts)
-    grad = np.empty((pts.shape[0], n))
-    for i in range(n):
-        shift = np.zeros(n)
-        shift[i] = h
-        grad[:, i] = (density.many(pts + shift) - density.many(pts - shift)) \
-            / (2.0 * h)
+    grad = _central_partials(density.many, pts, h)
     worst = 0.0
     for _, x in fields:
         comp_vals = [c.eval_many(arrays) for c in x.components]
@@ -431,12 +401,7 @@ def _gradient_verification(op, base, potential: NumericScalarField,
     chart = potential.chart
     arrays = chart.arrays(pts)
     n = chart.dim
-    grad = np.empty((pts.shape[0], n))
-    for i in range(n):
-        shift = np.zeros(n)
-        shift[i] = h
-        grad[:, i] = (potential.many(pts + shift) - potential.many(pts - shift)) \
-            / (2.0 * h)
+    grad = _central_partials(potential.many, pts, h)
     worst = 0.0
     for _, x in fields:
         comp_vals = [c.eval_many(arrays) for c in x.components]
@@ -468,8 +433,6 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
     rebuild and pointwise verification (disk-free chart) or loop periods
     followed by the same rebuild on a disk-free slab (holed chart).
     """
-    from .axioms import library_fields, random_fields, random_scalars
-
     if op.chart != base.chart:
         raise ChartMismatch("operators live on different charts")
     if chart is not None and chart != op.chart:

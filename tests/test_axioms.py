@@ -218,5 +218,6 @@ def test_report_invariants():
 def test_check_config_validation():
     with pytest.raises(ValidationError):
         CheckConfig(n_points=0)
-    with pytest.raises(ValidationError):
-        CheckConfig(tol=-1.0)
+    for tol in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            CheckConfig(tol=tol)

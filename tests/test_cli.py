@@ -455,3 +455,43 @@ def test_tol_flag_changes_verdict(capsys):
     code_tight = run(capsys, "check-axioms", "--spec", BOX, "D",
                      "--tol", "1e-16")[0]
     assert code_loose == 0 and code_tight == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # tolerances that would print a wrong verdict with exit 0 or 1
+    ["verify-kn", "--spec", POLAR, "area", "lc", "--tol=nan"],
+    ["verify-kn", "--spec", POLAR, "area", "lc", "--tol=-1"],
+    ["verify-kn", "--spec", POLAR, "skew", "zero", "--tol=inf"],
+    ["integrate-vanish", "--spec", BOX, "weighted", "--tol=nan"],
+    ["check-axioms", "--spec", BOX, "D_bad", "--tol=inf"],
+    ["classify", "--spec", BOX, "D", "D0", "--tol=nan"],
+    ["divergence", "--spec", BOX, "D", "dilation", "--tol=-inf"],
+    # seeds numpy cannot take
+    ["check-axioms", "--spec", BOX, "D", "--seed", "-1"],
+    ["classify", "--spec", BOX, "D", "D0", "--seed", "-1"],
+    ["divergence", "--spec", BOX, "D", "dilation", "--seed", "-1"],
+    ["verify-kn", "--spec", POLAR, "area", "lc", "--seed", "-1"],
+    ["integrate-vanish", "--spec", BOX, "weighted", "--seed", "-1"],
+])
+def test_bad_tolerance_or_seed_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "VERDICT" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_config_or_environment_seed_exits_two(capsys, tmp_path,
+                                                  monkeypatch):
+    spec = tmp_path / "seeded.dvk"
+    spec.write_text(pathlib.Path(BOX).read_text()
+                    .replace("seed = 0", "seed = -1"))
+    code, _, err = run(capsys, "check-axioms", "--spec", str(spec), "D")
+    assert code == 2 and err.count("\n") == 1
+    monkeypatch.setenv("DIVKIT_SEED", "abc")
+    for argv in (["divergence", "--spec", POLAR, "D_g", "radial"],
+                 ["verify-kn", "--spec", POLAR, "area", "lc"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+    monkeypatch.setenv("DIVKIT_SEED", "-3")
+    code, _, _ = run(capsys, "divergence", "--spec", POLAR, "D_g", "radial")
+    assert code == 2

@@ -497,3 +497,9 @@ def test_deep_sum_within_recursion_limit():
     pt = {"x": 0.5}
     assert s.eval(pt) == pytest.approx(0.5 + 0.25 * 400 * 401 / 2, rel=1e-12)
     assert ds.eval(pt) == pytest.approx(1.0 + 400 * 401 / 2, rel=1e-12)
+
+
+def test_deep_parentheses_within_recursion_limit():
+    # three parser frames per parenthesis level: 300 levels stay inside the
+    # default recursion limit of 1000
+    assert parse_expr("(" * 300 + "x" + ")" * 300, ["x"]) == var("x")

@@ -21,6 +21,7 @@ from divkit.geometry import (
     line_integral,
     sample_points,
 )
+from divkit.reconstruct import PointwiseOneForm
 
 BOX = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
 ANNULUS = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)),
@@ -122,6 +123,13 @@ def test_values_at_and_many():
     arrays = BOX.arrays(np.array([[0.5, 0.25], [-0.5, 0.5]]))
     vals = f.values_many(arrays)
     assert vals[0][1] == -0.25
+    pts = np.array([[0.5, 0.25], [-0.5, 0.5]])
+    form = OneForm.from_strings(BOX, ("x*y", "sin(y)"))
+    for obj in (f, form):
+        matrix = obj.values_matrix(pts)
+        assert matrix.shape == (2, 2)
+        assert tuple(matrix[0]) == f.values_at((0.5, 0.25))
+        assert matrix[1, 0] == -0.25
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +326,16 @@ def test_path_basics():
 
 def test_line_integral_angular_form_period():
     e = OneForm.from_strings(ANNULUS, ("-y/(x^2+y^2)", "x/(x^2+y^2)"))
-    v = line_integral(e, circle_path())
-    assert v == pytest.approx(6.283185307179586, abs=1e-10)
+
+    def angular_many(pts):
+        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+        return np.stack([-pts[:, 1] / r2, pts[:, 0] / r2], axis=1)
+
+    pointwise = PointwiseOneForm(ANNULUS, lambda p: angular_many(np.array([p]))[0],
+                                 angular_many)
+    for form in (e, pointwise):
+        v = line_integral(form, circle_path())
+        assert v == pytest.approx(6.283185307179586, abs=1e-10)
 
 
 def test_line_integral_exact_form_path_independent():
