@@ -23,8 +23,7 @@ op = div_volume(rho)
 
 def pairing(operator, field, resolution=96):
     integrand = (operator.symbolic(field) * rho.density).simplify()
-    return grid_integral(integrand.eval_many, box, resolution=resolution,
-                         batch=True)
+    return grid_integral(integrand.eval_many, box, resolution=resolution)
 
 
 fields = [

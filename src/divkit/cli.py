@@ -189,13 +189,13 @@ def run_divergence(spec, args) -> int:
     op = spec.operator(args.operator)
     field = _lookup(spec.fields, args.field, "field")
     seed, _, points = _settings(spec, args)
-    expr = op.symbolic(field)
-    if expr is not None:
-        print(f"EXPRESSION {expr}")
     if args.point:
         pts = np.asarray([_parse_point(t, op.chart.dim) for t in args.point])
     else:
         pts = np.asarray(sample_points(op.chart, points, seed))
+    expr = op.symbolic(field)
+    if expr is not None:
+        print(f"EXPRESSION {expr}")
     values = op.apply_many(field, pts)
     for row, value in zip(pts, values):
         print("VALUE " + " ".join(_fmt(c) for c in row) + f" {_fmt(value)}")
@@ -262,8 +262,7 @@ def run_integrate_vanish(spec, args) -> int:
         else spec.config.get("resolution", 64)
     field = bump_field(chart, center, radius, args.direction)
     integrand = (op.symbolic(field) * op.density).simplify()
-    value = grid_integral(lambda arrays: integrand.eval_many(arrays), chart,
-                          resolution=resolution, batch=True)
+    value = grid_integral(integrand.eval_many, chart, resolution=resolution)
     print(f"bump center={_point_str(center)} radius={_fmt(radius)} "
           f"direction={args.direction} resolution={resolution}")
     if op.weight != 1.0:  # the integral vanishes for true divergences only

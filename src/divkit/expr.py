@@ -49,26 +49,29 @@ class UnknownIdentifierError(ParseError):
 
 
 class EvalDomainError(ExprError):
-    """Evaluation left the domain: log of a non-positive value, division by
-    zero, sqrt of a negative, or a pole of the bump derivative."""
+    """Evaluation left the domain: division by zero (a pole of the bump
+    derivative among them), overflow, or an invalid operation such as log or
+    sqrt of a negative value."""
 
 
-# Function kinds, each mapping to a scalar implementation.  bump is the
+# Function kinds, each mapping to a numpy ufunc-like callable.  bump is the
 # standard compactly supported mollifier: exp(-1/(1-t^2)) inside |t|<1,
-# identically 0 outside.
-def _bump(t: float) -> float:
-    if abs(t) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - t * t))
+# identically 0 outside.  t is squared only inside the support, so a large
+# argument outside it cannot overflow in the discarded branch.
+def _bump(t: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    inside = np.abs(t) < 1.0
+    denom = 1.0 - np.where(inside, t, 0.0) ** 2
+    return np.where(inside, np.exp(-1.0 / denom), 0.0)
 
 
-FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "tanh": math.tanh,
+FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "tanh": np.tanh,
     "bump": _bump,
 }
 
@@ -188,12 +191,18 @@ class Expr:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, point: Mapping[str, float]) -> float:
-        """Evaluate at a point given as ``{name: value}``.
-
-        Raises EvalDomainError on domain violations and KeyError for
-        coordinates missing from ``point``.
-        """
-        return _eval_scalar(self, point, {})
+        """Evaluate at a point given as ``{name: value}``: ``eval_many`` on
+        one-element arrays, raising EvalDomainError wherever any step divides
+        by zero, overflows or is invalid (underflow is allowed), and KeyError
+        for coordinates missing from ``point``."""
+        arrays = {name: np.array([float(v)]) for name, v in point.items()}
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise",
+                             under="ignore"):
+                out = _eval_vector(self, arrays, {})
+        except FloatingPointError as e:
+            raise EvalDomainError(str(e)) from None
+        return np.asarray(out, dtype=float).item()
 
     def eval_many(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
         """Vectorised evaluation over numpy arrays of coordinate values.
@@ -251,89 +260,7 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation
-
-
-def _apply_binary(kind: str, a: float, b: float) -> float:
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        return a / b
-    # pow
-    if a == 0.0 and b < 0.0:
-        raise EvalDomainError("zero raised to a negative power")
-    if a < 0.0 and b != int(b):
-        raise EvalDomainError("negative base with non-integer exponent")
-    try:
-        return math.pow(a, b)
-    except OverflowError:
-        raise EvalDomainError("overflow in power") from None
-
-
-def _apply_function(kind: str, u: float) -> float:
-    if kind == "log":
-        if u <= 0.0:
-            raise EvalDomainError("log of a non-positive value")
-    elif kind == "sqrt":
-        if u < 0.0:
-            raise EvalDomainError("sqrt of a negative value")
-    elif kind == "exp":
-        if u > 700.0:
-            raise EvalDomainError("overflow in exp")
-    try:
-        return FUNCTIONS[kind](u)
-    except ValueError:  # sin or cos of an infinite value
-        raise EvalDomainError(f"{kind} of a non-finite value") from None
-
-
-def _eval_scalar(root: Expr, point: Mapping[str, float], memo: dict) -> float:
-    key = id(root)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    kind = root.kind
-    if kind == "const":
-        out = root.value
-    elif kind == "var":
-        out = float(point[root.name])
-    elif kind == "neg":
-        out = -_eval_scalar(root.args[0], point, memo)
-    elif kind in _BINARY:
-        a = _eval_scalar(root.args[0], point, memo)
-        b = _eval_scalar(root.args[1], point, memo)
-        out = _apply_binary(kind, a, b)
-    else:
-        out = _apply_function(kind, _eval_scalar(root.args[0], point, memo))
-    memo[key] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vectorised evaluation
-
-
-def _bump_vec(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    denom = np.where(inside, 1.0 - t * t, 1.0)
-    return np.where(inside, np.exp(-1.0 / denom), 0.0)
-
-
-_VECTOR_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "tanh": np.tanh,
-    "bump": _bump_vec,
-}
+# evaluation
 
 
 def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
@@ -362,7 +289,7 @@ def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
         else:
             out = np.power(a, b)
     else:
-        out = _VECTOR_FUNCS[kind](_eval_vector(root.args[0], arrays, memo))
+        out = FUNCTIONS[kind](_eval_vector(root.args[0], arrays, memo))
     memo[key] = out
     return out
 
@@ -504,12 +431,10 @@ def _fold_if_const(e: Expr) -> Expr:
     """Try to evaluate a constant subtree; keep it unfolded on any domain
     problem or non-finite result."""
     try:
-        v = _eval_scalar(e, {}, {})
-    except (EvalDomainError, OverflowError, ValueError):
+        v = e.eval({})
+    except EvalDomainError:
         return e
-    if not math.isfinite(v):
-        return e
-    return const(v)
+    return const(v) if math.isfinite(v) else e
 
 
 def _simplify(e: Expr) -> Expr:

@@ -377,7 +377,7 @@ def line_integral(form, path: Path,
     """Integral of a one-form along a path by composite quadrature.
 
     The form is anything with a chart and ``values_matrix`` (a symbolic
-    ``OneForm`` or a pointwise one).  Every quadrature node must land inside
+    ``OneForm`` or a ``PointwiseOneForm``).  Every quadrature node must land inside
     the chart domain and the form must be finite there.
     """
     _require_same_chart(form.chart, path.chart)

@@ -17,8 +17,8 @@ a product-rule weight s plus a one-form theta, fixed when it is built:
 ``density`` is the volume the operator is the divergence of, when the
 construction has one.  Two operators differ by a one-form exactly when their
 weights agree, and that one-form is theta - theta0.  A perturbed operator
-over a blackbox base, and every blackbox, has no theta and only evaluates
-pointwise.
+over a blackbox base, and every blackbox, has no theta and is known only
+through one batch callable.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ChartMismatch, DomainError, ValidationError
-from .expr import Expr, const, parse_expr
+from .expr import EvalDomainError, Expr, const, parse_expr
 from .geometry import (
     Chart,
     OneForm,
@@ -284,21 +284,19 @@ class DivOperator:
     is the product-rule weight s and ``theta`` the one-form.  ``density`` is
     the positive density whose divergence the operator is, when the
     construction carries one.  An operator without ``theta`` is a blackbox,
-    evaluated only pointwise through ``fn`` (batched through ``fn_many``
-    when given).  ``kind`` names the construction and decides nothing.
+    evaluated only through the batch callable ``fn_many(field, points)``.
+    ``kind`` names the construction and decides nothing.
     """
 
     def __init__(self, chart: Chart, kind: str, *, weight: float = 1.0,
                  theta: OneForm | None = None,
                  density: Expr | None = None,
-                 fn: Callable | None = None,
                  fn_many: Callable | None = None):
         self.chart = chart
         self.kind = kind
         self.weight = float(weight)
         self.theta = theta
         self.density = density
-        self.fn = fn
         self.fn_many = fn_many
 
     def __repr__(self):
@@ -326,12 +324,14 @@ class DivOperator:
         return acc.simplify()
 
     def apply(self, field: VectorField, point: Sequence[float]) -> float:
-        """Evaluate D(X) at a chart point."""
+        """Evaluate D(X) at a chart point: the one-row view of apply_many,
+        raising EvalDomainError where the value is not finite."""
         self._require_field(field)
         self.chart.require_inside(point)
-        if self.theta is None:
-            return float(self.fn(field, tuple(float(c) for c in point)))
-        return self.symbolic(field).eval(self.chart.env(point))
+        value = float(self.apply_many(field, np.asarray([point], dtype=float))[0])
+        if not math.isfinite(value):
+            raise EvalDomainError(f"D(X) is not finite at {tuple(point)}")
+        return value
 
     def apply_many(self, field: VectorField, points) -> np.ndarray:
         """Evaluate D(X) at an (m, n) array of chart points."""
@@ -341,18 +341,13 @@ class DivOperator:
         if not np.all(self.chart.contains_mask(arrays)):
             raise DomainError("a point lies outside the chart domain")
         if self.theta is None:
-            if self.fn_many is not None:
-                return np.asarray(self.fn_many(field, pts), dtype=float)
-            return np.array([self.fn(field, tuple(row)) for row in pts], dtype=float)
+            return np.asarray(self.fn_many(field, pts), dtype=float)
         return self.symbolic(field).eval_many(arrays)
 
     def as_blackbox(self) -> "DivOperator":
-        """Pointwise wrapper that hides the symbolic structure."""
-        return DivOperator(
-            self.chart, "blackbox", weight=self.weight,
-            fn=lambda field, point: self.apply(field, point),
-            fn_many=lambda field, pts: self.apply_many(field, pts),
-        )
+        """Batch-callable wrapper that hides the symbolic structure."""
+        return DivOperator(self.chart, "blackbox", weight=self.weight,
+                           fn_many=self.apply_many)
 
 
 def _log_gradient(chart: Chart, rho: Expr) -> OneForm:
@@ -418,14 +413,25 @@ def perturbed_operator(base: DivOperator, shift: OneForm) -> DivOperator:
             out = out + e.eval_many(arrays) * c.eval_many(arrays)
         return out
 
-    return DivOperator(
-        chart, "perturbed", weight=base.weight, fn_many=fn_many,
-        fn=lambda field, point: fn_many(field, np.asarray([point]))[0])
+    return DivOperator(chart, "perturbed", weight=base.weight, fn_many=fn_many)
+
+
+def as_batch(fn: Callable | None, fn_many: Callable | None) -> Callable:
+    """``fn_many`` when given; otherwise the pointwise ``fn`` lifted once to
+    a batch callable whose last argument, an (m, n) array of points, reaches
+    ``fn`` one row at a time as a tuple of floats."""
+    if fn_many is not None:
+        return fn_many
+    return lambda *args: np.array(
+        [fn(*args[:-1], tuple(row))
+         for row in np.asarray(args[-1], dtype=float).tolist()], dtype=float)
 
 
 def blackbox_operator(chart: Chart, fn: Callable, fn_many: Callable | None = None,
                       weight: float = 1.0) -> DivOperator:
-    """Operator known only through evaluation: fn(field, point) -> float."""
+    """Operator known only through evaluation: fn(field, point) -> float,
+    or the batch fn_many(field, points) -> array when given."""
     if not callable(fn):
         raise ValidationError("blackbox operator needs a callable")
-    return DivOperator(chart, "blackbox", weight=weight, fn=fn, fn_many=fn_many)
+    return DivOperator(chart, "blackbox", weight=weight,
+                       fn_many=as_batch(fn, fn_many))

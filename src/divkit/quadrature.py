@@ -95,16 +95,14 @@ def _axis_rules(chart, resolution: int, rule: QuadratureRule):
 
 
 def grid_integral(fn, chart, resolution: int = 64,
-                  rule: QuadratureRule | None = None,
-                  batch: bool = False) -> float:
+                  rule: QuadratureRule | None = None) -> float:
     """Tensor-product integral of ``fn`` over the chart box.
 
-    ``resolution`` counts quadrature segments per axis, so the node count per
-    axis is ``order * resolution``; cost grows like its n-th power.  With
-    ``batch`` the callable receives a ``{coord: array}`` mapping and must
-    return an array; otherwise it is called with one point tuple at a time.
-    Charts with excluded disks are rejected: the box integral would cross
-    the holes.
+    ``fn`` receives a ``{coord: array}`` mapping and returns an array of
+    values.  ``resolution`` counts quadrature segments per axis, so the node
+    count per axis is ``order * resolution``; cost grows like its n-th
+    power.  Charts with excluded disks are rejected: the box integral would
+    cross the holes.
     """
     rule = rule or default_rule()
     if chart.disks:
@@ -113,10 +111,8 @@ def grid_integral(fn, chart, resolution: int = 64,
     names = chart.coords
     first_nodes, first_weights = per_axis[0]
     if len(per_axis) == 1:
-        if batch:
-            vals = np.asarray(fn({names[0]: first_nodes}), dtype=float)
-            return float(first_weights @ vals)
-        return float(sum(w * fn((t,)) for t, w in zip(first_nodes, first_weights)))
+        vals = np.asarray(fn({names[0]: first_nodes}), dtype=float)
+        return float(first_weights @ vals)
 
     rest = per_axis[1:]
     rest_grids = np.meshgrid(*[n for n, _ in rest], indexing="ij")
@@ -130,18 +126,11 @@ def grid_integral(fn, chart, resolution: int = 64,
     ones = np.ones_like(rest_cols[0])
     for x0, w0 in zip(first_nodes, first_weights):
         # one slab of the grid at a time keeps memory flat in 3-D
-        if batch:
-            arrays = {names[0]: x0 * ones}
-            for nm, col in zip(names[1:], rest_cols):
-                arrays[nm] = col
-            vals = np.asarray(fn(arrays), dtype=float)
-            total += w0 * float(rest_weights @ vals)
-        else:
-            acc = 0.0
-            for idx in range(rest_cols[0].size):
-                pt = (x0,) + tuple(col[idx] for col in rest_cols)
-                acc += rest_weights[idx] * fn(pt)
-            total += w0 * acc
+        arrays = {names[0]: x0 * ones}
+        for nm, col in zip(names[1:], rest_cols):
+            arrays[nm] = col
+        vals = np.asarray(fn(arrays), dtype=float)
+        total += w0 * float(rest_weights @ vals)
     return float(total)
 
 
@@ -223,5 +212,5 @@ def integral_vanishing_check(volume, field, resolution: int = 64,
             if not np.all(np.abs(vals) <= 1e-12):
                 raise SupportError("field does not vanish on the chart boundary")
     coeff = lie_derivative_top(field, volume)
-    return grid_integral(lambda arrays: coeff.eval_many(arrays), chart,
-                         resolution=resolution, rule=rule, batch=True)
+    return grid_integral(coeff.eval_many, chart, resolution=resolution,
+                         rule=rule)

@@ -32,7 +32,7 @@ from .geometry import (
     line_integral,
     sample_points,
 )
-from .operators import DivOperator, blackbox_operator
+from .operators import DivOperator, as_batch
 from .quadrature import QuadratureRule, default_rule
 
 __all__ = [
@@ -69,38 +69,36 @@ CLOSEDNESS_FD_STEP = 1e-5
 
 
 class PointwiseOneForm:
-    """One-form known only through pointwise evaluation of its components."""
+    """One-form known only through evaluation: ``fn_many`` maps an (m, n)
+    array of points to the (m, n) matrix of components.  A pointwise
+    ``fn(point) -> components`` alone is lifted to it row by row."""
 
-    def __init__(self, chart: Chart, fn: Callable, fn_many: Callable | None = None):
+    def __init__(self, chart: Chart, fn: Callable | None,
+                 fn_many: Callable | None = None):
         self.chart = chart
-        self.fn = fn
-        self.fn_many = fn_many
+        self.fn_many = as_batch(fn, fn_many)
 
     def values_at(self, point: Sequence[float]) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.fn(tuple(float(c) for c in point)))
+        return tuple(self.values_matrix(np.asarray([point], dtype=float))[0].tolist())
 
     def values_matrix(self, pts: np.ndarray) -> np.ndarray:
-        if self.fn_many is not None:
-            return np.asarray(self.fn_many(pts), dtype=float)
-        return np.array([self.fn(tuple(row)) for row in pts], dtype=float)
+        return np.asarray(self.fn_many(pts), dtype=float)
 
 
-@dataclass(frozen=True)
 class NumericScalarField:
-    """Scalar function given by a callable, with an optional batch form."""
+    """Scalar function held as one batch callable ``fn_many(points)``; a
+    pointwise ``fn(point)`` alone is lifted to it row by row."""
 
-    chart: Chart
-    fn: Callable
-    fn_many: Callable | None = None
+    def __init__(self, chart: Chart, fn: Callable | None,
+                 fn_many: Callable | None = None):
+        self.chart = chart
+        self.fn_many = as_batch(fn, fn_many)
 
     def __call__(self, point: Sequence[float]) -> float:
-        return float(self.fn(tuple(float(c) for c in point)))
+        return float(self.many(np.asarray([point], dtype=float))[0])
 
     def many(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.fn_many is not None:
-            return np.asarray(self.fn_many(pts), dtype=float)
-        return np.array([self.fn(tuple(row)) for row in pts], dtype=float)
+        return np.asarray(self.fn_many(np.asarray(pts, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,8 @@ def _unit_fields(chart: Chart) -> list[VectorField]:
 def extract_oneform(op: DivOperator, base: DivOperator):
     """Candidate one-form E with E_i = (D - D0)(unit field i).
 
-    For two symbolic operators that is theta - theta0; pointwise otherwise.
+    For two symbolic operators that is theta - theta0; a batch callable
+    otherwise.
     """
     if op.chart != base.chart:
         raise ChartMismatch("operators live on different charts")
@@ -172,15 +171,12 @@ def extract_oneform(op: DivOperator, base: DivOperator):
             for t, t0 in zip(op.theta.components, base.theta.components)))
     units = _unit_fields(chart)
 
-    def fn(point):
-        return tuple(op.apply(u, point) - base.apply(u, point) for u in units)
-
     def fn_many(pts):
         return np.stack(
             [op.apply_many(u, pts) - base.apply_many(u, pts) for u in units],
             axis=1)
 
-    return PointwiseOneForm(chart, fn, fn_many)
+    return PointwiseOneForm(chart, None, fn_many)
 
 
 def _closedness_details(form, pts: np.ndarray, fd_step: float):
@@ -216,8 +212,8 @@ def _closedness_details(form, pts: np.ndarray, fd_step: float):
 def closedness_residual(form, points, fd_step: float = CLOSEDNESS_FD_STEP) -> float:
     """Max over sample points and index pairs of |d_i E_j - d_j E_i|.
 
-    Symbolic forms are differentiated exactly; pointwise ones by central
-    differences with an absolute step.
+    Symbolic forms are differentiated exactly; forms held as a batch
+    callable by central differences with an absolute step.
     """
     pts = np.asarray(points, dtype=float)
     worst, _, _ = _closedness_details(form, pts, fd_step)
@@ -248,10 +244,7 @@ def integrate_potential(form, chart: Chart | None = None,
         integrand = np.einsum("mkn,mn->mk", vals, deltas)
         return integrand @ t_weights
 
-    def fn(point):
-        return float(fn_many(np.asarray([point], dtype=float))[0])
-
-    return NumericScalarField(chart, fn, fn_many)
+    return NumericScalarField(chart, None, fn_many)
 
 
 def monodromy_period(form, loop: Path,
@@ -273,14 +266,10 @@ def rebuild_volume(potential: NumericScalarField, base: VolumeForm) -> NumericVo
     chart = potential.chart
     rho = base.density
 
-    def fn(point):
-        return math.exp(potential(point)) * rho.eval(chart.env(point))
-
     def fn_many(pts):
-        pts = np.asarray(pts, dtype=float)
         return np.exp(potential.many(pts)) * rho.eval_many(chart.arrays(pts))
 
-    return NumericVolume(chart, NumericScalarField(chart, fn, fn_many))
+    return NumericVolume(chart, NumericScalarField(chart, None, fn_many))
 
 
 def star_shaped_subchart(chart: Chart) -> Chart | None:
@@ -413,15 +402,12 @@ def _gradient_verification(op, base, potential: NumericScalarField,
 
 
 def _restricted(op: DivOperator, sub: Chart, parent: Chart) -> DivOperator:
-    """Pointwise view of an operator on a disk-free subchart."""
-
-    def fn(field, point):
-        return op.apply(VectorField(parent, field.components), point)
+    """Batch-callable view of an operator on a disk-free subchart."""
 
     def fn_many(field, pts):
         return op.apply_many(VectorField(parent, field.components), pts)
 
-    return blackbox_operator(sub, fn, fn_many, weight=op.weight)
+    return DivOperator(sub, "blackbox", weight=op.weight, fn_many=fn_many)
 
 
 def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,

@@ -20,7 +20,7 @@ rows.  Every error carries the 1-based line number it was found on.
 Connection sections list nonzero symbols one per line, `Gamma k i j = expr`
 with 0-based indices.  Operator kinds: volume, metric, affine, sdensity
 (`s = ...`), perturbed (`base = ...`, `oneform = ...`); `blackbox = true`
-wraps the result so only pointwise evaluation is exposed.
+wraps the result so only its batch callable is exposed.
 """
 
 from __future__ import annotations

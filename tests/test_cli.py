@@ -354,6 +354,15 @@ def test_domain_error_exits_three(capsys):
     assert "support" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bad_point_count_prints_nothing(capsys, count):
+    code, out, err = run(capsys, "divergence", "--spec", BOX, "D", "dilation",
+                         "--points", count)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_point_outside_chart_exits_three(capsys):
     code, _, _ = run(capsys, "divergence", "--spec", BOX, "D", "dilation",
                      "--point", "3.0,0.0")

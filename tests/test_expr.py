@@ -158,7 +158,7 @@ def test_eval_many_matches_scalar():
     ys = np.linspace(-1.5, 1.5, 41)
     for e in exprs:
         vec = e.eval_many({"x": xs, "y": ys})
-        scl = np.array([e.eval({"x": a, "y": b}) for a, b in zip(xs, ys)])
+        scl = np.array([_ref_eval(e, {"x": a, "y": b}, {}) for a, b in zip(xs, ys)])
         # numpy ufuncs and libm may disagree in the last ulp
         np.testing.assert_allclose(vec, scl, rtol=4e-16, atol=0)
 
@@ -372,6 +372,155 @@ def test_fd_agrees_on_polynomials(e, pt):
     assume(sym is not None and abs(sym) < 1e3)
     fd = _fd(e, "x", pt, h=1e-5)
     assert fd == pytest.approx(sym, rel=1e-5, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the scalar reference evaluator
+#
+# Expr.eval once had its own evaluator over Python floats and libm.  It is
+# kept here as a reference for Expr.eval, which now runs the batch evaluator
+# on one-element arrays.  The reference raises where it checks the domain
+# itself; numpy floating-point errors make the new eval raise.
+
+
+def _ref_bump(t):
+    if abs(t) >= 1.0:
+        return 0.0
+    return math.exp(-1.0 / (1.0 - t * t))
+
+
+_REF_FUNCTIONS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "tanh": math.tanh,
+    "bump": _ref_bump,
+}
+
+
+def _ref_binary(kind, a, b):
+    if kind == "add":
+        return a + b
+    if kind == "sub":
+        return a - b
+    if kind == "mul":
+        return a * b
+    if kind == "div":
+        if b == 0.0:
+            raise EvalDomainError("division by zero")
+        return a / b
+    # pow
+    if a == 0.0 and b < 0.0:
+        raise EvalDomainError("zero raised to a negative power")
+    if a < 0.0 and b != int(b):
+        raise EvalDomainError("negative base with non-integer exponent")
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        raise EvalDomainError("overflow in power") from None
+
+
+def _ref_function(kind, u):
+    if kind == "log":
+        if u <= 0.0:
+            raise EvalDomainError("log of a non-positive value")
+    elif kind == "sqrt":
+        if u < 0.0:
+            raise EvalDomainError("sqrt of a negative value")
+    elif kind == "exp":
+        if u > 700.0:
+            raise EvalDomainError("overflow in exp")
+    try:
+        return _REF_FUNCTIONS[kind](u)
+    except ValueError:  # sin or cos of an infinite value
+        raise EvalDomainError(f"{kind} of a non-finite value") from None
+
+
+def _ref_eval(root, point, memo):
+    key = id(root)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    kind = root.kind
+    if kind == "const":
+        out = root.value
+    elif kind == "var":
+        out = float(point[root.name])
+    elif kind == "neg":
+        out = -_ref_eval(root.args[0], point, memo)
+    elif kind in ("add", "sub", "mul", "div", "pow"):
+        a = _ref_eval(root.args[0], point, memo)
+        b = _ref_eval(root.args[1], point, memo)
+        out = _ref_binary(kind, a, b)
+    else:
+        out = _ref_function(kind, _ref_eval(root.args[0], point, memo))
+    memo[key] = out
+    return out
+
+
+# int() of an infinite exponent raises OverflowError, libm ValueError
+_REF_RAISES = (EvalDomainError, OverflowError, ValueError)
+# numpy's exp overflows above log(DBL_MAX); the reference refused above 700
+_EXP_LIMIT = math.log(np.finfo(float).max)
+
+
+def _nodes(e):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.args)
+
+
+def _agrees(got, want):
+    """The sympy oracle's bound; equal infinities and nans agree too."""
+    if got == want or (math.isnan(got) and math.isnan(want)):
+        return True
+    return abs(got - want) <= 1e-12 + 1e-9 * abs(want)
+
+
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+_edge_points = st.fixed_dictionaries(
+    {name: st.one_of(_EDGE, st.floats(min_value=-0.9, max_value=0.9))
+     for name in XY})
+
+
+@settings(max_examples=400, deadline=None)
+@given(expr_trees(funcs=("sin", "cos", "exp", "tanh", "bump", "sqrt", "log"),
+                  allow_div=True, allow_pow=True, general_pow=True),
+       _edge_points)
+def test_eval_matches_scalar_reference(e, pt):
+    memo = {}
+    try:
+        want = _ref_eval(e, pt, memo)
+    except _REF_RAISES:
+        try:
+            e.eval(pt)
+        except EvalDomainError:
+            return
+        # the one place the reference is stricter: exp of (700, 709.78]
+        assert any(n.kind == "exp" and id(n.args[0]) in memo
+                   and 700.0 < memo[id(n.args[0])] <= _EXP_LIMIT
+                   for n in _nodes(e)), str(e)
+        return
+    try:
+        got = e.eval(pt)
+    except EvalDomainError:
+        # the reference carried an inf or nan through without raising
+        assert not all(math.isfinite(v) for v in memo.values()), str(e)
+        return
+    assert _agrees(got, want), (str(e), got, want)
+
+
+def test_bump_outside_support_does_not_overflow():
+    # 0.5/y = -5e169 is far outside the support; squaring it would overflow
+    e = p("bump(0.5/y)")
+    pt = {"x": 0.0, "y": -1e-170}
+    assert e.eval(pt) == 0.0
+    assert _ref_eval(e, pt, {}) == 0.0
+    assert e.eval_many({"y": np.array([-1e-170, 0.25])}).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
