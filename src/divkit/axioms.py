@@ -6,10 +6,11 @@ D(fX) = f D(X) + X(f) (with the scalar term weighted for the s-density
 variants).  The checker samples both residuals over a battery of fields and
 scalars.  One routine computes the cocycle residual on either route: a
 symbolic operator's image is differentiated exactly, an opaque one through
-central differences along each field's direction.  The Leibniz residual of
+central differences along each field's direction, every probe of one
+evaluated field gathered into one batched call.  The Leibniz residual of
 a symbolic operator is one combined expression; an opaque one is applied
-term by term.  Each residual's worst sample is taken by ``_finite_max``,
-which ``classify`` shares.
+term by term, reusing each field's image at the samples.  Each residual's
+worst sample is taken by ``_finite_max``, which ``classify`` shares.
 """
 
 from __future__ import annotations
@@ -189,6 +190,11 @@ def random_scalars(chart: Chart, count: int, rng) -> list[tuple[str, Expr]]:
 
 _TINY = 1e-300
 
+# Rows per opaque-operator call in a finite-difference sweep.  Each field's
+# batch holds the samples plus two probes per partner field, so blocks bound
+# the evaluation memo at large sample counts.
+BATCH_ROWS = 4096
+
 
 def _finite_max(vals: np.ndarray) -> tuple[float, int | None]:
     """Largest finite value and its index; (inf, None) when none is finite."""
@@ -199,22 +205,28 @@ def _finite_max(vals: np.ndarray) -> tuple[float, int | None]:
     return float(vals[k]), k
 
 
-def _directional_fd(op, along: VectorField, of: VectorField, pts: np.ndarray,
-                    h0: float):
-    """Derivative of p -> D(of)(p) along the field, by central differences on
-    the normalised direction.  Returns (values, valid mask)."""
-    chart = op.chart
+@dataclass(frozen=True)
+class _Probes:
+    """Central-difference geometry along one field at the sample points."""
+
+    norms: np.ndarray  # |X| at each sample
+    h: np.ndarray  # step along X/|X|, after the one shrink
+    usable: np.ndarray  # X moves and both probes lie inside the chart
+    valid: np.ndarray  # usable, or X vanishes (derivative 0)
+    up: np.ndarray  # pts + h X/|X| at the usable samples
+    dn: np.ndarray  # pts - h X/|X| at the usable samples
+
+
+def _probes(chart: Chart, along: VectorField, pts: np.ndarray,
+            h0: float) -> _Probes:
+    """Probe points for differentiating along the field's direction, with
+    base step h0 shrunk by 10 once where a probe leaves the chart."""
     comps = along.values_matrix(pts)
     norms = np.linalg.norm(comps, axis=1)
-    m = pts.shape[0]
-    values = np.zeros(m)
-    valid = np.ones(m, dtype=bool)
     moving = norms > _TINY
-    if not np.any(moving):
-        return values, valid
     unit = np.zeros_like(comps)
     unit[moving] = comps[moving] / norms[moving, None]
-    h = np.full(m, h0)
+    h = np.full(pts.shape[0], h0)
 
     def shifted(step):
         up = pts + step[:, None] * unit
@@ -228,19 +240,54 @@ def _directional_fd(op, along: VectorField, of: VectorField, pts: np.ndarray,
         h = np.where(retry, h / 10.0, h)
         up, dn, ok = shifted(h)
     usable = moving & ok
-    valid = ~moving | usable
-    if np.any(usable):
-        g_up = op.apply_many(of, up[usable])
-        g_dn = op.apply_many(of, dn[usable])
-        values[usable] = (g_up - g_dn) / (2.0 * h[usable]) * norms[usable]
-    return values, valid
+    return _Probes(norms, h, usable, ~moving | usable, up[usable], dn[usable])
 
 
-def _cocycle_residuals(op, x, y, pts: np.ndarray, h0: float):
+def _fd_quotient(probes: _Probes, g_up: np.ndarray, g_dn: np.ndarray) -> np.ndarray:
+    """Derivative along the field from a function's values at its probes;
+    0 wherever the field vanishes or no probe fits."""
+    values = np.zeros(probes.h.shape[0])
+    usable = probes.usable
+    values[usable] = (g_up - g_dn) / (2.0 * probes.h[usable]) * probes.norms[usable]
+    return values
+
+
+def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
+    """What the finite-difference route needs of an opaque operator, from one
+    batched evaluation of each field Y over the sample points followed by the
+    probes of every other field X.
+
+    Returns D(Y) at the samples, per field, and {(a, b): (X(D(Y)), valid)}
+    for X = fields[a], Y = fields[b], a != b.  This relies on the operator
+    computing each row from that row alone."""
+    probes = [_probes(op.chart, x, pts, h0) for x in fields]
+    m = pts.shape[0]
+    at_samples, along = [], {}
+    for b, y in enumerate(fields):
+        partners = [a for a in range(len(fields)) if a != b]
+        rows = [pts]
+        for a in partners:
+            rows += [probes[a].up, probes[a].dn]
+        rows = np.concatenate(rows)
+        vals = np.concatenate([op.apply_many(y, rows[i:i + BATCH_ROWS])
+                               for i in range(0, rows.shape[0], BATCH_ROWS)])
+        # a copy, so no view keeps the whole batch alive
+        at_samples.append(vals[:m].copy())
+        start = m
+        for a in partners:
+            k = probes[a].up.shape[0]
+            g_up, g_dn = vals[start:start + k], vals[start + k:start + 2 * k]
+            along[a, b] = _fd_quotient(probes[a], g_up, g_dn), probes[a].valid
+            start += 2 * k
+    return at_samples, along
+
+
+def _cocycle_residuals(op, x, y, pts: np.ndarray, fd=None):
     """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at each point, with a validity mask.
 
-    Symbolic operators are differentiated exactly; opaque ones by central
-    differences along each field with base step h0."""
+    Symbolic operators are differentiated exactly.  For opaque ones ``fd``
+    holds the central differences (X(D(Y)), valid) and (Y(D(X)), valid)
+    from ``_fd_images``."""
     if op.is_symbolic:
         dx, dy = op.symbolic(x), op.symbolic(y)
         expr = op.symbolic(bracket(x, y))
@@ -250,15 +297,16 @@ def _cocycle_residuals(op, x, y, pts: np.ndarray, h0: float):
             expr = expr + comp * dx.diff(nm)
         vals = np.abs(expr.eval_many(op.chart.arrays(pts)))
         return vals, np.isfinite(vals)
+    (dxy, ok_x), (dyx, ok_y) = fd
     term = op.apply_many(bracket(x, y), pts)
-    dxy, ok_x = _directional_fd(op, x, y, pts, h0)
-    dyx, ok_y = _directional_fd(op, y, x, pts, h0)
     vals = np.abs(term - (dxy - dyx))
     return vals, ok_x & ok_y & np.isfinite(vals)
 
 
 def _leibniz_residuals(op, f: Expr, x: VectorField, weight: float,
-                       pts: np.ndarray):
+                       pts: np.ndarray, dx: np.ndarray | None = None):
+    """|D(fX) - f D(X) - weight X(f)| at each point; an opaque operator's
+    D(X) at the points may be passed in as ``dx``."""
     chart = op.chart
     arrays = chart.arrays(pts)
     fx = VectorField(chart, tuple((f * c).simplify() for c in x.components))
@@ -267,7 +315,8 @@ def _leibniz_residuals(op, f: Expr, x: VectorField, weight: float,
         expr = op.symbolic(fx) - f * op.symbolic(x) - const(weight) * xf
         return np.abs(expr.eval_many(arrays))
     dfx = op.apply_many(fx, pts)
-    dx = op.apply_many(x, pts)
+    if dx is None:
+        dx = op.apply_many(x, pts)
     return np.abs(dfx - f.eval_many(arrays) * dx - weight * xf.eval_many(arrays))
 
 
@@ -281,8 +330,11 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
     """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at one point."""
     op.chart.require_inside(point)
     pts = np.asarray([point], dtype=float)
-    vals, valid = _cocycle_residuals(op, x, y, pts,
-                                     fd_step_scale * op.chart.min_side)
+    fd = None
+    if not op.is_symbolic:
+        _, along = _fd_images(op, [x, y], pts, fd_step_scale * op.chart.min_side)
+        fd = along[0, 1], along[1, 0]
+    vals, valid = _cocycle_residuals(op, x, y, pts, fd)
     if not valid[0]:
         raise DomainError("residual could not be evaluated at this point")
     return float(vals[0])
@@ -350,16 +402,21 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
                                   None if k is None else tuple(pts[k]),
                                   int(vals.size), int(vals.size - valid.sum())))
 
+    at_samples, along = [None] * len(fields), None
+    if not op.is_symbolic:
+        at_samples, along = _fd_images(op, [x for _, x in fields], pts, h0)
+
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
             name_x, x = fields[a]
             name_y, y = fields[b]
-            vals, valid = _cocycle_residuals(op, x, y, pts, h0)
+            fd = None if along is None else (along[a, b], along[b, a])
+            vals, valid = _cocycle_residuals(op, x, y, pts, fd)
             finish("cocycle", f"cocycle({name_x},{name_y})", vals, valid)
 
     for fname, f in scalars:
-        for name_x, x in fields:
-            vals = _leibniz_residuals(op, f, x, op.weight, pts)
+        for (name_x, x), dx in zip(fields, at_samples):
+            vals = _leibniz_residuals(op, f, x, op.weight, pts, dx)
             finish("leibniz", f"leibniz({fname},{name_x})", vals, np.isfinite(vals))
 
     manifest = {

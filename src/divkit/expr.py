@@ -270,7 +270,8 @@ def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
         return hit
     kind = root.kind
     if kind == "const":
-        out = root.value
+        # a numpy scalar, so arithmetic between constants obeys np.errstate
+        out = np.float64(root.value)
     elif kind == "var":
         out = arrays[root.name]
     elif kind == "neg":

@@ -137,7 +137,11 @@ class Chart:
         return dict(zip(self.coords, map(float, point)))
 
     def arrays(self, points: np.ndarray) -> dict:
+        """Coordinate columns of an (m, dim) point array, by name."""
         pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DomainError(
+                f"points must form an (m, {self.dim}) array, got shape {pts.shape}")
         return {nm: pts[:, i] for i, nm in enumerate(self.coords)}
 
 

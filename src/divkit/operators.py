@@ -430,7 +430,11 @@ def as_batch(fn: Callable | None, fn_many: Callable | None) -> Callable:
 def blackbox_operator(chart: Chart, fn: Callable, fn_many: Callable | None = None,
                       weight: float = 1.0) -> DivOperator:
     """Operator known only through evaluation: fn(field, point) -> float,
-    or the batch fn_many(field, points) -> array when given."""
+    or the batch fn_many(field, points) -> array when given.
+
+    fn_many must compute each row from that row alone: ``check_axioms``
+    evaluates a field at its samples and at the probe points of several
+    other fields in one batch."""
     if not callable(fn):
         raise ValidationError("blackbox operator needs a callable")
     return DivOperator(chart, "blackbox", weight=weight,

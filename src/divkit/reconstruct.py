@@ -320,10 +320,13 @@ def _tensoriality_stage(op, base, fields, scalars, pts):
     chart = op.chart
     arrays = chart.arrays(pts)
     symbolic = op.is_symbolic and base.is_symbolic
+    # (D - D0)(X) at the samples, once per field
+    gaps = None if symbolic else [
+        op.apply_many(x, pts) - base.apply_many(x, pts) for _, x in fields]
     worst, witness = 0.0, None
     for fname, f in scalars:
         f_vals = None if symbolic else f.eval_many(arrays)
-        for xname, x in fields:
+        for j, (xname, x) in enumerate(fields):
             fx = VectorField(chart, tuple((f * c).simplify()
                                           for c in x.components))
             if symbolic:
@@ -332,8 +335,7 @@ def _tensoriality_stage(op, base, fields, scalars, pts):
                 vals = np.abs(gap.eval_many(arrays))
             else:
                 dfx = op.apply_many(fx, pts) - base.apply_many(fx, pts)
-                dx = op.apply_many(x, pts) - base.apply_many(x, pts)
-                vals = np.abs(dfx - f_vals * dx)
+                vals = np.abs(dfx - f_vals * gaps[j])
             local, k = _finite_max(vals)
             if local > worst:
                 worst = local

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from divkit import axioms
 from divkit.axioms import (
     AxiomEntry,
     CheckConfig,
@@ -20,9 +21,19 @@ from divkit.axioms import (
 )
 from divkit.errors import DomainError, ValidationError
 from divkit.expr import const, parse_expr, var
-from divkit.geometry import Chart, OneForm, VectorField, VolumeForm, sample_points
+from divkit.geometry import (
+    Chart,
+    OneForm,
+    VectorField,
+    VolumeForm,
+    apply_field,
+    bracket,
+    sample_points,
+)
 from divkit.operators import (
+    DivOperator,
     Metric,
+    blackbox_operator,
     div_metric,
     div_sdensity,
     div_volume,
@@ -198,7 +209,6 @@ def test_check_axioms_skip_budget():
             return math.nan
         return FLAT_OP.apply(field, point)
 
-    from divkit.operators import blackbox_operator
     bad = blackbox_operator(BOX, patchy)
     report = check_axioms(bad, CheckConfig(n_points=20, n_fields=1, n_scalars=1))
     assert report.skip_rate > 0.10
@@ -221,3 +231,168 @@ def test_check_config_validation():
     for tol in (-1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             CheckConfig(tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# the batched finite-difference sweep
+#
+# check_axioms evaluates each field of an opaque operator once, over the
+# sample points and every partner's probes.  The reference below is the plain
+# per-pair sweep: central differences computed twice per pair and D(X)
+# evaluated for every Leibniz term.  Both must give identical entries.
+
+
+def _ref_directional_fd(op, along, of, pts, h0):
+    chart = op.chart
+    comps = along.values_matrix(pts)
+    norms = np.linalg.norm(comps, axis=1)
+    m = pts.shape[0]
+    values = np.zeros(m)
+    valid = np.ones(m, dtype=bool)
+    moving = norms > 1e-300
+    if not np.any(moving):
+        return values, valid
+    unit = np.zeros_like(comps)
+    unit[moving] = comps[moving] / norms[moving, None]
+    h = np.full(m, h0)
+
+    def shifted(step):
+        up = pts + step[:, None] * unit
+        dn = pts - step[:, None] * unit
+        ok = chart.contains_mask(chart.arrays(up)) & chart.contains_mask(chart.arrays(dn))
+        return up, dn, ok
+
+    up, dn, ok = shifted(h)
+    retry = moving & ~ok
+    if np.any(retry):
+        h = np.where(retry, h / 10.0, h)
+        up, dn, ok = shifted(h)
+    usable = moving & ok
+    valid = ~moving | usable
+    if np.any(usable):
+        g_up = op.apply_many(of, up[usable])
+        g_dn = op.apply_many(of, dn[usable])
+        values[usable] = (g_up - g_dn) / (2.0 * h[usable]) * norms[usable]
+    return values, valid
+
+
+def _ref_entries(op, config, fields=None, scalars=None):
+    chart = op.chart
+    rng = np.random.default_rng(config.seed)
+    if fields is None:
+        fields = random_fields(chart, config.n_fields, rng) + library_fields(chart)
+    if scalars is None:
+        scalars = random_scalars(chart, config.n_scalars, rng)
+    pts = np.asarray(sample_points(chart, config.n_points, config.seed), dtype=float)
+    arrays = chart.arrays(pts)
+    h0 = config.fd_step_scale * chart.min_side
+    entries = []
+
+    def finish(axiom, label, vals, valid):
+        finite = np.isfinite(np.where(valid, vals, np.nan))
+        if np.any(finite):
+            k = int(np.argmax(np.where(finite, vals, -1.0)))
+            worst, where = float(vals[k]), tuple(pts[k])
+        else:
+            worst, where = math.inf, None
+        entries.append(AxiomEntry(axiom, label, worst, where, int(vals.size),
+                                  int(vals.size - valid.sum())))
+
+    for a in range(len(fields)):
+        for b in range(a + 1, len(fields)):
+            (name_x, x), (name_y, y) = fields[a], fields[b]
+            term = op.apply_many(bracket(x, y), pts)
+            dxy, ok_x = _ref_directional_fd(op, x, y, pts, h0)
+            dyx, ok_y = _ref_directional_fd(op, y, x, pts, h0)
+            vals = np.abs(term - (dxy - dyx))
+            finish("cocycle", f"cocycle({name_x},{name_y})", vals,
+                   ok_x & ok_y & np.isfinite(vals))
+    for fname, f in scalars:
+        for name_x, x in fields:
+            fx = VectorField(chart, tuple((f * c).simplify() for c in x.components))
+            xf = apply_field(x, f)
+            vals = np.abs(op.apply_many(fx, pts)
+                          - f.eval_many(arrays) * op.apply_many(x, pts)
+                          - op.weight * xf.eval_many(arrays))
+            finish("leibniz", f"leibniz({fname},{name_x})", vals, np.isfinite(vals))
+    return tuple(entries)
+
+
+def _assert_matches_reference(op, config, fields=None, scalars=None):
+    report = check_axioms(op, config, fields, scalars)
+    assert report.entries == _ref_entries(op, config, fields, scalars)
+    return report
+
+
+def test_batched_sweep_matches_reference_box():
+    for seed in (0, 7):
+        _assert_matches_reference(WEIGHTED_OP.as_blackbox(),
+                                  CheckConfig(seed=seed, n_points=40, n_fields=3))
+
+
+def test_batched_sweep_matches_reference_where_probes_shrink():
+    # a step of 1.6 leaves the chart from every sample; the shrunk step 0.16
+    # fits from most, so some samples shrink and the rest are skipped
+    annulus = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)),
+                    disks=(((0.0, 0.0), 0.2),), basepoint=(0.6, 0.0))
+    op = div_volume(VolumeForm.from_string(annulus, "exp(x+0.5*y)")).as_blackbox()
+    config = CheckConfig(seed=3, n_points=40, n_fields=2, n_scalars=1,
+                         fd_step_scale=0.8)
+    report = _assert_matches_reference(op, config)
+    assert any(e.skipped > 0 for e in report.entries)
+    pts = np.asarray(sample_points(annulus, 40, 3))
+    probes = axioms._probes(annulus, dict(library_fields(annulus))["swirl"],
+                            pts, 1.6)
+    assert np.any(probes.usable & (probes.h < 1.6))
+    assert np.any(~probes.usable)
+
+
+def test_batched_sweep_matches_reference_zero_field():
+    fields = [("zero", VectorField(BOX, (const(0.0), const(0.0))))] \
+        + library_fields(BOX)[:3]
+    scalars = [("f", ex("x*y - 0.5"))]
+    report = _assert_matches_reference(WEIGHTED_OP.as_blackbox(),
+                                       CheckConfig(n_points=25), fields, scalars)
+    assert report.skipped == 0
+    pts = np.asarray(sample_points(BOX, 25))
+    assert axioms._probes(BOX, fields[0][1], pts, 2e-5).up.shape == (0, 2)
+
+
+def test_batched_sweep_matches_reference_nan_blackbox():
+    def patchy(field, point):
+        if point[0] > -0.5:
+            return math.nan
+        return FLAT_OP.apply(field, point)
+
+    _assert_matches_reference(blackbox_operator(BOX, patchy),
+                              CheckConfig(n_points=20, n_fields=1, n_scalars=1))
+
+
+def _counting(op):
+    """Blackbox view of the operator that records the row count of each call."""
+    rows = []
+
+    def fn_many(field, pts):
+        rows.append(len(pts))
+        return op.apply_many(field, pts)
+
+    return DivOperator(op.chart, "blackbox", weight=op.weight, fn_many=fn_many), rows
+
+
+def test_batched_sweep_crosses_block_boundary():
+    # 13 fields at 300 points: 300 + 12 * 2 * 300 = 7,500 rows per field
+    op, rows = _counting(FLAT_OP)
+    config = CheckConfig(n_points=300)
+    _assert_matches_reference(op, config)
+    # each field's batch goes in one full block and one of 3,404 rows; the
+    # reference's own calls have at most 300
+    assert max(rows) == axioms.BATCH_ROWS
+    assert rows.count(axioms.BATCH_ROWS) == rows.count(7_500 - axioms.BATCH_ROWS) == 13
+
+
+def test_blackbox_sweep_makes_one_call_per_field():
+    op, rows = _counting(WEIGHTED_OP)
+    check_axioms(op)
+    fields, scalars = 8 + len(library_fields(BOX)), 4
+    pairs = fields * (fields - 1) // 2
+    assert len(rows) == pairs + fields + scalars * fields == 143

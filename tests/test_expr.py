@@ -115,6 +115,17 @@ def test_eval_domain_errors():
             p(text).eval(point)
 
 
+def test_constant_overflow_raises_in_eval_only():
+    for text in ("1e200*1e200", "1e308+1e308", "-1e308-1e308"):
+        e = p(text)
+        with pytest.raises(EvalDomainError):
+            e.eval({"x": 1.0})
+        # a fold whose value is not finite stays unfolded
+        assert e.simplify().kind == e.kind != "const"
+        vals = e.eval_many({"x": np.array([1.0, 2.0])})
+        assert np.all(np.isinf(vals)) and vals.shape == (2,)
+
+
 def test_bump_values():
     b = p("bump(x)")
     assert b.eval({"x": 0.0}) == 0.36787944117144233

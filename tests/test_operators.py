@@ -258,6 +258,20 @@ def test_blackbox_wrapping_and_domain_checks():
         blackbox_operator(BOX, fn=None)
 
 
+def test_apply_many_rejects_points_of_the_wrong_width():
+    base = div_volume(VolumeForm.from_string(BOX, "exp(x)"))
+    x = VectorField.from_strings(BOX, ("x*y", "y^2-x"))
+    wide = np.array([[0.1, 0.2, 5.0]])
+    narrow = np.array([[0.1]])
+    flat = np.array([0.1, 0.2])
+    for op in (base, base.as_blackbox()):
+        for pts in (wide, narrow, flat):
+            with pytest.raises(DomainError):
+                op.apply_many(x, pts)
+    with pytest.raises(DomainError):
+        base.apply(x, (0.1, 0.2, 5.0))
+
+
 def test_apply_many_matches_apply():
     d = div_metric(POLAR_METRIC)
     x = VectorField.from_strings(POLAR, ("sin(th)", "r*th-1"))

@@ -22,6 +22,7 @@ from divkit.geometry import (
 )
 from divkit.operators import (
     Connection,
+    DivOperator,
     Metric,
     div_affine,
     div_metric,
@@ -410,6 +411,27 @@ def test_classify_not_tensorial_on_weight_mismatch():
     assert result.verdict == NOT_TENSORIAL
     assert result.witness["residual"] > 1e-3
     assert result.witness["point"] is not None
+
+
+def test_classify_blackbox_tensoriality_call_count():
+    # (D - D0)(X) is evaluated once per field: 13 fields plus 52 (f, X)
+    # terms, on each operator
+    calls = []
+
+    def counted(name, apply_many):
+        def fn_many(field, pts):
+            calls.append(name)
+            return apply_many(field, pts)
+        return fn_many
+
+    half = div_sdensity(VolumeForm.from_string(BOX, "exp(x^2 - y)"), 0.5)
+    op = DivOperator(BOX, "blackbox", weight=half.weight,
+                     fn_many=counted("D", half.apply_many))
+    base = flat_op()
+    base.apply_many = counted("D0", base.apply_many)
+    result = classify(op, base)
+    assert result.verdict == NOT_TENSORIAL
+    assert calls.count("D") == calls.count("D0") == 65
 
 
 def test_classify_holed_chart_reports_period():
