@@ -10,7 +10,8 @@ central differences along each field's direction, every probe of one
 evaluated field gathered into one batched call.  The Leibniz residual of
 a symbolic operator is one combined expression; an opaque one is applied
 term by term, reusing each field's image at the samples.  Each residual's
-worst sample is taken by ``_finite_max``, which ``classify`` shares.
+worst sample is taken by ``_finite_max``.  ``classify`` shares both: its
+tensoriality residual is the Leibniz residual of D - D0 at weight 0.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class CheckConfig:
             raise ValidationError("check sizes must be positive")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("tolerance must be finite and positive")
+        if not (math.isfinite(self.fd_step_scale) and self.fd_step_scale > 0):
+            raise ValidationError("finite-difference step must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -304,20 +307,26 @@ def _cocycle_residuals(op, x, y, pts: np.ndarray, fd=None):
 
 
 def _leibniz_residuals(op, f: Expr, x: VectorField, weight: float,
-                       pts: np.ndarray, dx: np.ndarray | None = None):
+                       pts: np.ndarray, dx: np.ndarray | None = None,
+                       f_vals: np.ndarray | None = None):
     """|D(fX) - f D(X) - weight X(f)| at each point; an opaque operator's
-    D(X) at the points may be passed in as ``dx``."""
+    D(X) and f at the points may be passed in as ``dx`` and ``f_vals``.
+    At weight 0 the X(f) term is neither built nor evaluated."""
     chart = op.chart
     arrays = chart.arrays(pts)
     fx = VectorField(chart, tuple((f * c).simplify() for c in x.components))
-    xf = apply_field(x, f)
     if op.is_symbolic:
-        expr = op.symbolic(fx) - f * op.symbolic(x) - const(weight) * xf
+        expr = op.symbolic(fx) - f * op.symbolic(x)
+        if weight:
+            expr = expr - const(weight) * apply_field(x, f)
         return np.abs(expr.eval_many(arrays))
     dfx = op.apply_many(fx, pts)
-    if dx is None:
-        dx = op.apply_many(x, pts)
-    return np.abs(dfx - f.eval_many(arrays) * dx - weight * xf.eval_many(arrays))
+    dx = op.apply_many(x, pts) if dx is None else dx
+    f_vals = f.eval_many(arrays) if f_vals is None else f_vals
+    gap = dfx - f_vals * dx
+    if weight:
+        gap = gap - weight * apply_field(x, f).eval_many(arrays)
+    return np.abs(gap)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +423,11 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
             vals, valid = _cocycle_residuals(op, x, y, pts, fd)
             finish("cocycle", f"cocycle({name_x},{name_y})", vals, valid)
 
+    arrays = chart.arrays(pts)
     for fname, f in scalars:
+        f_vals = None if along is None else f.eval_many(arrays)
         for (name_x, x), dx in zip(fields, at_samples):
-            vals = _leibniz_residuals(op, f, x, op.weight, pts, dx)
+            vals = _leibniz_residuals(op, f, x, op.weight, pts, dx, f_vals)
             finish("leibniz", f"leibniz({fname},{name_x})", vals, np.isfinite(vals))
 
     manifest = {

@@ -22,7 +22,7 @@ from .axioms import CheckConfig, check_axioms, library_fields
 from .errors import DomainError, SpecError, ValidationError
 from .expr import EvalDomainError, ParseError
 from .geometry import sample_points
-from .operators import div_affine, div_volume, parallel_residual
+from .operators import difference, div_affine, div_volume, parallel_residual
 from .quadrature import bump_field, grid_integral
 from .reconstruct import CLOSED_NOT_EXACT, DIVERGENCE, ClassifyConfig, classify
 from .specfile import parse_specfile
@@ -211,16 +211,13 @@ def run_verify_kn(spec, args) -> int:
     pts = np.asarray(sample_points(chart, points, seed))
     arrays = chart.arrays(pts)
     residual_form = parallel_residual(connection, volume)
-    parallel_max = max(
-        float(np.abs(comp.eval_many(arrays)).max())
-        for comp in residual_form.components)
-    from_volume = div_volume(volume)
-    from_connection = div_affine(connection)
-    operator_max = 0.0
-    for _, field in library_fields(chart):
-        gap = np.abs(from_volume.apply_many(field, pts)
-                     - from_connection.apply_many(field, pts))
-        operator_max = max(operator_max, float(gap.max()))
+    parallel_max = float(np.max([np.abs(comp.eval_many(arrays)).max()
+                                 for comp in residual_form.components]))
+    gap = difference(div_volume(volume), div_affine(connection))
+    operator_max = float(np.max([np.abs(gap.apply_many(field, pts)).max()
+                                 for _, field in library_fields(chart)]))
+    if not (math.isfinite(parallel_max) and math.isfinite(operator_max)):
+        raise DomainError("verify-kn residuals are not finite at the samples")
     print(f"volume {args.volume} connection {args.connection} "
           f"tolerance={_fmt(tol)}")
     print(f"RESIDUAL parallel {_fmt(parallel_max)}")

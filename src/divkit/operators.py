@@ -13,17 +13,19 @@ a product-rule weight s plus a one-form theta, fixed when it is built:
     div_metric(g)                1        d log sqrt(det g)        sqrt(det g)
     div_affine(Gamma)            1        sum_k Gamma^k_{ik}       none
     perturbed_operator(D, E)     D's s    D's theta + E            none
+    difference(D, D0)            s - s0   theta - theta0           none
 
 ``density`` is the volume the operator is the divergence of, when the
-construction has one.  Two operators differ by a one-form exactly when their
-weights agree, and that one-form is theta - theta0.  A perturbed operator
-over a blackbox base, and every blackbox, has no theta and is known only
-through one batch callable.
+construction has one.  One rule combines two operators, part by part when
+both are symbolic, so D - D0 pairs fields with theta - theta0 exactly when
+the weights agree.  With a blackbox on either side the result is a blackbox
+combining the two images.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -395,25 +397,35 @@ def div_sdensity(volume: VolumeForm, s: float) -> DivOperator:
                        theta=_log_gradient(volume.chart, rho), density=rho)
 
 
-def perturbed_operator(base: DivOperator, shift: OneForm) -> DivOperator:
-    """Base operator plus the pairing of a one-form with the field."""
-    if base.chart != shift.chart:
-        raise ChartMismatch("base operator and shift live on different charts")
-    chart = base.chart
-    if base.is_symbolic:
-        theta = tuple((t + e).simplify()
-                      for t, e in zip(base.theta.components, shift.components))
-        return DivOperator(chart, "perturbed", weight=base.weight,
-                           theta=OneForm(chart, theta))
+def _combined(kind: str, op: DivOperator, other: DivOperator,
+              merge: Callable) -> DivOperator:
+    """``merge`` (+ or -) of two operators: part by part on the normal form
+    when both are symbolic, otherwise on the two images."""
+    if op.chart != other.chart:
+        raise ChartMismatch("operators live on different charts")
+    chart = op.chart
+    weight = merge(op.weight, other.weight)
+    if op.is_symbolic and other.is_symbolic:
+        theta = tuple(merge(t, u).simplify()
+                      for t, u in zip(op.theta.components, other.theta.components))
+        return DivOperator(chart, kind, weight=weight, theta=OneForm(chart, theta))
 
     def fn_many(field, pts):
-        arrays = chart.arrays(pts)
-        out = base.apply_many(field, pts)
-        for e, c in zip(shift.components, field.components):
-            out = out + e.eval_many(arrays) * c.eval_many(arrays)
-        return out
+        return merge(op.apply_many(field, pts), other.apply_many(field, pts))
 
-    return DivOperator(chart, "perturbed", weight=base.weight, fn_many=fn_many)
+    return DivOperator(chart, kind, weight=weight, fn_many=fn_many)
+
+
+def difference(op: DivOperator, base: DivOperator) -> DivOperator:
+    """E = D - D0, the operator every stage of ``classify`` works on."""
+    return _combined("difference", op, base, operator.sub)
+
+
+def perturbed_operator(base: DivOperator, shift: OneForm) -> DivOperator:
+    """Base operator plus the pairing of a one-form with the field: the
+    weight-0 operator whose theta is the shift."""
+    pairing = DivOperator(shift.chart, "pairing", weight=0.0, theta=shift)
+    return _combined("perturbed", base, pairing, operator.add)
 
 
 def as_batch(fn: Callable | None, fn_many: Callable | None) -> Callable:

@@ -1,10 +1,11 @@
 """Deciding whether an operator is a divergence, and rebuilding its volume.
 
-Given a candidate operator D and a reference divergence D0, the difference
-E = D - D0 pairs fields pointwise with a one-form exactly when D satisfies
-the product rule at the reference weight, and D satisfies the bracket axiom
-exactly when that one-form is closed.  On a chart star-shaped about its
-basepoint a closed form integrates to a potential along straight segments,
+Given a candidate operator D and a reference divergence D0, every stage
+works on the difference E = D - D0.  E pairs fields pointwise with a
+one-form exactly when its Leibniz residual at weight 0 vanishes, i.e. when
+D satisfies the product rule at the reference weight, and D satisfies the
+bracket axiom exactly when that one-form is closed.  On a chart star-shaped
+about its basepoint a closed form integrates to a potential along straight segments,
 and exp(potential) times the reference density rebuilds a volume whose
 divergence is D.  On charts with excluded disks a nonzero loop integral
 certifies that no single volume works globally; otherwise the decision is
@@ -19,9 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .axioms import _finite_max, library_fields, random_fields, random_scalars
-from .errors import ChartMismatch, DomainError, ValidationError
-from .expr import Expr, const
+from .axioms import (_finite_max, _leibniz_residuals, leibniz_residual,
+                     library_fields, random_fields, random_scalars)
+from .errors import ChartMismatch, ValidationError
+from .expr import Expr
 from .geometry import (
     Chart,
     OneForm,
@@ -32,7 +34,7 @@ from .geometry import (
     line_integral,
     sample_points,
 )
-from .operators import DivOperator, as_batch
+from .operators import DivOperator, as_batch, difference
 from .quadrature import QuadratureRule, default_rule
 
 __all__ = [
@@ -125,6 +127,8 @@ class ClassifyConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("tolerance must be positive")
+        if not (math.isfinite(self.fd_step_scale) and self.fd_step_scale > 0):
+            raise ValidationError("finite-difference step must be finite and positive")
         if min(self.n_points, self.n_fields) < 1 or self.n_scalars < 1:
             raise ValidationError("sample counts must be positive")
 
@@ -147,34 +151,20 @@ class Classification:
 # stage operations
 
 
-def _unit_fields(chart: Chart) -> list[VectorField]:
-    n = chart.dim
-    return [
-        VectorField(chart, tuple(const(1.0) if j == i else const(0.0)
-                                 for j in range(n)))
-        for i in range(n)
-    ]
-
-
 def extract_oneform(op: DivOperator, base: DivOperator):
-    """Candidate one-form E with E_i = (D - D0)(unit field i).
+    """Candidate one-form of E = D - D0, with E_i = E(unit field i).
 
     For two symbolic operators that is theta - theta0; a batch callable
     otherwise.
     """
-    if op.chart != base.chart:
-        raise ChartMismatch("operators live on different charts")
-    chart = op.chart
-    if op.is_symbolic and base.is_symbolic:
-        return OneForm(chart, tuple(
-            (t - t0).simplify()
-            for t, t0 in zip(op.theta.components, base.theta.components)))
-    units = _unit_fields(chart)
+    diff = difference(op, base)
+    if diff.is_symbolic:
+        return diff.theta
+    chart = diff.chart
+    units = [u for _, u in library_fields(chart)[:chart.dim]]
 
     def fn_many(pts):
-        return np.stack(
-            [op.apply_many(u, pts) - base.apply_many(u, pts) for u in units],
-            axis=1)
+        return np.stack([diff.apply_many(u, pts) for u in units], axis=1)
 
     return PointwiseOneForm(chart, None, fn_many)
 
@@ -316,26 +306,17 @@ def _central_partials(fn_many: Callable, pts: np.ndarray, h: float) -> np.ndarra
     return np.stack(cols, axis=1)
 
 
-def _tensoriality_stage(op, base, fields, scalars, pts):
-    chart = op.chart
-    arrays = chart.arrays(pts)
-    symbolic = op.is_symbolic and base.is_symbolic
-    # (D - D0)(X) at the samples, once per field
-    gaps = None if symbolic else [
-        op.apply_many(x, pts) - base.apply_many(x, pts) for _, x in fields]
+def _tensoriality_stage(diff: DivOperator, fields, scalars, pts):
+    """Worst Leibniz residual of E = D - D0 at weight 0, with its witness;
+    an opaque E is evaluated once per field and each scalar once."""
+    opaque = not diff.is_symbolic
+    images = [diff.apply_many(x, pts) if opaque else None for _, x in fields]
+    arrays = diff.chart.arrays(pts)
     worst, witness = 0.0, None
     for fname, f in scalars:
-        f_vals = None if symbolic else f.eval_many(arrays)
-        for j, (xname, x) in enumerate(fields):
-            fx = VectorField(chart, tuple((f * c).simplify()
-                                          for c in x.components))
-            if symbolic:
-                gap = (op.symbolic(fx) - base.symbolic(fx)) \
-                    - f * (op.symbolic(x) - base.symbolic(x))
-                vals = np.abs(gap.eval_many(arrays))
-            else:
-                dfx = op.apply_many(fx, pts) - base.apply_many(fx, pts)
-                vals = np.abs(dfx - f_vals * gaps[j])
+        f_vals = f.eval_many(arrays) if opaque else None
+        for (xname, x), dx in zip(fields, images):
+            vals = _leibniz_residuals(diff, f, x, 0.0, pts, dx, f_vals)
             local, k = _finite_max(vals)
             if local > worst:
                 worst = local
@@ -351,12 +332,7 @@ def tensoriality_residual(op: DivOperator, base: DivOperator, f: Expr,
     Zero for every f and X exactly when the difference pairs fields with a
     one-form, i.e. when D obeys the product rule at the reference weight.
     """
-    op.chart.require_inside(point)
-    worst, _ = _tensoriality_stage(op, base, [("X", field)], [("f", f)],
-                                   np.asarray([point], dtype=float))
-    if not math.isfinite(worst):
-        raise DomainError("residual could not be evaluated at this point")
-    return worst
+    return leibniz_residual(difference(op, base), f, field, point, weight=0.0)
 
 
 def _density_verification(op, density: NumericScalarField, weight: float,
@@ -383,9 +359,9 @@ def _density_verification(op, density: NumericScalarField, weight: float,
     return worst
 
 
-def _gradient_verification(op, base, potential: NumericScalarField,
+def _gradient_verification(diff: DivOperator, potential: NumericScalarField,
                            fields, pts: np.ndarray, h: float) -> float:
-    """Max |D(X) - D0(X) - X(potential)| with a central-difference gradient.
+    """Max |(D - D0)(X) - X(potential)| with a central-difference gradient.
 
     Used when the base operator carries no reference density to rescale.
     """
@@ -397,8 +373,7 @@ def _gradient_verification(op, base, potential: NumericScalarField,
     for _, x in fields:
         comp_vals = [c.eval_many(arrays) for c in x.components]
         pairing = sum(grad[:, i] * comp_vals[i] for i in range(n))
-        gap = op.apply_many(x, pts) - base.apply_many(x, pts) - pairing
-        local, _ = _finite_max(np.abs(gap))
+        local, _ = _finite_max(np.abs(diff.apply_many(x, pts) - pairing))
         worst = max(worst, local)
     return worst
 
@@ -416,13 +391,12 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
              config: ClassifyConfig | None = None) -> Classification:
     """Decide how the candidate operator relates to the reference divergence.
 
-    Stages: sampled tensoriality of the difference, closedness of the
-    extracted one-form, then either potential integration plus volume
-    rebuild and pointwise verification (disk-free chart) or loop periods
-    followed by the same rebuild on a disk-free slab (holed chart).
+    Stages, each on the difference E = D - D0: sampled tensoriality of E,
+    closedness of its one-form, then either potential integration plus
+    volume rebuild and pointwise verification (disk-free chart) or loop
+    periods followed by the same rebuild on a disk-free slab (holed chart).
     """
-    if op.chart != base.chart:
-        raise ChartMismatch("operators live on different charts")
+    diff = difference(op, base)
     if chart is not None and chart != op.chart:
         raise ChartMismatch("classification chart differs from the operators'")
     config = config or ClassifyConfig()
@@ -434,7 +408,7 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
                      dtype=float)
     residuals: dict = {}
 
-    tens, witness = _tensoriality_stage(op, base, fields, scalars, pts)
+    tens, witness = _tensoriality_stage(diff, fields, scalars, pts)
     residuals["tensoriality"] = tens
     form = extract_oneform(op, base)
     if tens > config.tol:
@@ -466,8 +440,10 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
 
     restricted = work_chart is not chart
     potential = integrate_potential(form, work_chart)
-    verify_op = _restricted(op, work_chart, chart) if restricted else op
-    verify_base = _restricted(base, work_chart, chart) if restricted else base
+    # a rebuilt density explains D itself, a bare potential only D - D0
+    target = op if base.density is not None else diff
+    if restricted:
+        target = _restricted(target, work_chart, chart)
     verify_fields = library_fields(work_chart)
     verify_pts = np.asarray(
         sample_points(work_chart, min(config.n_points, 50), config.seed),
@@ -478,11 +454,11 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
     if base.density is not None:
         volume = rebuild_volume(
             potential, VolumeForm(base.chart, base.density, validate=False))
-        verify = _density_verification(verify_op, volume.density, base.weight,
+        verify = _density_verification(target, volume.density, base.weight,
                                        verify_fields, verify_pts, h)
     else:
-        verify = _gradient_verification(verify_op, verify_base, potential,
-                                        verify_fields, verify_pts, h)
+        verify = _gradient_verification(target, potential, verify_fields,
+                                        verify_pts, h)
     residuals["verification"] = verify
     restricted_to = work_chart if restricted else None
     if verify > config.tol:

@@ -231,6 +231,10 @@ def test_check_config_validation():
     for tol in (-1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             CheckConfig(tol=tol)
+    # a zero step once divided 0 by 0 in every finite difference
+    for step in (0.0, -1e-5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            CheckConfig(fd_step_scale=step)
 
 
 # ---------------------------------------------------------------------------

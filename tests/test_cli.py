@@ -421,6 +421,26 @@ Gamma 0 0 0 = 0
     assert lines[-1] == "VERDICT INCONSISTENT"
 
 
+@pytest.mark.parametrize("symbols", [
+    # nan in the first component of the parallel residual and in the gap
+    ("Gamma 1 0 1 = 1/r + log(r - 2) - log(r - 2)",),
+    # nan in the second component only: this once printed VERDICT PARALLEL
+    ("Gamma 1 0 1 = 1/r", "Gamma 1 1 1 = 0 - log(r - 2) + log(r - 2)"),
+], ids=["first-component", "second-component"])
+def test_verify_kn_residual_not_finite_exits_three(capsys, tmp_path, symbols):
+    # log(r - 2) is nan on the samples with r < 2; max() over a list that
+    # holds nan returns whatever it met first, so a nan once printed as 0
+    spec = tmp_path / "weird.dvk"
+    spec.write_text((DATA / "polar.dvk").read_text() + "\n[connection weird]\n"
+                    + "\n".join(("Gamma 0 1 1 = 0 - r", "Gamma 1 1 0 = 1/r")
+                                 + symbols) + "\n")
+    code, out, err = run(capsys, "verify-kn", "--spec", str(spec), "area",
+                         "weird")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # settings precedence
 

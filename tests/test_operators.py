@@ -18,6 +18,7 @@ from divkit.operators import (
     div_affine,
     div_metric,
     div_sdensity,
+    difference,
     div_volume,
     levi_civita,
     parallel_residual,
@@ -482,11 +483,14 @@ def test_normal_form_matches_per_construction_formulas(ref, base_ref):
         np.testing.assert_allclose(op.apply_many(x, pts), want,
                                    rtol=1e-12, atol=1e-12)
 
-    # theta - theta0 is what (D - D0) gives on the unit fields
+    # D - D0 is one operator of weight s - s0 whose theta - theta0 is what
+    # the two per-construction formulas differ by on the unit fields
     base = _build(base_ref)
-    form = extract_oneform(op, base)
+    diff = difference(op, base)
+    assert diff.is_symbolic and diff.weight == op.weight - base.weight
+    assert extract_oneform(op, base).components == diff.theta.components
     units = [x for name, x in library_fields(chart) if name.startswith("unit_")]
-    for comp, u in zip(form.components, units):
+    for comp, u in zip(diff.theta.components, units):
         want = (_reference_symbolic(ref, u)
                 - _reference_symbolic(base_ref, u)).eval_many(arrays)
         np.testing.assert_allclose(comp.eval_many(arrays), want,
@@ -495,6 +499,17 @@ def test_normal_form_matches_per_construction_formulas(ref, base_ref):
             comp.eval_many(arrays),
             op.apply_many(u, pts) - base.apply_many(u, pts),
             rtol=1e-12, atol=1e-12)
+
+    # with a blackbox on either side the difference is the two batch images
+    # subtracted, bit for bit
+    for d, d0 in ((op.as_blackbox(), base), (op, base.as_blackbox())):
+        opaque = difference(d, d0)
+        assert not opaque.is_symbolic
+        assert opaque.weight == op.weight - base.weight
+        for _, x in fields:
+            np.testing.assert_array_equal(
+                opaque.apply_many(x, pts),
+                op.apply_many(x, pts) - base.apply_many(x, pts))
 
 
 def test_perturbed_blackbox_base_stays_pointwise():

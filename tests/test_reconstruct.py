@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divkit.axioms import check_axioms, random_scalars
+from divkit.axioms import (
+    _finite_max,
+    check_axioms,
+    library_fields,
+    random_fields,
+    random_scalars,
+)
 from divkit.errors import ChartMismatch, DomainError, ValidationError
 from divkit.expr import Expr, const, parse_expr, var
 from divkit.geometry import (
@@ -27,6 +33,7 @@ from divkit.operators import (
     div_affine,
     div_metric,
     div_sdensity,
+    difference,
     div_volume,
     perturbed_operator,
 )
@@ -38,6 +45,7 @@ from divkit.reconstruct import (
     ClassifyConfig,
     NumericScalarField,
     PointwiseOneForm,
+    _tensoriality_stage,
     classify,
     closedness_residual,
     extract_oneform,
@@ -166,6 +174,90 @@ def test_tensoriality_residual_singular_point():
         tensoriality_residual(weighted_op(), flat_op(), f, x_field, (0.0, 0.3))
     with pytest.raises(DomainError):
         tensoriality_residual(weighted_op(), flat_op(), f, x_field, (1.5, 0.3))
+
+
+# The stage once took the pair (D, D0), subtracting the two images term by
+# term or, for two symbolic operators, the two expressions.  The reference
+# below keeps that pair route; the stage now runs the Leibniz residual of
+# the single operator D - D0 at weight 0.
+
+
+def _reference_tensoriality_stage(op, base, fields, scalars, pts):
+    chart = op.chart
+    arrays = chart.arrays(pts)
+    symbolic = op.is_symbolic and base.is_symbolic
+    gaps = None if symbolic else [
+        op.apply_many(x, pts) - base.apply_many(x, pts) for _, x in fields]
+    worst, witness = 0.0, None
+    for fname, f in scalars:
+        f_vals = None if symbolic else f.eval_many(arrays)
+        for j, (xname, x) in enumerate(fields):
+            fx = VectorField(chart, tuple((f * c).simplify()
+                                          for c in x.components))
+            if symbolic:
+                gap = (op.symbolic(fx) - base.symbolic(fx)) \
+                    - f * (op.symbolic(x) - base.symbolic(x))
+                vals = np.abs(gap.eval_many(arrays))
+            else:
+                dfx = op.apply_many(fx, pts) - base.apply_many(fx, pts)
+                vals = np.abs(dfx - f_vals * gaps[j])
+            local, k = _finite_max(vals)
+            if local > worst:
+                worst = local
+                witness = {"scalar": fname, "field": xname, "residual": local,
+                           "point": None if k is None else tuple(pts[k])}
+    return worst, witness
+
+
+def _stage_inputs(chart, seed):
+    rng = np.random.default_rng(seed)
+    fields = random_fields(chart, 8, rng) + library_fields(chart)
+    scalars = random_scalars(chart, 4, rng)
+    return fields, scalars, box_points(chart, count=100, seed=seed)
+
+
+def _tensoriality_pairs():
+    half = div_sdensity(VolumeForm.from_string(BOX, "exp(x^2 - y)"), 0.5)
+    closed = perturbed_operator(flat_op(), one_form(BOX, "2*x", "-1"))
+    affine = div_affine(Connection.zero(BOX))
+    return {"weighted-flat": (weighted_op(), flat_op()),
+            "s-half-flat": (half, flat_op()),
+            "closed-affine": (closed, affine)}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["weighted-flat", "s-half-flat",
+                                  "closed-affine"])
+def test_tensoriality_stage_matches_pair_route_on_blackboxes(name, seed):
+    op, base = _tensoriality_pairs()[name]
+    fields, scalars, pts = _stage_inputs(BOX, seed)
+    for d, d0 in ((op.as_blackbox(), base), (op, base.as_blackbox()),
+                  (op.as_blackbox(), base.as_blackbox())):
+        got = _tensoriality_stage(difference(d, d0), fields, scalars, pts)
+        assert got == _reference_tensoriality_stage(d, d0, fields, scalars, pts)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_tensoriality_stage_matches_pair_route_on_symbolic_pairs(seed):
+    polar = Chart(("r", "th"), ((1.0, 2.5), (0.0, 1.5)))
+    metric = Metric.from_strings(polar, [["1", "0"], ["0", "r^2"]])
+    pairs = _tensoriality_pairs()
+    pairs["polar-metric"] = (
+        div_volume(VolumeForm.from_string(polar, "r*exp(r)")),
+        div_metric(metric))
+    for name, (op, base) in pairs.items():
+        fields, scalars, pts = _stage_inputs(op.chart, seed)
+        got, witness = _tensoriality_stage(difference(op, base), fields,
+                                           scalars, pts)
+        want, want_witness = _reference_tensoriality_stage(
+            op, base, fields, scalars, pts)
+        if name == "s-half-flat":
+            assert got > 1.0
+            assert (witness["scalar"], witness["field"]) == \
+                (want_witness["scalar"], want_witness["field"])
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        else:  # rounding residue on both routes
+            assert got <= 2.0 ** -40 and want <= 2.0 ** -40
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +607,6 @@ def test_classify_config_validation():
         ClassifyConfig(tol=0.0)
     with pytest.raises(ValidationError):
         ClassifyConfig(n_points=0)
+    for step in (0.0, -1e-5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            ClassifyConfig(fd_step_scale=step)
