@@ -4,14 +4,16 @@ An operator D is a divergence when it turns brackets into directional
 derivatives, D([X, Y]) = X(D(Y)) - Y(D(X)), and satisfies the product rule
 D(fX) = f D(X) + X(f) (with the scalar term weighted for the s-density
 variants).  The checker samples both residuals over a battery of fields and
-scalars.  One routine computes the cocycle residual on either route: a
-symbolic operator's image is differentiated exactly, an opaque one through
-central differences along each field's direction, every probe of one
-evaluated field gathered into one batched call.  The Leibniz residual of
-a symbolic operator is one combined expression; an opaque one is applied
-term by term, reusing each field's image at the samples.  Each residual's
-worst sample is taken by ``_finite_max``.  ``classify`` shares both: its
-tensoriality residual is the Leibniz residual of D - D0 at weight 0.
+scalars.  For a symbolic operator each residual is one expression tree,
+built on one image D(X) per field and differentiated exactly; a sweep
+evaluates all its trees in one ``eval_roots`` call, so a subtree shared
+between residuals is computed once.  An opaque operator's cocycle residual
+comes from central differences along each field's direction, every probe of
+one evaluated field gathered into one batched call, and its Leibniz
+residual is applied term by term, reusing each field's image at the
+samples.  Each residual's worst sample is taken by ``_finite_max``.
+``classify`` shares both: its tensoriality residual is the Leibniz residual
+of D - D0 at weight 0.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .expr import Expr, const, var
+from .expr import Expr, const, eval_roots, var
 from .geometry import (
     Chart,
     VectorField,
@@ -69,8 +71,12 @@ class CheckConfig:
             raise ValidationError("check sizes must be positive")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("tolerance must be finite and positive")
-        if not (math.isfinite(self.fd_step_scale) and self.fd_step_scale > 0):
-            raise ValidationError("finite-difference step must be finite and positive")
+        _require_step(self.fd_step_scale)
+
+
+def _require_step(step: float):
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError("finite-difference step must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -285,21 +291,36 @@ def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
     return at_samples, along
 
 
-def _cocycle_residuals(op, x, y, pts: np.ndarray, fd=None):
-    """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at each point, with a validity mask.
+def _scaled(chart: Chart, f: Expr, x: VectorField) -> VectorField:
+    """The field fX on the chart."""
+    return VectorField(chart, tuple((f * c).simplify() for c in x.components))
 
-    Symbolic operators are differentiated exactly.  For opaque ones ``fd``
-    holds the central differences (X(D(Y)), valid) and (Y(D(X)), valid)
-    from ``_fd_images``."""
-    if op.is_symbolic:
-        dx, dy = op.symbolic(x), op.symbolic(y)
-        expr = op.symbolic(bracket(x, y))
-        for comp, nm in zip(x.components, op.chart.coords):
-            expr = expr - comp * dy.diff(nm)
-        for comp, nm in zip(y.components, op.chart.coords):
-            expr = expr + comp * dx.diff(nm)
-        vals = np.abs(expr.eval_many(op.chart.arrays(pts)))
-        return vals, np.isfinite(vals)
+
+def _cocycle_root(op, x: VectorField, y: VectorField, dx: Expr, dy: Expr) -> Expr:
+    """D([X,Y]) - (X(D(Y)) - Y(D(X))) for a symbolic operator, built from
+    the images ``dx`` = D(X) and ``dy`` = D(Y), which are differentiated
+    exactly."""
+    expr = op.symbolic(bracket(x, y))
+    for comp, nm in zip(x.components, op.chart.coords):
+        expr = expr - comp * dy.diff(nm)
+    for comp, nm in zip(y.components, op.chart.coords):
+        expr = expr + comp * dx.diff(nm)
+    return expr
+
+
+def _leibniz_root(op, f: Expr, x: VectorField, dx: Expr, weight: float) -> Expr:
+    """D(fX) - f D(X) - weight X(f) for a symbolic operator, built from the
+    image ``dx`` = D(X).  At weight 0 the X(f) term is left out."""
+    expr = op.symbolic(_scaled(op.chart, f, x)) - f * dx
+    if weight:
+        expr = expr - const(weight) * apply_field(x, f)
+    return expr
+
+
+def _cocycle_residuals(op, x, y, pts: np.ndarray, fd):
+    """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| of an opaque operator at each point,
+    with a validity mask; ``fd`` holds the central differences
+    (X(D(Y)), valid) and (Y(D(X)), valid) from ``_fd_images``."""
     (dxy, ok_x), (dyx, ok_y) = fd
     term = op.apply_many(bracket(x, y), pts)
     vals = np.abs(term - (dxy - dyx))
@@ -309,18 +330,11 @@ def _cocycle_residuals(op, x, y, pts: np.ndarray, fd=None):
 def _leibniz_residuals(op, f: Expr, x: VectorField, weight: float,
                        pts: np.ndarray, dx: np.ndarray | None = None,
                        f_vals: np.ndarray | None = None):
-    """|D(fX) - f D(X) - weight X(f)| at each point; an opaque operator's
+    """|D(fX) - f D(X) - weight X(f)| of an opaque operator at each point;
     D(X) and f at the points may be passed in as ``dx`` and ``f_vals``.
     At weight 0 the X(f) term is neither built nor evaluated."""
-    chart = op.chart
-    arrays = chart.arrays(pts)
-    fx = VectorField(chart, tuple((f * c).simplify() for c in x.components))
-    if op.is_symbolic:
-        expr = op.symbolic(fx) - f * op.symbolic(x)
-        if weight:
-            expr = expr - const(weight) * apply_field(x, f)
-        return np.abs(expr.eval_many(arrays))
-    dfx = op.apply_many(fx, pts)
+    arrays = op.chart.arrays(pts)
+    dfx = op.apply_many(_scaled(op.chart, f, x), pts)
     dx = op.apply_many(x, pts) if dx is None else dx
     f_vals = f.eval_many(arrays) if f_vals is None else f_vals
     gap = dfx - f_vals * dx
@@ -337,13 +351,16 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
                      point: Sequence[float],
                      fd_step_scale: float = 1e-5) -> float:
     """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at one point."""
+    _require_step(fd_step_scale)
     op.chart.require_inside(point)
     pts = np.asarray([point], dtype=float)
-    fd = None
-    if not op.is_symbolic:
+    if op.is_symbolic:
+        root = _cocycle_root(op, x, y, op.symbolic(x), op.symbolic(y))
+        vals = np.abs(root.eval_many(op.chart.arrays(pts)))
+        valid = np.isfinite(vals)
+    else:
         _, along = _fd_images(op, [x, y], pts, fd_step_scale * op.chart.min_side)
-        fd = along[0, 1], along[1, 0]
-    vals, valid = _cocycle_residuals(op, x, y, pts, fd)
+        vals, valid = _cocycle_residuals(op, x, y, pts, (along[0, 1], along[1, 0]))
     if not valid[0]:
         raise DomainError("residual could not be evaluated at this point")
     return float(vals[0])
@@ -353,10 +370,16 @@ def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
                      point: Sequence[float], weight: float | None = None) -> float:
     """|D(fX) - f D(X) - weight * X(f)| at one point; the weight defaults to
     the operator's own."""
-    op.chart.require_inside(point)
     w = op.weight if weight is None else float(weight)
+    if not math.isfinite(w):
+        raise ValidationError("weight must be finite")
+    op.chart.require_inside(point)
     pts = np.asarray([point], dtype=float)
-    vals = _leibniz_residuals(op, f, x, w, pts)
+    if op.is_symbolic:
+        root = _leibniz_root(op, f, x, op.symbolic(x), w)
+        vals = np.abs(root.eval_many(op.chart.arrays(pts)))
+    else:
+        vals = _leibniz_residuals(op, f, x, w, pts)
     val = float(vals[0])
     if not math.isfinite(val):
         raise DomainError("residual could not be evaluated at this point")
@@ -403,32 +426,43 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
     tol = config.tol if config.tol is not None else (1e-9 if op.is_symbolic else 1e-6)
     h0 = config.fd_step_scale * chart.min_side
 
+    pairs = [(a, b) for a in range(len(fields)) for b in range(a + 1, len(fields))]
+    labels = [("cocycle", f"cocycle({fields[a][0]},{fields[b][0]})")
+              for a, b in pairs]
+    labels += [("leibniz", f"leibniz({fname},{name_x})")
+               for fname, _ in scalars for name_x, _ in fields]
     entries: list[AxiomEntry] = []
 
-    def finish(axiom, label, vals, valid):
+    def finish(vals, valid):
+        """Record the next entry in ``labels`` order."""
+        axiom, label = labels[len(entries)]
         worst, k = _finite_max(np.where(valid, vals, np.nan))
         entries.append(AxiomEntry(axiom, label, worst,
                                   None if k is None else tuple(pts[k]),
                                   int(vals.size), int(vals.size - valid.sum())))
 
-    at_samples, along = [None] * len(fields), None
-    if not op.is_symbolic:
-        at_samples, along = _fd_images(op, [x for _, x in fields], pts, h0)
-
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            name_x, x = fields[a]
-            name_y, y = fields[b]
-            fd = None if along is None else (along[a, b], along[b, a])
-            vals, valid = _cocycle_residuals(op, x, y, pts, fd)
-            finish("cocycle", f"cocycle({name_x},{name_y})", vals, valid)
-
     arrays = chart.arrays(pts)
-    for fname, f in scalars:
-        f_vals = None if along is None else f.eval_many(arrays)
-        for (name_x, x), dx in zip(fields, at_samples):
-            vals = _leibniz_residuals(op, f, x, op.weight, pts, dx, f_vals)
-            finish("leibniz", f"leibniz({fname},{name_x})", vals, np.isfinite(vals))
+    if op.is_symbolic:
+        # one image per field; every residual tree is built on those images
+        # and all are evaluated together, each shared subtree once
+        images = [op.symbolic(x) for _, x in fields]
+        roots = [_cocycle_root(op, fields[a][1], fields[b][1], images[a], images[b])
+                 for a, b in pairs]
+        roots += [_leibniz_root(op, f, x, dx, op.weight)
+                  for _, f in scalars for (_, x), dx in zip(fields, images)]
+        for value in eval_roots(roots, arrays):
+            vals = np.abs(value)
+            finish(vals, np.isfinite(vals))
+    else:
+        at_samples, along = _fd_images(op, [x for _, x in fields], pts, h0)
+        for a, b in pairs:
+            finish(*_cocycle_residuals(op, fields[a][1], fields[b][1], pts,
+                                       (along[a, b], along[b, a])))
+        for _, f in scalars:
+            f_vals = f.eval_many(arrays)
+            for (_, x), dx in zip(fields, at_samples):
+                vals = _leibniz_residuals(op, f, x, op.weight, pts, dx, f_vals)
+                finish(vals, np.isfinite(vals))
 
     manifest = {
         "seed": config.seed,

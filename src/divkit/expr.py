@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "EvalDomainError",
     "const",
     "var",
+    "eval_roots",
     "parse_expr",
     "FUNCTIONS",
 ]
@@ -205,20 +206,14 @@ class Expr:
         return np.asarray(out, dtype=float).item()
 
     def eval_many(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Vectorised evaluation over numpy arrays of coordinate values.
+        """Vectorised evaluation over numpy arrays of coordinate values: the
+        one-root case of ``eval_roots``, with no parent count.
 
         Domain violations are not raised here; offending positions come back
         as nan/inf for the caller to filter.  Shared subtrees are evaluated
         once.  Constant trees are broadcast to the input shape.
         """
-        with np.errstate(all="ignore"):
-            out = np.asarray(_eval_vector(self, arrays, {}), dtype=float)
-        if out.ndim == 0:
-            for v in arrays.values():
-                shape = np.shape(v)
-                if shape:
-                    return np.full(shape, float(out))
-        return out
+        return _evaluate(self, arrays, {})
 
     # -- calculus ------------------------------------------------------------
 
@@ -263,10 +258,69 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
 # evaluation
 
 
-def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
+def eval_roots(roots: Sequence[Expr],
+               arrays: Mapping[str, np.ndarray]) -> Iterator[np.ndarray]:
+    """Values of several trees over the same coordinate arrays, in the order
+    of ``roots``, each computed when it is requested.
+
+    Every node is evaluated once over all the trees.  Across roots only the
+    values of nodes with more than one parent are kept (a root counts as one
+    parent), and each is dropped after its last use.  Each returned array
+    is the caller's own: none is an input array or another root's value.
+    Non-finite positions and constant trees are handled as in ``eval_many``.
+    """
+    roots = tuple(roots)
+    uses = _parent_counts(roots)
+    memo: dict = {}
+    for root in roots:
+        yield _evaluate(root, arrays, memo, uses)
+
+
+def _evaluate(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
+              uses: dict | None = None) -> np.ndarray:
+    """One root's value as an array of the caller's own; without ``uses``,
+    as for a single root, every node's value is kept until it is done."""
+    with np.errstate(all="ignore"):
+        out = np.asarray(_eval_vector(root, arrays, memo, uses), dtype=float)
+    if out.ndim == 0:
+        # a constant tree takes the shape of the first non-scalar input
+        shape = next((np.shape(v) for v in arrays.values() if np.shape(v)), ())
+        out = np.full(shape, float(out))
+    elif root.kind == "var" or (uses is not None and id(root) in memo):
+        out = out.copy()
+    return out
+
+
+def _parent_counts(roots: Sequence[Expr]) -> dict[int, int]:
+    """Parent count of each inner node with more than one parent over the
+    union of the trees, a root counting as one parent.  Leaves are left out:
+    they cost no more to rebuild than to look up."""
+    counts: dict[int, int] = {}
+    stack = list(roots)  # one entry per reference
+    while stack:
+        node = stack.pop()
+        if node.args:
+            key = id(node)
+            seen = counts.get(key, 0)
+            counts[key] = seen + 1
+            if not seen:
+                stack.extend(node.args)
+    return {key: n for key, n in counts.items() if n > 1}
+
+
+def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
+                 uses: dict | None = None):
+    """Value of ``root`` over the coordinate arrays.  Without ``uses`` every
+    node's value is kept in ``memo``; with it, only the nodes it counts, and
+    each is dropped from ``memo`` when its remaining count reaches 0."""
     key = id(root)
     hit = memo.get(key)
     if hit is not None:
+        if uses is not None:
+            left = uses[key] - 1
+            uses[key] = left
+            if not left:
+                del memo[key]
         return hit
     kind = root.kind
     if kind == "const":
@@ -275,10 +329,10 @@ def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
     elif kind == "var":
         out = arrays[root.name]
     elif kind == "neg":
-        out = -_eval_vector(root.args[0], arrays, memo)
+        out = -_eval_vector(root.args[0], arrays, memo, uses)
     elif kind in _BINARY:
-        a = _eval_vector(root.args[0], arrays, memo)
-        b = _eval_vector(root.args[1], arrays, memo)
+        a = _eval_vector(root.args[0], arrays, memo, uses)
+        b = _eval_vector(root.args[1], arrays, memo, uses)
         if kind == "add":
             out = a + b
         elif kind == "sub":
@@ -290,8 +344,14 @@ def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
         else:
             out = np.power(a, b)
     else:
-        out = FUNCTIONS[kind](_eval_vector(root.args[0], arrays, memo))
-    memo[key] = out
+        out = FUNCTIONS[kind](_eval_vector(root.args[0], arrays, memo, uses))
+    if uses is None:
+        memo[key] = out
+    else:
+        left = uses.get(key)
+        if left is not None:
+            memo[key] = out
+            uses[key] = left - 1
     return out
 
 

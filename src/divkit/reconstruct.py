@@ -20,10 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .axioms import (_finite_max, _leibniz_residuals, leibniz_residual,
-                     library_fields, random_fields, random_scalars)
+from .axioms import (_finite_max, _leibniz_residuals, _leibniz_root,
+                     _require_step, leibniz_residual, library_fields,
+                     random_fields, random_scalars)
 from .errors import ChartMismatch, ValidationError
-from .expr import Expr
+from .expr import Expr, eval_roots
 from .geometry import (
     Chart,
     OneForm,
@@ -127,8 +128,7 @@ class ClassifyConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("tolerance must be positive")
-        if not (math.isfinite(self.fd_step_scale) and self.fd_step_scale > 0):
-            raise ValidationError("finite-difference step must be finite and positive")
+        _require_step(self.fd_step_scale)
         if min(self.n_points, self.n_fields) < 1 or self.n_scalars < 1:
             raise ValidationError("sample counts must be positive")
 
@@ -203,8 +203,10 @@ def closedness_residual(form, points, fd_step: float = CLOSEDNESS_FD_STEP) -> fl
     """Max over sample points and index pairs of |d_i E_j - d_j E_i|.
 
     Symbolic forms are differentiated exactly; forms held as a batch
-    callable by central differences with an absolute step.
+    callable by central differences with an absolute step, which must be
+    finite and positive.
     """
+    _require_step(fd_step)
     pts = np.asarray(points, dtype=float)
     worst, _, _ = _closedness_details(form, pts, fd_step)
     return worst
@@ -307,21 +309,35 @@ def _central_partials(fn_many: Callable, pts: np.ndarray, h: float) -> np.ndarra
 
 
 def _tensoriality_stage(diff: DivOperator, fields, scalars, pts):
-    """Worst Leibniz residual of E = D - D0 at weight 0, with its witness;
-    an opaque E is evaluated once per field and each scalar once."""
-    opaque = not diff.is_symbolic
-    images = [diff.apply_many(x, pts) if opaque else None for _, x in fields]
+    """Worst Leibniz residual of E = D - D0 at weight 0, with its witness.
+
+    A symbolic E takes one image per field and evaluates every residual
+    tree in one ``eval_roots`` call; an opaque E is evaluated once per field
+    and each scalar once."""
     arrays = diff.chart.arrays(pts)
+    if diff.is_symbolic:
+        images = [diff.symbolic(x) for _, x in fields]
+        roots = [_leibniz_root(diff, f, x, dx, 0.0)
+                 for _, f in scalars for (_, x), dx in zip(fields, images)]
+        values = (np.abs(v) for v in eval_roots(roots, arrays))
+    else:
+        images = [diff.apply_many(x, pts) for _, x in fields]
+
+        def opaque_values():
+            for _, f in scalars:
+                f_vals = f.eval_many(arrays)
+                for (_, x), dx in zip(fields, images):
+                    yield _leibniz_residuals(diff, f, x, 0.0, pts, dx, f_vals)
+
+        values = opaque_values()
+    labels = [(fname, xname) for fname, _ in scalars for xname, _ in fields]
     worst, witness = 0.0, None
-    for fname, f in scalars:
-        f_vals = f.eval_many(arrays) if opaque else None
-        for (xname, x), dx in zip(fields, images):
-            vals = _leibniz_residuals(diff, f, x, 0.0, pts, dx, f_vals)
-            local, k = _finite_max(vals)
-            if local > worst:
-                worst = local
-                witness = {"scalar": fname, "field": xname, "residual": local,
-                           "point": None if k is None else tuple(pts[k])}
+    for (fname, xname), vals in zip(labels, values):
+        local, k = _finite_max(vals)
+        if local > worst:
+            worst = local
+            witness = {"scalar": fname, "field": xname, "residual": local,
+                       "point": None if k is None else tuple(pts[k])}
     return worst, witness
 
 

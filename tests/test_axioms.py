@@ -129,6 +129,25 @@ def test_leibniz_residual_and_weight_override():
     assert wrong > 1e-3
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+def test_cocycle_residual_rejects_bad_step(step):
+    # a zero step divided 0 by 0, a negative one acted as its absolute value,
+    # and nan ended in a misleading DomainError
+    fields = dict(library_fields(BOX))
+    for op in (WEIGHTED_OP, WEIGHTED_OP.as_blackbox()):
+        with pytest.raises(ValidationError):
+            cocycle_residual(op, fields["swirl"], fields["dilation"], (0.1, 0.2),
+                             fd_step_scale=step)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_leibniz_residual_rejects_non_finite_weight(weight):
+    x = VectorField.from_strings(BOX, ("x*y", "1-y"))
+    for op in (WEIGHTED_OP, WEIGHTED_OP.as_blackbox()):
+        with pytest.raises(ValidationError, match="weight must be finite"):
+            leibniz_residual(op, ex("x^2-y"), x, (0.2, 0.5), weight=weight)
+
+
 def test_cartan_identity_holds():
     vol = VolumeForm.from_string(BOX, "exp(0.3*x)*(1+0.25*y^2)")
     rng = np.random.default_rng(3)
@@ -400,3 +419,95 @@ def test_blackbox_sweep_makes_one_call_per_field():
     fields, scalars = 8 + len(library_fields(BOX)), 4
     pairs = fields * (fields - 1) // 2
     assert len(rows) == pairs + fields + scalars * fields == 143
+
+
+# ---------------------------------------------------------------------------
+# the shared symbolic sweep
+#
+# check_axioms takes one image per field and evaluates every residual tree of
+# a symbolic operator in one eval_roots call.  The reference below is the
+# plain per-pair sweep: D(X) rebuilt for each pair and term, each tree
+# evaluated on its own.  Both must give identical entries.
+
+
+def _ref_symbolic_entries(op, config):
+    chart = op.chart
+    rng = np.random.default_rng(config.seed)
+    fields = random_fields(chart, config.n_fields, rng) + library_fields(chart)
+    scalars = random_scalars(chart, config.n_scalars, rng)
+    pts = np.asarray(sample_points(chart, config.n_points, config.seed), dtype=float)
+    arrays = chart.arrays(pts)
+    entries = []
+
+    def finish(axiom, label, expr):
+        vals = np.abs(expr.eval_many(arrays))
+        finite = np.isfinite(vals)
+        if np.any(finite):
+            k = int(np.argmax(np.where(finite, vals, -1.0)))
+            worst, where = float(vals[k]), tuple(pts[k])
+        else:
+            worst, where = math.inf, None
+        entries.append(AxiomEntry(axiom, label, worst, where, int(vals.size),
+                                  int(vals.size - finite.sum())))
+
+    for a in range(len(fields)):
+        for b in range(a + 1, len(fields)):
+            (name_x, x), (name_y, y) = fields[a], fields[b]
+            dx, dy = op.symbolic(x), op.symbolic(y)
+            expr = op.symbolic(bracket(x, y))
+            for comp, nm in zip(x.components, chart.coords):
+                expr = expr - comp * dy.diff(nm)
+            for comp, nm in zip(y.components, chart.coords):
+                expr = expr + comp * dx.diff(nm)
+            finish("cocycle", f"cocycle({name_x},{name_y})", expr)
+    for fname, f in scalars:
+        for name_x, x in fields:
+            fx = VectorField(chart, tuple((f * c).simplify() for c in x.components))
+            expr = op.symbolic(fx) - f * op.symbolic(x)
+            if op.weight:
+                expr = expr - const(op.weight) * apply_field(x, f)
+            finish("leibniz", f"leibniz({fname},{name_x})", expr)
+    return tuple(entries)
+
+
+def _criterion_one_operators():
+    polar_metric = Metric.from_strings(POLAR, [["1", "0"], ["0", "r^2"]])
+    weighted = VolumeForm.from_string(BOX, "exp(x^2 - y)")
+    return {
+        "flat": FLAT_OP,
+        "weighted": div_volume(weighted),
+        "polar-metric": div_metric(polar_metric),
+        "levi-civita": div_affine(levi_civita(polar_metric)),
+        "s-half": div_sdensity(weighted, 0.5),
+        "perturbed-closed": perturbed_operator(
+            FLAT_OP, OneForm.from_strings(BOX, ("2*x", "-1"))),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_shared_symbolic_sweep_matches_per_pair_reference(seed):
+    config = CheckConfig(seed=seed, n_points=60)
+    for name, op in _criterion_one_operators().items():
+        report = check_axioms(op, config)
+        assert report.entries == _ref_symbolic_entries(op, config), name
+
+
+def test_symbolic_sweep_takes_one_image_per_field():
+    op = div_sdensity(VolumeForm.from_string(BOX, "exp(x^2 - y)"), 0.5)
+    calls = []
+    symbolic = op.symbolic
+
+    def counting(field):
+        calls.append(field)
+        return symbolic(field)
+
+    op.symbolic = counting
+    rng = np.random.default_rng(0)
+    fields = random_fields(BOX, 8, rng) + library_fields(BOX)
+    scalars = random_scalars(BOX, 4, rng)
+    check_axioms(op, fields=fields, scalars=scalars)
+    pairs = len(fields) * (len(fields) - 1) // 2
+    # D(X) for each field, D([X,Y]) for each pair, D(fX) for each scalar and field
+    assert len(calls) == len(fields) + pairs + len(scalars) * len(fields) == 143
+    for _, x in fields:
+        assert sum(1 for c in calls if c is x) == 1

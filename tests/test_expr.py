@@ -22,9 +22,11 @@ from divkit.expr import (
     _pow,
     _sub,
     const,
+    eval_roots,
     parse_expr,
     var,
 )
+from divkit import expr as expr_module
 
 XY = ("x", "y")
 
@@ -181,6 +183,129 @@ def test_eval_many_marks_domain_violations_nonfinite():
     assert not np.isfinite(out[1])
     assert not np.isfinite(out[2])
     assert out[3] == pytest.approx(1.0, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# evaluating several roots together
+
+_KINDS = ("add", "sub", "mul", "div", "pow", "neg", "sin", "cos", "exp",
+          "log", "sqrt", "tanh", "bump")
+
+
+@st.composite
+def shared_forests(draw):
+    """Roots over x and y whose subtrees are shared by identity: each new
+    node takes its arguments from the nodes built so far, and roots are
+    drawn from all of them, so leaves, constant trees and repeats occur."""
+    pool = [var("x"), var("y"), const(draw(st.sampled_from([0.0, -0.0, 0.5, 2.0])))]
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        kind = draw(st.sampled_from(_KINDS))
+        arity = 2 if kind in ("add", "sub", "mul", "div", "pow") else 1
+        args = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+        pool.append(Expr(kind, args))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+
+
+_coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(min_value=-3.0, max_value=3.0))
+_coordinate_arrays = st.lists(st.tuples(_coordinate, _coordinate),
+                              min_size=1, max_size=6).map(
+    lambda rows: {"x": np.array([r[0] for r in rows]),
+                  "y": np.array([r[1] for r in rows])})
+
+
+def _multi_parent_count(roots):
+    """Inner nodes reached from more than one parent, a root counting as one."""
+    counts, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if node.args:
+            counts[id(node)] = counts.get(id(node), 0) + 1
+            if counts[id(node)] == 1:
+                stack.extend(node.args)
+    return sum(1 for n in counts.values() if n > 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_forests(), _coordinate_arrays)
+def test_eval_roots_matches_each_eval_many(roots, arrays):
+    got = list(eval_roots(roots, arrays))
+    assert len(got) == len(roots)
+    for root, value in zip(roots, got):
+        want = root.eval_many(arrays)
+        assert value.dtype == want.dtype and value.shape == want.shape
+        assert np.array_equal(value, want, equal_nan=True), str(root)
+
+
+def test_eval_roots_leaves_and_constants():
+    x = var("x")
+    shared = Expr("sin", (x,))
+    roots = [x, const(2.0), Expr("neg", (const(1.5),)), shared,
+             Expr("add", (shared, shared)), shared]
+    arrays = {"x": np.array([0.1, -0.4, 2.0])}
+    got = list(eval_roots(roots, arrays))
+    assert np.array_equal(got[0], arrays["x"])
+    assert np.array_equal(got[1], np.full(3, 2.0))
+    assert np.array_equal(got[2], np.full(3, -1.5))
+    assert np.array_equal(got[3], np.sin(arrays["x"]))
+    assert np.array_equal(got[4], 2.0 * np.sin(arrays["x"]))
+    assert np.array_equal(got[5], got[3])
+    # no input arrays: constant trees stay 0-d, as with eval_many
+    assert list(eval_roots([const(3.0), Expr("neg", (const(1.0),))], {})) \
+        == [np.asarray(3.0), np.asarray(-1.0)]
+
+
+def test_eval_roots_values_are_independent():
+    x, y = var("x"), var("y")
+    inner = Expr("mul", (x, y))
+    outer = Expr("add", (inner, Expr("sin", (inner,))))
+    roots = [x, inner, outer, inner, const(1.0), Expr("neg", (inner,))]
+    arrays = {"x": np.array([0.5, 1.5]), "y": np.array([-2.0, 0.25])}
+    before = {k: v.copy() for k, v in arrays.items()}
+    want = [r.eval_many(arrays) for r in roots]
+    got = list(eval_roots(roots, arrays))
+    for k in range(len(got)):
+        got[k][:] = 1234.5
+        for j, value in enumerate(got):
+            if j != k:
+                assert np.array_equal(value, want[j]), (k, j)
+        got[k] = want[k].copy()
+    for k, v in arrays.items():
+        assert np.array_equal(v, before[k])
+    # the one-root case does not hand back the input array either
+    out = x.eval_many(arrays)
+    out[:] = 0.0
+    assert np.array_equal(arrays["x"], before["x"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_forests())
+def test_eval_roots_holds_only_multi_parent_values(roots):
+    # record the memo after every node, through the module-level evaluator
+    # that the recursion calls by name
+    sizes, memos = [], []
+    original = expr_module._eval_vector
+
+    def recording(root, arrays, memo, uses=None):
+        out = original(root, arrays, memo, uses)
+        sizes.append(len(memo))
+        memos.append(memo)
+        return out
+
+    arrays = {"x": np.linspace(-1.0, 1.0, 3), "y": np.linspace(2.0, 0.5, 3)}
+    between = []
+    expr_module._eval_vector = recording
+    try:
+        for _ in eval_roots(roots, arrays):
+            between.append(len(memos[0]))
+    finally:
+        expr_module._eval_vector = original
+    bound = _multi_parent_count(roots)
+    assert len(between) == len(roots)
+    assert max(sizes) <= bound
+    assert max(between) <= bound
+    # each kept value is dropped after its last use
+    assert between[-1] == 0
 
 
 # ---------------------------------------------------------------------------

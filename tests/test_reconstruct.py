@@ -286,6 +286,16 @@ def test_closedness_residual_fd_route_angular():
     assert closedness_residual(form, pts) <= 1e-6
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+def test_closedness_residual_rejects_bad_step(step):
+    # a zero step divided 0 by 0, a negative one gave the value of its
+    # absolute value, and nan ended in a misleading DomainError
+    form = PointwiseOneForm(BOX, lambda point: (point[1], -point[0]))
+    for f in (form, one_form(BOX, "-y", "0")):
+        with pytest.raises(ValidationError):
+            closedness_residual(f, box_points(BOX, count=5), fd_step=step)
+
+
 def test_closedness_residual_one_dimensional_chart():
     line = Chart(("x",), ((-1.0, 1.0),))
     form = OneForm.from_strings(line, ["exp(x)"])
