@@ -4,20 +4,22 @@ An operator D is a divergence when it turns brackets into directional
 derivatives, D([X, Y]) = X(D(Y)) - Y(D(X)), and satisfies the product rule
 D(fX) = f D(X) + X(f) (with the scalar term weighted for the s-density
 variants).  The checker samples both residuals over a battery of fields and
-scalars.  For a symbolic operator each residual is one expression tree,
-built on one image D(X) per field and differentiated exactly; a sweep
-evaluates all its trees in one ``eval_roots`` call, so a subtree shared
-between residuals is computed once.  An opaque operator's cocycle residual
-comes from central differences along each field's direction, every probe of
-one evaluated field gathered into one batched call, and its Leibniz
-residual is applied term by term, reusing each field's image at the
-samples.  Each residual's worst sample is taken by ``_finite_max``.
-``classify`` shares both: its tensoriality residual is the Leibniz residual
-of D - D0 at weight 0.
+scalars, all through one sweep, ``_residuals``, which alone chooses the
+route.  For a symbolic operator each residual is one expression tree, built
+on one image D(X) per field and differentiated exactly, and all the trees
+are evaluated in one ``eval_roots`` call, so a subtree shared between
+residuals is computed once.  An opaque operator's cocycle residual comes
+from central differences along each field's direction, every probe of one
+evaluated field gathered into one batched call, and its Leibniz residual
+is applied term by term, reusing each field's image at the samples.  The
+single-point residuals are one-point sweeps, and ``classify``'s
+tensoriality residual is the Leibniz-only sweep of D - D0 at weight 0.
+Each residual's worst sample is taken by ``_finite_max``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -317,30 +319,47 @@ def _leibniz_root(op, f: Expr, x: VectorField, dx: Expr, weight: float) -> Expr:
     return expr
 
 
-def _cocycle_residuals(op, x, y, pts: np.ndarray, fd):
-    """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| of an opaque operator at each point,
-    with a validity mask; ``fd`` holds the central differences
-    (X(D(Y)), valid) and (Y(D(X)), valid) from ``_fd_images``."""
-    (dxy, ok_x), (dyx, ok_y) = fd
-    term = op.apply_many(bracket(x, y), pts)
-    vals = np.abs(term - (dxy - dyx))
-    return vals, ok_x & ok_y & np.isfinite(vals)
+def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
+               weight: float, pts: np.ndarray, h0: float | None = None):
+    """Yield (|residual|, valid) at the points, for the cocycle residual of
+    each pair fields[a], fields[b] with a < b, then for the Leibniz residual
+    at ``weight`` of each scalar and field.  The cocycle terms are swept only
+    when a base central-difference step ``h0`` is given; a symbolic operator
+    differentiates exactly and does not use it.
 
-
-def _leibniz_residuals(op, f: Expr, x: VectorField, weight: float,
-                       pts: np.ndarray, dx: np.ndarray | None = None,
-                       f_vals: np.ndarray | None = None):
-    """|D(fX) - f D(X) - weight X(f)| of an opaque operator at each point;
-    D(X) and f at the points may be passed in as ``dx`` and ``f_vals``.
-    At weight 0 the X(f) term is neither built nor evaluated."""
+    A symbolic operator takes one image per field and evaluates every tree
+    in one ``eval_roots`` call.  An opaque one takes its images and central
+    differences from ``_fd_images`` (without cocycle terms, one plain call
+    per field and no probes), then one call per bracket and per fX."""
+    pairs = [] if h0 is None else list(itertools.combinations(range(len(fields)), 2))
     arrays = op.chart.arrays(pts)
-    dfx = op.apply_many(_scaled(op.chart, f, x), pts)
-    dx = op.apply_many(x, pts) if dx is None else dx
-    f_vals = f.eval_many(arrays) if f_vals is None else f_vals
-    gap = dfx - f_vals * dx
-    if weight:
-        gap = gap - weight * apply_field(x, f).eval_many(arrays)
-    return np.abs(gap)
+    if op.is_symbolic:
+        images = [op.symbolic(x) for x in fields]
+        roots = [_cocycle_root(op, fields[a], fields[b], images[a], images[b])
+                 for a, b in pairs]
+        roots += [_leibniz_root(op, f, x, dx, weight)
+                  for f in scalars for x, dx in zip(fields, images)]
+        for value in eval_roots(roots, arrays):
+            vals = np.abs(value)
+            yield vals, np.isfinite(vals)
+        return
+    if h0 is None:
+        images = [op.apply_many(x, pts) for x in fields]
+    else:
+        images, along = _fd_images(op, fields, pts, h0)
+    for a, b in pairs:
+        (dxy, ok_x), (dyx, ok_y) = along[a, b], along[b, a]
+        vals = np.abs(op.apply_many(bracket(fields[a], fields[b]), pts)
+                      - (dxy - dyx))
+        yield vals, ok_x & ok_y & np.isfinite(vals)
+    for f in scalars:
+        f_vals = f.eval_many(arrays)
+        for x, dx in zip(fields, images):
+            gap = op.apply_many(_scaled(op.chart, f, x), pts) - f_vals * dx
+            if weight:  # at weight 0, X(f) is neither built nor evaluated
+                gap = gap - weight * apply_field(x, f).eval_many(arrays)
+            vals = np.abs(gap)
+            yield vals, np.isfinite(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +372,9 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
     """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at one point."""
     _require_step(fd_step_scale)
     op.chart.require_inside(point)
-    pts = np.asarray([point], dtype=float)
-    if op.is_symbolic:
-        root = _cocycle_root(op, x, y, op.symbolic(x), op.symbolic(y))
-        vals = np.abs(root.eval_many(op.chart.arrays(pts)))
-        valid = np.isfinite(vals)
-    else:
-        _, along = _fd_images(op, [x, y], pts, fd_step_scale * op.chart.min_side)
-        vals, valid = _cocycle_residuals(op, x, y, pts, (along[0, 1], along[1, 0]))
+    (vals, valid), = _residuals(op, [x, y], [], op.weight,
+                                np.asarray([point], dtype=float),
+                                fd_step_scale * op.chart.min_side)
     if not valid[0]:
         raise DomainError("residual could not be evaluated at this point")
     return float(vals[0])
@@ -374,16 +388,10 @@ def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
     if not math.isfinite(w):
         raise ValidationError("weight must be finite")
     op.chart.require_inside(point)
-    pts = np.asarray([point], dtype=float)
-    if op.is_symbolic:
-        root = _leibniz_root(op, f, x, op.symbolic(x), w)
-        vals = np.abs(root.eval_many(op.chart.arrays(pts)))
-    else:
-        vals = _leibniz_residuals(op, f, x, w, pts)
-    val = float(vals[0])
-    if not math.isfinite(val):
+    (vals, valid), = _residuals(op, [x], [f], w, np.asarray([point], dtype=float))
+    if not valid[0]:
         raise DomainError("residual could not be evaluated at this point")
-    return val
+    return float(vals[0])
 
 
 def cartan_identity_residual(x: VectorField, y: VectorField, volume: VolumeForm,
@@ -426,43 +434,18 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
     tol = config.tol if config.tol is not None else (1e-9 if op.is_symbolic else 1e-6)
     h0 = config.fd_step_scale * chart.min_side
 
-    pairs = [(a, b) for a in range(len(fields)) for b in range(a + 1, len(fields))]
-    labels = [("cocycle", f"cocycle({fields[a][0]},{fields[b][0]})")
-              for a, b in pairs]
+    labels = [("cocycle", f"cocycle({nx},{ny})")
+              for (nx, _), (ny, _) in itertools.combinations(fields, 2)]
     labels += [("leibniz", f"leibniz({fname},{name_x})")
                for fname, _ in scalars for name_x, _ in fields]
-    entries: list[AxiomEntry] = []
-
-    def finish(vals, valid):
-        """Record the next entry in ``labels`` order."""
-        axiom, label = labels[len(entries)]
+    sweep = _residuals(op, [x for _, x in fields], [f for _, f in scalars],
+                       op.weight, pts, h0)
+    entries = []
+    for (axiom, label), (vals, valid) in zip(labels, sweep):
         worst, k = _finite_max(np.where(valid, vals, np.nan))
         entries.append(AxiomEntry(axiom, label, worst,
                                   None if k is None else tuple(pts[k]),
                                   int(vals.size), int(vals.size - valid.sum())))
-
-    arrays = chart.arrays(pts)
-    if op.is_symbolic:
-        # one image per field; every residual tree is built on those images
-        # and all are evaluated together, each shared subtree once
-        images = [op.symbolic(x) for _, x in fields]
-        roots = [_cocycle_root(op, fields[a][1], fields[b][1], images[a], images[b])
-                 for a, b in pairs]
-        roots += [_leibniz_root(op, f, x, dx, op.weight)
-                  for _, f in scalars for (_, x), dx in zip(fields, images)]
-        for value in eval_roots(roots, arrays):
-            vals = np.abs(value)
-            finish(vals, np.isfinite(vals))
-    else:
-        at_samples, along = _fd_images(op, [x for _, x in fields], pts, h0)
-        for a, b in pairs:
-            finish(*_cocycle_residuals(op, fields[a][1], fields[b][1], pts,
-                                       (along[a, b], along[b, a])))
-        for _, f in scalars:
-            f_vals = f.eval_many(arrays)
-            for (_, x), dx in zip(fields, at_samples):
-                vals = _leibniz_residuals(op, f, x, op.weight, pts, dx, f_vals)
-                finish(vals, np.isfinite(vals))
 
     manifest = {
         "seed": config.seed,

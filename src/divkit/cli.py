@@ -25,7 +25,7 @@ from .geometry import sample_points
 from .operators import difference, div_affine, div_volume, parallel_residual
 from .quadrature import bump_field, grid_integral
 from .reconstruct import CLOSED_NOT_EXACT, DIVERGENCE, ClassifyConfig, classify
-from .specfile import parse_specfile
+from .specfile import lookup, parse_specfile
 
 __all__ = ["main", "build_parser"]
 
@@ -120,13 +120,6 @@ def _settings(spec, args):
     return seed, tol, points
 
 
-def _lookup(registry: dict, name: str, what: str):
-    if name not in registry:
-        raise ValidationError(f"unknown {what} {name!r}; have "
-                              f"{sorted(registry) or 'none'}")
-    return registry[name]
-
-
 def _parse_point(text: str, dim: int) -> tuple[float, ...]:
     try:
         point = tuple(float(v) for v in text.split(","))
@@ -187,7 +180,7 @@ def run_classify(spec, args) -> int:
 
 def run_divergence(spec, args) -> int:
     op = spec.operator(args.operator)
-    field = _lookup(spec.fields, args.field, "field")
+    field = lookup(spec.fields, args.field, "field")
     seed, _, points = _settings(spec, args)
     if args.point:
         pts = np.asarray([_parse_point(t, op.chart.dim) for t in args.point])
@@ -204,7 +197,7 @@ def run_divergence(spec, args) -> int:
 
 def run_verify_kn(spec, args) -> int:
     volume = spec.volume(args.volume)
-    connection = _lookup(spec.connections, args.connection, "connection")
+    connection = lookup(spec.connections, args.connection, "connection")
     seed, tol, points = _settings(spec, args)
     tol = tol if tol is not None else 1e-8
     chart = volume.chart

@@ -297,6 +297,8 @@ class DivOperator:
         self.chart = chart
         self.kind = kind
         self.weight = float(weight)
+        if not math.isfinite(self.weight):
+            raise ValidationError("weight must be finite")
         self.theta = theta
         self.density = density
         self.fn_many = fn_many
@@ -390,8 +392,6 @@ def div_affine(connection: Connection) -> DivOperator:
 def div_sdensity(volume: VolumeForm, s: float) -> DivOperator:
     """Weighted variant X(rho)/rho + s * sum_i d_i X^i; satisfies the product
     rule with weight s instead of 1."""
-    if not math.isfinite(s):
-        raise ValidationError("weight must be finite")
     rho = volume.density
     return DivOperator(volume.chart, "sdensity", weight=s,
                        theta=_log_gradient(volume.chart, rho), density=rho)

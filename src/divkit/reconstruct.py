@@ -3,13 +3,14 @@
 Given a candidate operator D and a reference divergence D0, every stage
 works on the difference E = D - D0.  E pairs fields pointwise with a
 one-form exactly when its Leibniz residual at weight 0 vanishes, i.e. when
-D satisfies the product rule at the reference weight, and D satisfies the
-bracket axiom exactly when that one-form is closed.  On a chart star-shaped
-about its basepoint a closed form integrates to a potential along straight segments,
-and exp(potential) times the reference density rebuilds a volume whose
-divergence is D.  On charts with excluded disks a nonzero loop integral
-certifies that no single volume works globally; otherwise the decision is
-rerun on a disk-free slab.
+D satisfies the product rule at the reference weight; that residual is
+sampled by the Leibniz-only case of the axiom checker's sweep.  D satisfies
+the bracket axiom exactly when that one-form is closed.  On a chart
+star-shaped about its basepoint a closed form integrates to a potential
+along straight segments, and exp(potential) times the reference density
+rebuilds a volume whose divergence is D.  On charts with excluded disks a
+nonzero loop integral certifies that no single volume works globally;
+otherwise the decision is rerun on a disk-free slab.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .axioms import (_finite_max, _leibniz_residuals, _leibniz_root,
-                     _require_step, leibniz_residual, library_fields,
-                     random_fields, random_scalars)
+from .axioms import (_finite_max, _require_step, _residuals, leibniz_residual,
+                     library_fields, random_fields, random_scalars)
 from .errors import ChartMismatch, ValidationError
-from .expr import Expr, eval_roots
+from .expr import Expr
 from .geometry import (
     Chart,
     OneForm,
@@ -309,30 +309,13 @@ def _central_partials(fn_many: Callable, pts: np.ndarray, h: float) -> np.ndarra
 
 
 def _tensoriality_stage(diff: DivOperator, fields, scalars, pts):
-    """Worst Leibniz residual of E = D - D0 at weight 0, with its witness.
-
-    A symbolic E takes one image per field and evaluates every residual
-    tree in one ``eval_roots`` call; an opaque E is evaluated once per field
-    and each scalar once."""
-    arrays = diff.chart.arrays(pts)
-    if diff.is_symbolic:
-        images = [diff.symbolic(x) for _, x in fields]
-        roots = [_leibniz_root(diff, f, x, dx, 0.0)
-                 for _, f in scalars for (_, x), dx in zip(fields, images)]
-        values = (np.abs(v) for v in eval_roots(roots, arrays))
-    else:
-        images = [diff.apply_many(x, pts) for _, x in fields]
-
-        def opaque_values():
-            for _, f in scalars:
-                f_vals = f.eval_many(arrays)
-                for (_, x), dx in zip(fields, images):
-                    yield _leibniz_residuals(diff, f, x, 0.0, pts, dx, f_vals)
-
-        values = opaque_values()
+    """Worst Leibniz residual of E = D - D0 at weight 0, with its witness:
+    the Leibniz-only case of the axiom sweep ``axioms._residuals``."""
+    sweep = _residuals(diff, [x for _, x in fields], [f for _, f in scalars],
+                       0.0, pts)
     labels = [(fname, xname) for fname, _ in scalars for xname, _ in fields]
     worst, witness = 0.0, None
-    for (fname, xname), vals in zip(labels, values):
+    for (fname, xname), (vals, _) in zip(labels, sweep):
         local, k = _finite_max(vals)
         if local > worst:
             worst = local

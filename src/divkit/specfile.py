@@ -68,16 +68,18 @@ class SpecFile:
     config: dict = field(default_factory=dict)
 
     def operator(self, name: str) -> DivOperator:
-        if name not in self.operators:
-            raise ValidationError(f"unknown operator {name!r}; have "
-                                  f"{sorted(self.operators) or 'none'}")
-        return self.operators[name]
+        return lookup(self.operators, name, "operator")
 
     def volume(self, name: str) -> VolumeForm:
-        if name not in self.volumes:
-            raise ValidationError(f"unknown volume {name!r}; have "
-                                  f"{sorted(self.volumes) or 'none'}")
-        return self.volumes[name]
+        return lookup(self.volumes, name, "volume")
+
+
+def lookup(registry: dict, name: str, what: str):
+    """``registry[name]``, or a ValidationError naming what is there."""
+    if name not in registry:
+        raise ValidationError(f"unknown {what} {name!r}; have "
+                              f"{sorted(registry) or 'none'}")
+    return registry[name]
 
 
 class _Section:

@@ -421,6 +421,37 @@ def test_blackbox_sweep_makes_one_call_per_field():
     assert len(rows) == pairs + fields + scalars * fields == 143
 
 
+def test_blackbox_leibniz_residual_makes_no_probes():
+    op, rows = _counting(WEIGHTED_OP)
+    x = VectorField.from_strings(BOX, ("x*y", "1-y"))
+    leibniz_residual(op, ex("x^2-y"), x, (0.2, 0.5))
+    # D(fX) and D(X), each at the one point
+    assert rows == [1, 1]
+
+
+@pytest.mark.parametrize("blackbox", [False, True])
+@pytest.mark.parametrize("op", [
+    div_sdensity(VolumeForm.from_string(BOX, "exp(x^2 - y)"), 0.5),
+    perturbed_operator(FLAT_OP, OneForm.from_strings(BOX, ("-y", "0"))),
+], ids=["s-half", "swirl"])
+def test_one_point_sweep_matches_single_point_residuals(op, blackbox):
+    # the swirl shift breaks the bracket rule, the s-density keeps both rules
+    cocycle_broken = op.kind == "perturbed"
+    op = op.as_blackbox() if blackbox else op
+    x = VectorField.from_strings(BOX, ("x*y", "1-y"))
+    y = VectorField.from_strings(BOX, ("sin(y)", "x^2"))
+    f = ex("x^2-y")
+    config = CheckConfig(seed=3, n_points=1)
+    report = check_axioms(op, config, fields=[("X", x), ("Y", y)], scalars=[("f", f)])
+    (p,) = [tuple(q) for q in sample_points(BOX, 1, 3)]
+    want = [cocycle_residual(op, x, y, p)] + [leibniz_residual(op, f, v, p) for v in (x, y)]
+    assert [e.label for e in report.entries] == \
+        ["cocycle(X,Y)", "leibniz(f,X)", "leibniz(f,Y)"]
+    assert [e.max_residual for e in report.entries] == want
+    assert [e.argmax_point for e in report.entries] == [p] * 3
+    assert want[0] > 1e-3 if cocycle_broken else max(want) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # the shared symbolic sweep
 #

@@ -259,6 +259,18 @@ def test_blackbox_wrapping_and_domain_checks():
         blackbox_operator(BOX, fn=None)
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_operator_weight_must_be_finite(weight):
+    # a nan weight used to be accepted and turned every Leibniz sample of a
+    # sweep into a skipped one
+    with pytest.raises(ValidationError, match="weight must be finite"):
+        blackbox_operator(BOX, lambda field, p: 0.0, weight=weight)
+    with pytest.raises(ValidationError, match="weight must be finite"):
+        DivOperator(BOX, "pairing", weight=weight, theta=OneForm.from_strings(BOX, ("0", "0")))
+    with pytest.raises(ValidationError, match="weight must be finite"):
+        div_sdensity(VolumeForm.from_string(BOX, "1"), weight)
+
+
 def test_apply_many_rejects_points_of_the_wrong_width():
     base = div_volume(VolumeForm.from_string(BOX, "exp(x)"))
     x = VectorField.from_strings(BOX, ("x*y", "y^2-x"))
