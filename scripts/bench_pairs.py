@@ -1,0 +1,177 @@
+"""Before/after benchmark pairs: a parent revision against the working tree.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 1,2,3,4 --out BENCH.json
+    python3 scripts/bench_pairs.py --parent main --workloads classify-verdicts \\
+        --seeds 11,12,13,14 --claim classify-verdicts:wall_ref --out BENCH.json
+
+Checks the parent revision out with ``git worktree`` (or uses an existing
+checkout given as ``--parent-dir``), then runs ``perfbench/run.py --trace 0``
+of each side from that side's own files, one pair per workload and seed.
+The two sides alternate: the parent runs first in even-numbered pairs, the
+working tree first in odd-numbered ones, so a drift in the host's speed
+favours neither.  The output file holds every run's metrics and, for each
+workload and end-to-end metric, each side's median and quartiles, the number
+of pairs in which the working tree was lower, and the median change.
+
+Standard library only.  Exits 1 when a run fails or reports a wrong output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("axiom-sweep", "classify-verdicts", "dense-eval", "cli-specs")
+SIDES = ("parent", "change")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="git revision of the parent side")
+    parser.add_argument("--parent-dir", type=Path,
+                        help="an existing checkout of --parent to use instead "
+                             "of a new git worktree")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS),
+                        help="comma-separated workloads (default: all four)")
+    parser.add_argument("--seeds", required=True,
+                        help="comma-separated seeds, one pair per seed")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--tiny", action="store_true",
+                        help="small inputs, to check that the script runs")
+    parser.add_argument("--claim", help="workload:metric of a claimed gain")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    args.workloads = args.workloads.split(",")
+    args.seeds = [int(s) for s in args.seeds.split(",")]
+    unknown = sorted(set(args.workloads) - set(WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}")
+    if args.claim and args.claim.split(":")[0] not in args.workloads:
+        parser.error("--claim must name one of the workloads run")
+    return args
+
+
+def git(*argv, cwd=ROOT) -> str:
+    return subprocess.run(["git", *argv], cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_once(checkout: Path, workload: str, seed: int, args) -> dict:
+    """One ``perfbench/run.py`` result: its last stdout line, plus ENV."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd + (["--tiny"] if args.tiny else []),
+                          cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} exited "
+                         f"{proc.returncode}: {proc.stderr[-500:]}")
+    result = json.loads(lines[-1])
+    env = next((json.loads(l[4:]) for l in lines if l.startswith("ENV ")), {})
+    if not result["correct"]:
+        failed = [l for l in lines if l.startswith("FAILED ")]
+        raise SystemExit(f"{checkout}: {workload} seed {seed}: {failed}")
+    return {"env": env, "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def spread(runs: list[float]) -> dict:
+    """Runs with their median and quartiles (inclusive method)."""
+    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                      if len(runs) > 1 else runs * 3)
+    return {"runs": [round(r, 4) for r in runs], "median": round(median, 4),
+            "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summarise(seeds: list[int], runs: dict) -> dict:
+    """Per-metric figures of one workload from its runs on each side."""
+    metrics = {}
+    for name in runs["parent"][0]["metrics"]:
+        side = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
+        p_med = statistics.median(side["parent"])
+        c_med = statistics.median(side["change"])
+        metrics[name] = {
+            "parent": spread(side["parent"]),
+            "change": spread(side["change"]),
+            "change_lower_in_pairs": sum(
+                c < p for p, c in zip(side["parent"], side["change"])),
+            "median_change_pct": round(100.0 * (c_med - p_med) / p_med, 1)
+            if p_med else None,
+        }
+    return {"seeds": seeds, "pairs": len(seeds), "metrics": metrics,
+            "failed_of_attempted": {
+                s: [sum(r["failed"] for r in runs[s]),
+                    sum(r["attempted"] for r in runs[s])] for s in SIDES}}
+
+
+def claim_check(figures: dict) -> dict:
+    """What decides a claimed gain: the pairs in which the change was lower,
+    and its median gain against the parent's interquartile range."""
+    parent, change = figures["parent"], figures["change"]
+    gap = parent["median"] - change["median"]
+    return {"lower_in_pairs": figures["change_lower_in_pairs"],
+            "median_gain": round(gap, 4),
+            "parent_iqr": round(parent["q3"] - parent["q1"], 4)}
+
+
+def bench(args, parent_dir: Path) -> dict:
+    checkouts = {"parent": parent_dir, "change": ROOT}
+    out = {
+        "what": "divkit benchmark, parent against the working tree: every "
+                "run, with each side's median and quartiles per workload and "
+                "end-to-end metric",
+        "command": "python3 perfbench/run.py --workload <w> --seed <s> "
+                   f"--seconds {args.seconds:g} --trace 0"
+                   + (" --tiny" if args.tiny else ""),
+        "parent": git("rev-parse", "--short", args.parent),
+        "change": "working tree at " + git("rev-parse", "--short", "HEAD"),
+        "pairing": "one pair per seed; parent ran first on even pair index, "
+                   "change first on odd",
+    }
+    workloads = {}
+    for workload in args.workloads:
+        runs = {s: [] for s in SIDES}
+        for i, seed in enumerate(args.seeds):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                runs[side].append(run_once(checkouts[side], workload, seed, args))
+                print(f"{workload} seed {seed} {side}: "
+                      f"{runs[side][-1]['metrics']}", file=sys.stderr)
+        workloads[workload] = summarise(args.seeds, runs)
+    env = runs["change"][0]["env"]
+    out.update({k: env.get(k) for k in ("python", "numpy", "cpu")},
+               cores=env.get("nproc"), workloads=workloads)
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        figures = workloads[workload]["metrics"][metric]
+        out["claimed"] = {"workload": workload, "metric": metric,
+                          **claim_check(figures)}
+    return out
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.parent_dir is not None:
+        out = bench(args, args.parent_dir.resolve())
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            parent_dir = Path(tmp) / "parent"
+            git("worktree", "add", "--detach", str(parent_dir), args.parent)
+            try:
+                out = bench(args, parent_dir)
+            finally:
+                git("worktree", "remove", "--force", str(parent_dir))
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,8 +10,8 @@ on one image D(X) per field and differentiated exactly, and all the trees
 are evaluated in one ``eval_roots`` call, so a subtree shared between
 residuals is computed once.  An opaque operator's cocycle residual comes
 from central differences along each field's direction, every probe of one
-evaluated field gathered into one batched call, and its Leibniz residual
-is applied term by term, reusing each field's image at the samples.  The
+evaluated field gathered into one batched call; every bracket and fX goes
+to the operator in one ``apply_fields`` call, reusing each image.  The
 single-point residuals are one-point sweeps, and ``classify``'s
 tensoriality residual is the Leibniz-only sweep of D - D0 at weight 0.
 Each residual's worst sample is taken by ``_finite_max``.
@@ -32,6 +32,7 @@ from .geometry import (
     Chart,
     VectorField,
     VolumeForm,
+    _require_scalar_on,
     apply_field,
     bracket,
     lie_coefficient,
@@ -329,8 +330,11 @@ def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
 
     A symbolic operator takes one image per field and evaluates every tree
     in one ``eval_roots`` call.  An opaque one takes its images and central
-    differences from ``_fd_images`` (without cocycle terms, one plain call
-    per field and no probes), then one call per bracket and per fX."""
+    differences from ``_fd_images``, then one ``apply_fields`` call for all
+    brackets and fX (without cocycle terms, for the fields and fX, with no
+    probes); its f and X(f) are one ``eval_roots`` call."""
+    for f in scalars:
+        _require_scalar_on(op.chart, f)
     pairs = [] if h0 is None else list(itertools.combinations(range(len(fields)), 2))
     arrays = op.chart.arrays(pts)
     if op.is_symbolic:
@@ -343,21 +347,27 @@ def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
             vals = np.abs(value)
             yield vals, np.isfinite(vals)
         return
+    scaled = [_scaled(op.chart, f, x) for f in scalars for x in fields]
     if h0 is None:
-        images = [op.apply_many(x, pts) for x in fields]
+        images = op.apply_fields(list(fields) + scaled, pts)
+        images, values = images[:len(fields)], iter(images[len(fields):])
     else:
         images, along = _fd_images(op, fields, pts, h0)
+        values = iter(op.apply_fields(
+            [bracket(fields[a], fields[b]) for a, b in pairs] + scaled, pts))
     for a, b in pairs:
         (dxy, ok_x), (dyx, ok_y) = along[a, b], along[b, a]
-        vals = np.abs(op.apply_many(bracket(fields[a], fields[b]), pts)
-                      - (dxy - dyx))
+        vals = np.abs(next(values) - (dxy - dyx))
         yield vals, ok_x & ok_y & np.isfinite(vals)
-    for f in scalars:
-        f_vals = f.eval_many(arrays)
-        for x, dx in zip(fields, images):
-            gap = op.apply_many(_scaled(op.chart, f, x), pts) - f_vals * dx
-            if weight:  # at weight 0, X(f) is neither built nor evaluated
-                gap = gap - weight * apply_field(x, f).eval_many(arrays)
+    # f, then X(f) per field; at weight 0, X(f) is neither built nor evaluated
+    own = eval_roots([g for f in scalars for g in
+                      [f] + [apply_field(x, f) for x in fields if weight]], arrays)
+    for _ in scalars:
+        f_vals = next(own)
+        for dx in images:
+            gap = next(values) - f_vals * dx
+            if weight:
+                gap = gap - weight * next(own)
             vals = np.abs(gap)
             yield vals, np.isfinite(vals)
 

@@ -207,8 +207,8 @@ def run_verify_kn(spec, args) -> int:
     parallel_max = float(np.max([np.abs(comp.eval_many(arrays)).max()
                                  for comp in residual_form.components]))
     gap = difference(div_volume(volume), div_affine(connection))
-    operator_max = float(np.max([np.abs(gap.apply_many(field, pts)).max()
-                                 for _, field in library_fields(chart)]))
+    fields = [field for _, field in library_fields(chart)]
+    operator_max = float(np.max([np.abs(v).max() for v in gap.apply_fields(fields, pts)]))
     if not (math.isfinite(parallel_max) and math.isfinite(operator_max)):
         raise DomainError("verify-kn residuals are not finite at the samples")
     print(f"volume {args.volume} connection {args.connection} "

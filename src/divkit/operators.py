@@ -19,7 +19,10 @@ a product-rule weight s plus a one-form theta, fixed when it is built:
 construction has one.  One rule combines two operators, part by part when
 both are symbolic, so D - D0 pairs fields with theta - theta0 exactly when
 the weights agree.  With a blackbox on either side the result is a blackbox
-combining the two images.
+combining the two images.  Every evaluation goes through ``apply_fields``:
+one ``eval_roots`` call over all the images for a symbolic operator, one
+call of the stored callable for a blackbox.  A blackbox built on other
+operators forwards the whole list of fields to theirs.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ChartMismatch, DomainError, ValidationError
-from .expr import EvalDomainError, Expr, const, parse_expr
+from .expr import EvalDomainError, Expr, const, eval_roots, parse_expr
 from .geometry import (
     Chart,
     OneForm,
@@ -286,22 +289,27 @@ class DivOperator:
     is the product-rule weight s and ``theta`` the one-form.  ``density`` is
     the positive density whose divergence the operator is, when the
     construction carries one.  An operator without ``theta`` is a blackbox,
-    evaluated only through the batch callable ``fn_many(field, points)``.
+    evaluated only through one stored callable ``fn_fields(fields, points)``
+    (one array per field); a ``fn_many(field, points)`` is lifted into it.
     ``kind`` names the construction and decides nothing.
     """
 
     def __init__(self, chart: Chart, kind: str, *, weight: float = 1.0,
                  theta: OneForm | None = None,
                  density: Expr | None = None,
-                 fn_many: Callable | None = None):
+                 fn_many: Callable | None = None,
+                 fn_fields: Callable | None = None):
         self.chart = chart
         self.kind = kind
         self.weight = float(weight)
         if not math.isfinite(self.weight):
             raise ValidationError("weight must be finite")
+        if fn_many is not None and fn_fields is not None:
+            raise ValidationError("give a blackbox fn_many or fn_fields, not both")
         self.theta = theta
         self.density = density
-        self.fn_many = fn_many
+        self.fn_fields = fn_fields if fn_many is None else (
+            lambda fields, pts: [fn_many(x, pts) for x in fields])
 
     def __repr__(self):
         return f"DivOperator(kind={self.kind!r}, chart={self.chart.coords})"
@@ -338,20 +346,31 @@ class DivOperator:
         return value
 
     def apply_many(self, field: VectorField, points) -> np.ndarray:
-        """Evaluate D(X) at an (m, n) array of chart points."""
-        self._require_field(field)
+        """Evaluate D(X) at an (m, n) array of chart points: the one-field
+        view of apply_fields."""
+        return self.apply_fields([field], points)[0]
+
+    def apply_fields(self, fields: Sequence[VectorField], points) -> list[np.ndarray]:
+        """Evaluate D(X) for each field at an (m, n) array of chart points,
+        one array of the caller's own per field; a subtree shared by the
+        symbolic images is computed once."""
+        for field in fields:
+            self._require_field(field)
         pts = np.asarray(points, dtype=float)
         arrays = self.chart.arrays(pts)
         if not np.all(self.chart.contains_mask(arrays)):
             raise DomainError("a point lies outside the chart domain")
         if self.theta is None:
-            return np.asarray(self.fn_many(field, pts), dtype=float)
-        return self.symbolic(field).eval_many(arrays)
+            return [np.asarray(v, dtype=float) for v in self.fn_fields(fields, pts)]
+        images = [self.symbolic(x) for x in fields]
+        if len(images) == 1:  # one root needs no parent count
+            return [images[0].eval_many(arrays)]
+        return list(eval_roots(images, arrays))
 
     def as_blackbox(self) -> "DivOperator":
         """Batch-callable wrapper that hides the symbolic structure."""
         return DivOperator(self.chart, "blackbox", weight=self.weight,
-                           fn_many=self.apply_many)
+                           fn_fields=self.apply_fields)
 
 
 def _log_gradient(chart: Chart, rho: Expr) -> OneForm:
@@ -410,10 +429,11 @@ def _combined(kind: str, op: DivOperator, other: DivOperator,
                       for t, u in zip(op.theta.components, other.theta.components))
         return DivOperator(chart, kind, weight=weight, theta=OneForm(chart, theta))
 
-    def fn_many(field, pts):
-        return merge(op.apply_many(field, pts), other.apply_many(field, pts))
+    def fn_fields(fields, pts):
+        return [merge(a, b) for a, b in zip(op.apply_fields(fields, pts),
+                                            other.apply_fields(fields, pts))]
 
-    return DivOperator(chart, kind, weight=weight, fn_many=fn_many)
+    return DivOperator(chart, kind, weight=weight, fn_fields=fn_fields)
 
 
 def difference(op: DivOperator, base: DivOperator) -> DivOperator:
@@ -442,7 +462,8 @@ def as_batch(fn: Callable | None, fn_many: Callable | None) -> Callable:
 def blackbox_operator(chart: Chart, fn: Callable, fn_many: Callable | None = None,
                       weight: float = 1.0) -> DivOperator:
     """Operator known only through evaluation: fn(field, point) -> float,
-    or the batch fn_many(field, points) -> array when given.
+    or the batch fn_many(field, points) -> array when given, lifted once
+    into the operator's many-field callable as one call per field.
 
     fn_many must compute each row from that row alone: ``check_axioms``
     evaluates a field at its samples and at the probe points of several

@@ -164,7 +164,7 @@ def extract_oneform(op: DivOperator, base: DivOperator):
     units = [u for _, u in library_fields(chart)[:chart.dim]]
 
     def fn_many(pts):
-        return np.stack([diff.apply_many(u, pts) for u in units], axis=1)
+        return np.stack(diff.apply_fields(units, pts), axis=1)
 
     return PointwiseOneForm(chart, None, fn_many)
 
@@ -347,13 +347,13 @@ def _density_verification(op, density: NumericScalarField, weight: float,
     rho = density.many(pts)
     grad = _central_partials(density.many, pts, h)
     worst = 0.0
-    for _, x in fields:
+    for x, image in zip(fields, op.apply_fields(fields, pts)):
         comp_vals = [c.eval_many(arrays) for c in x.components]
         div_flat = sum(c.diff(nm).eval_many(arrays)
                        for c, nm in zip(x.components, chart.coords))
         rebuilt = sum(grad[:, i] * comp_vals[i] for i in range(n)) / rho \
             + weight * div_flat
-        local, _ = _finite_max(np.abs(op.apply_many(x, pts) - rebuilt))
+        local, _ = _finite_max(np.abs(image - rebuilt))
         worst = max(worst, local)
     return worst
 
@@ -369,10 +369,10 @@ def _gradient_verification(diff: DivOperator, potential: NumericScalarField,
     n = chart.dim
     grad = _central_partials(potential.many, pts, h)
     worst = 0.0
-    for _, x in fields:
+    for x, image in zip(fields, diff.apply_fields(fields, pts)):
         comp_vals = [c.eval_many(arrays) for c in x.components]
         pairing = sum(grad[:, i] * comp_vals[i] for i in range(n))
-        local, _ = _finite_max(np.abs(diff.apply_many(x, pts) - pairing))
+        local, _ = _finite_max(np.abs(image - pairing))
         worst = max(worst, local)
     return worst
 
@@ -380,10 +380,11 @@ def _gradient_verification(diff: DivOperator, potential: NumericScalarField,
 def _restricted(op: DivOperator, sub: Chart, parent: Chart) -> DivOperator:
     """Batch-callable view of an operator on a disk-free subchart."""
 
-    def fn_many(field, pts):
-        return op.apply_many(VectorField(parent, field.components), pts)
+    def fn_fields(fields, pts):
+        return op.apply_fields([VectorField(parent, x.components) for x in fields],
+                               pts)
 
-    return DivOperator(sub, "blackbox", weight=op.weight, fn_many=fn_many)
+    return DivOperator(sub, "blackbox", weight=op.weight, fn_fields=fn_fields)
 
 
 def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
@@ -443,7 +444,7 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
     target = op if base.density is not None else diff
     if restricted:
         target = _restricted(target, work_chart, chart)
-    verify_fields = library_fields(work_chart)
+    verify_fields = [x for _, x in library_fields(work_chart)]
     verify_pts = np.asarray(
         sample_points(work_chart, min(config.n_points, 50), config.seed),
         dtype=float)

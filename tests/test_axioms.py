@@ -1,6 +1,7 @@
 """Axiom residual sweeps: true divergences pass, perturbed ones are caught."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from divkit.axioms import (
     random_fields,
     random_scalars,
 )
-from divkit.errors import DomainError, ValidationError
+from divkit.errors import ChartMismatch, DomainError, ValidationError
 from divkit.expr import const, parse_expr, var
 from divkit.geometry import (
     Chart,
@@ -419,6 +420,35 @@ def test_blackbox_sweep_makes_one_call_per_field():
     fields, scalars = 8 + len(library_fields(BOX)), 4
     pairs = fields * (fields - 1) // 2
     assert len(rows) == pairs + fields + scalars * fields == 143
+
+
+def test_blackbox_sweep_batches_the_hidden_operator():
+    # one call per field's probe batch, then every bracket and every fX in
+    # one call of 78 + 52 fields
+    hidden = div_volume(VolumeForm.from_string(BOX, "exp(x+0.5*y)"))
+    apply_fields = hidden.apply_fields
+    calls = []
+
+    def counting(fields, pts):
+        calls.append(len(fields))
+        return apply_fields(fields, pts)
+
+    hidden.apply_fields = counting
+    report = check_axioms(hidden.as_blackbox())
+    assert report.passed
+    assert calls == [1] * 13 + [130]
+
+
+@pytest.mark.parametrize("blackbox", [False, True])
+def test_scalar_off_the_chart_is_a_chart_mismatch(blackbox):
+    op = WEIGHTED_OP.as_blackbox() if blackbox else WEIGHTED_OP
+    x = VectorField.from_strings(BOX, ("x*y", "1-y"))
+    z = parse_expr("z", ["z"])
+    message = re.escape("scalar uses unknown coordinates ['z']")
+    with pytest.raises(ChartMismatch, match=message):
+        check_axioms(op, SMALL, fields=[("X", x)], scalars=[("f", z)])
+    with pytest.raises(ChartMismatch, match=message):
+        leibniz_residual(op, z, x, (0.2, 0.5))
 
 
 def test_blackbox_leibniz_residual_makes_no_probes():

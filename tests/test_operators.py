@@ -538,3 +538,91 @@ def test_perturbed_blackbox_base_stays_pointwise():
                                symbolic.apply_many(x, pts), rtol=1e-13, atol=1e-13)
     assert opaque.apply(x, pts[0]) == pytest.approx(
         symbolic.apply(x, tuple(pts[0])), rel=1e-13, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# many-field evaluation
+
+HOLED = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)),
+              disks=(((0.0, 0.0), 0.2),), basepoint=(0.6, 0.0))
+
+
+def _many_field_operators():
+    """(name, operator) for every way an operator is evaluated: symbolic,
+    forwarding to another operator's apply_fields, or a user's callable."""
+    from divkit.reconstruct import _restricted, star_shaped_subchart
+
+    weighted = div_volume(VolumeForm.from_string(BOX, "exp(x^2 - y)"))
+    flat = div_volume(VolumeForm.from_string(BOX, "1"))
+    swirl = OneForm.from_strings(BOX, ("-y", "x*y"))
+    holed = perturbed_operator(div_volume(VolumeForm.from_string(HOLED, "1")),
+                               OneForm.from_strings(HOLED, ("2*x", "-1")))
+    return [
+        ("symbolic", weighted),
+        ("as_blackbox", weighted.as_blackbox()),
+        ("blackbox-symbolic", difference(weighted.as_blackbox(), flat)),
+        ("perturbed-blackbox", perturbed_operator(weighted.as_blackbox(), swirl)),
+        ("restricted", _restricted(holed, star_shaped_subchart(HOLED), HOLED)),
+        ("pointwise", blackbox_operator(
+            BOX, lambda field, p: weighted.apply(field, p))),
+    ]
+
+
+MANY_FIELD_OPERATORS = _many_field_operators()
+
+
+def _fields_on(chart):
+    # a repeated field, a constant image and a bare-coordinate image for the
+    # flat part: the cases where evaluated arrays could be shared
+    x = VectorField.from_strings(chart, ("x*y", "cos(x)"))
+    return [x, VectorField.from_strings(chart, ("1", "0")),
+            VectorField.from_strings(chart, ("x*y", "0")), x,
+            VectorField.from_strings(chart, ("sin(y)", "x^2 - y"))]
+
+
+@pytest.mark.parametrize("name,op", MANY_FIELD_OPERATORS,
+                         ids=[n for n, _ in MANY_FIELD_OPERATORS])
+def test_apply_fields_matches_apply_many(name, op):
+    fields = _fields_on(op.chart)
+    pts = np.asarray(sample_points(op.chart, 17, seed=41))
+    want = [op.apply_many(x, pts) for x in fields]
+    out = op.apply_fields(fields, pts)
+    assert len(out) == len(fields)
+    for got, expected in zip(out, want):
+        np.testing.assert_array_equal(got, expected)
+    assert op.apply_fields([], pts) == []
+
+
+@pytest.mark.parametrize("name,op", MANY_FIELD_OPERATORS,
+                         ids=[n for n, _ in MANY_FIELD_OPERATORS])
+def test_apply_fields_arrays_are_the_callers_own(name, op):
+    fields = _fields_on(op.chart)
+    pts = np.asarray(sample_points(op.chart, 9, seed=42))
+    points = pts.copy()
+    want = [op.apply_many(x, pts) for x in fields]
+    out = op.apply_fields(fields, pts)
+    for k, got in enumerate(out):
+        # an array shared with an earlier one would hold its nan already
+        np.testing.assert_array_equal(got, want[k])
+        got[:] = np.nan
+    np.testing.assert_array_equal(pts, points)
+
+
+@pytest.mark.parametrize("name,op", MANY_FIELD_OPERATORS,
+                         ids=[n for n, _ in MANY_FIELD_OPERATORS])
+def test_apply_fields_checks_chart_and_domain(name, op):
+    fields = _fields_on(op.chart)
+    inside = np.asarray(sample_points(op.chart, 3, seed=43))
+    with pytest.raises(ChartMismatch):
+        op.apply_fields(fields + [VectorField.from_strings(POLAR, ("1", "0"))],
+                        inside)
+    with pytest.raises(DomainError):
+        op.apply_fields(fields, np.vstack([inside, [[2.0, 0.0]]]))
+    with pytest.raises(DomainError):
+        op.apply_fields(fields, inside[:, :1])
+
+
+def test_blackbox_takes_fn_many_or_fn_fields():
+    with pytest.raises(ValidationError, match="not both"):
+        DivOperator(BOX, "blackbox", fn_many=lambda field, pts: pts[:, 0],
+                    fn_fields=lambda fields, pts: [pts[:, 0] for _ in fields])
