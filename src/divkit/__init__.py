@@ -27,7 +27,6 @@ from .quadrature import (
     QuadratureRule,
     bump_field,
     default_rule,
-    gauss_segment,
     grid_integral,
     integral_vanishing_check,
 )
@@ -35,9 +34,7 @@ from .operators import (
     Connection,
     DivOperator,
     Metric,
-    alie_map,
     blackbox_operator,
-    covariant_derivative,
     div_affine,
     div_metric,
     div_sdensity,
@@ -45,7 +42,6 @@ from .operators import (
     levi_civita,
     parallel_residual,
     perturbed_operator,
-    torsion_connection,
 )
 from .axioms import (
     CheckConfig,

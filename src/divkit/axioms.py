@@ -14,7 +14,8 @@ evaluated field gathered into one batched call; every bracket and fX goes
 to the operator in one ``apply_fields`` call, reusing each image.  The
 single-point residuals are one-point sweeps, and ``classify``'s
 tensoriality residual is the Leibniz-only sweep of D - D0 at weight 0.
-Each residual's worst sample is taken by ``_finite_max``.
+Each residual's worst sample is taken by ``_finite_max``.  ``_probes``
+places every finite-difference probe, ``classify``'s too.
 """
 
 from __future__ import annotations
@@ -219,25 +220,24 @@ def _finite_max(vals: np.ndarray) -> tuple[float, int | None]:
 
 @dataclass(frozen=True)
 class _Probes:
-    """Central-difference geometry along one field at the sample points."""
+    """Central-difference geometry along one direction per sample point."""
 
     norms: np.ndarray  # |X| at each sample
     h: np.ndarray  # step along X/|X|, after the one shrink
     usable: np.ndarray  # X moves and both probes lie inside the chart
-    valid: np.ndarray  # usable, or X vanishes (derivative 0)
     up: np.ndarray  # pts + h X/|X| at the usable samples
     dn: np.ndarray  # pts - h X/|X| at the usable samples
 
 
-def _probes(chart: Chart, along: VectorField, pts: np.ndarray,
+def _probes(chart: Chart, directions: np.ndarray, pts: np.ndarray,
             h0: float) -> _Probes:
-    """Probe points for differentiating along the field's direction, with
-    base step h0 shrunk by 10 once where a probe leaves the chart."""
-    comps = along.values_matrix(pts)
-    norms = np.linalg.norm(comps, axis=1)
+    """Probe points for differentiating along an (m, n) array of directions
+    X, one per sample, with base step h0 shrunk by 10 once where a probe
+    leaves the chart.  Every finite difference in the package starts here."""
+    norms = np.linalg.norm(directions, axis=1)
     moving = norms > _TINY
-    unit = np.zeros_like(comps)
-    unit[moving] = comps[moving] / norms[moving, None]
+    unit = np.zeros_like(directions)
+    unit[moving] = directions[moving] / norms[moving, None]
     h = np.full(pts.shape[0], h0)
 
     def shifted(step):
@@ -252,16 +252,26 @@ def _probes(chart: Chart, along: VectorField, pts: np.ndarray,
         h = np.where(retry, h / 10.0, h)
         up, dn, ok = shifted(h)
     usable = moving & ok
-    return _Probes(norms, h, usable, ~moving | usable, up[usable], dn[usable])
+    return _Probes(norms, h, usable, up[usable], dn[usable])
 
 
 def _fd_quotient(probes: _Probes, g_up: np.ndarray, g_dn: np.ndarray) -> np.ndarray:
-    """Derivative along the field from a function's values at its probes;
-    0 wherever the field vanishes or no probe fits."""
-    values = np.zeros(probes.h.shape[0])
+    """Derivative along X from a function's values at its probes, one row
+    (a value or an array) per sample: 0 where X vanishes, nan where X moves
+    but no probe fits."""
+    values = np.zeros(probes.h.shape + g_up.shape[1:])
+    values[probes.norms > _TINY] = np.nan
     usable = probes.usable
-    values[usable] = (g_up - g_dn) / (2.0 * probes.h[usable]) * probes.norms[usable]
+    values[usable] = ((g_up - g_dn).T / (2.0 * probes.h[usable]) * probes.norms[usable]).T
     return values
+
+
+def _partials(chart: Chart, fn, pts: np.ndarray, h0: float) -> np.ndarray:
+    """Central differences of a batch function along each coordinate axis:
+    entry [:, i] (or [:, i, ...] for array values) is the i-th partial."""
+    probes = [_probes(chart, np.tile(axis, (len(pts), 1)), pts, h0)
+              for axis in np.eye(pts.shape[1])]
+    return np.stack([_fd_quotient(p, fn(p.up), fn(p.dn)) for p in probes], axis=1)
 
 
 def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
@@ -269,10 +279,10 @@ def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
     batched evaluation of each field Y over the sample points followed by the
     probes of every other field X.
 
-    Returns D(Y) at the samples, per field, and {(a, b): (X(D(Y)), valid)}
-    for X = fields[a], Y = fields[b], a != b.  This relies on the operator
-    computing each row from that row alone."""
-    probes = [_probes(op.chart, x, pts, h0) for x in fields]
+    Returns D(Y) at the samples, per field, and {(a, b): X(D(Y))} for
+    X = fields[a], Y = fields[b], a != b, nan where no probe fits.  This
+    relies on the operator computing each row from that row alone."""
+    probes = [_probes(op.chart, x.values_matrix(pts), pts, h0) for x in fields]
     m = pts.shape[0]
     at_samples, along = [], {}
     for b, y in enumerate(fields):
@@ -289,7 +299,7 @@ def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
         for a in partners:
             k = probes[a].up.shape[0]
             g_up, g_dn = vals[start:start + k], vals[start + k:start + 2 * k]
-            along[a, b] = _fd_quotient(probes[a], g_up, g_dn), probes[a].valid
+            along[a, b] = _fd_quotient(probes[a], g_up, g_dn)
             start += 2 * k
     return at_samples, along
 
@@ -356,9 +366,8 @@ def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
         values = iter(op.apply_fields(
             [bracket(fields[a], fields[b]) for a, b in pairs] + scaled, pts))
     for a, b in pairs:
-        (dxy, ok_x), (dyx, ok_y) = along[a, b], along[b, a]
-        vals = np.abs(next(values) - (dxy - dyx))
-        yield vals, ok_x & ok_y & np.isfinite(vals)
+        vals = np.abs(next(values) - (along[a, b] - along[b, a]))
+        yield vals, np.isfinite(vals)
     # f, then X(f) per field; at weight 0, X(f) is neither built nor evaluated
     own = eval_roots([g for f in scalars for g in
                       [f] + [apply_field(x, f) for x in fields if weight]], arrays)

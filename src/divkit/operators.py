@@ -55,9 +55,6 @@ __all__ = [
     "div_sdensity",
     "perturbed_operator",
     "blackbox_operator",
-    "alie_map",
-    "torsion_connection",
-    "covariant_derivative",
     "parallel_residual",
 ]
 
@@ -208,57 +205,6 @@ def levi_civita(metric: Metric) -> Connection:
     return Connection(chart, tuple(planes))
 
 
-def alie_map(connection: Connection, field: VectorField) -> tuple[tuple[Expr, ...], ...]:
-    """Matrix of the difference map between the Lie derivative and the
-    covariant derivative along the field: entry (k, j) is
-    -(d_j X^k + gamma^k_{ij} X^i)."""
-    if connection.chart != field.chart:
-        raise ChartMismatch("connection and field live on different charts")
-    names = field.chart.coords
-    n = field.chart.dim
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            acc = field.components[k].diff(names[j])
-            for i in range(n):
-                acc = acc + connection.gamma[k][i][j] * field.components[i]
-            row.append((-acc).simplify())
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def torsion_connection(connection: Connection) -> Connection:
-    """Connection whose covariant derivative reverses the roles in the
-    difference map: lower indices of the symbols are swapped."""
-    n = connection.chart.dim
-    g = connection.gamma
-    swapped = tuple(
-        tuple(tuple(g[k][j][i] for j in range(n)) for i in range(n))
-        for k in range(n)
-    )
-    return Connection(connection.chart, swapped)
-
-
-def covariant_derivative(connection: Connection, direction: VectorField,
-                         field: VectorField) -> VectorField:
-    """nabla_Y X componentwise: Y^i d_i X^k + gamma^k_{ij} Y^i X^j."""
-    chart = connection.chart
-    if direction.chart != chart or field.chart != chart:
-        raise ChartMismatch("connection, direction, and field must share a chart")
-    names = chart.coords
-    n = chart.dim
-    comps = []
-    for k in range(n):
-        acc = const(0.0)
-        for i in range(n):
-            acc = acc + direction.components[i] * field.components[k].diff(names[i])
-            for j in range(n):
-                acc = acc + connection.gamma[k][i][j] * direction.components[i] * field.components[j]
-        comps.append(acc.simplify())
-    return VectorField(chart, tuple(comps))
-
-
 def parallel_residual(connection: Connection, volume: VolumeForm) -> OneForm:
     """Covariant derivative of the volume form: component i is
     d_i rho - rho * gamma^k_{ik}.  Identically zero iff the volume is
@@ -353,7 +299,8 @@ class DivOperator:
     def apply_fields(self, fields: Sequence[VectorField], points) -> list[np.ndarray]:
         """Evaluate D(X) for each field at an (m, n) array of chart points,
         one array of the caller's own per field; a subtree shared by the
-        symbolic images is computed once."""
+        symbolic images is computed once.  A blackbox callable that returns
+        anything but one (m,) array per field is a ValidationError."""
         for field in fields:
             self._require_field(field)
         pts = np.asarray(points, dtype=float)
@@ -361,7 +308,11 @@ class DivOperator:
         if not np.all(self.chart.contains_mask(arrays)):
             raise DomainError("a point lies outside the chart domain")
         if self.theta is None:
-            return [np.asarray(v, dtype=float) for v in self.fn_fields(fields, pts)]
+            values = [np.asarray(v, dtype=float) for v in self.fn_fields(fields, pts)]
+            if len(values) != len(fields) or any(v.shape != pts.shape[:1] for v in values):
+                raise ValidationError(f"a blackbox must return one array of shape "
+                                      f"({pts.shape[0]},) per field")
+            return values
         images = [self.symbolic(x) for x in fields]
         if len(images) == 1:  # one root needs no parent count
             return [images[0].eval_many(arrays)]

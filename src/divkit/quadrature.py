@@ -10,7 +10,7 @@ integrates to zero against a volume density.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import ChartMismatch, SupportError, ValidationError
 __all__ = [
     "QuadratureRule",
     "default_rule",
-    "gauss_segment",
     "grid_integral",
     "bump_field",
     "integral_vanishing_check",
@@ -71,21 +70,6 @@ def default_rule() -> QuadratureRule:
     if _DEFAULT is None:
         _DEFAULT = QuadratureRule()
     return _DEFAULT
-
-
-def gauss_segment(fn: Callable[[float], float], a: float, b: float,
-                  rule: QuadratureRule | None = None,
-                  segments: int | None = None) -> float:
-    """Integrate a scalar callable over [a, b]."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError("integration endpoints must be finite")
-    if a > b:
-        raise ValidationError("integration interval is reversed")
-    if a == b:
-        return 0.0
-    rule = rule or default_rule()
-    nodes, weights = rule.mapped(a, b, segments)
-    return float(sum(w * fn(t) for t, w in zip(nodes.tolist(), weights.tolist())))
 
 
 def _axis_rules(chart, resolution: int, rule: QuadratureRule):

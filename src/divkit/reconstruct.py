@@ -21,8 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .axioms import (_finite_max, _require_step, _residuals, leibniz_residual,
-                     library_fields, random_fields, random_scalars)
+from .axioms import (_finite_max, _partials, _require_step, _residuals,
+                     leibniz_residual, library_fields, random_fields,
+                     random_scalars)
 from .errors import ChartMismatch, ValidationError
 from .expr import Expr
 from .geometry import (
@@ -68,8 +69,6 @@ NOT_COCYCLE = "not_cocycle"
 # package; an adversarial blackbox can land here.
 INCONSISTENT = "inconsistent"
 
-CLOSEDNESS_FD_STEP = 1e-5
-
 
 class PointwiseOneForm:
     """One-form known only through evaluation: ``fn_many`` maps an (m, n)
@@ -85,7 +84,7 @@ class PointwiseOneForm:
         return tuple(self.values_matrix(np.asarray([point], dtype=float))[0].tolist())
 
     def values_matrix(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn_many(pts), dtype=float)
+        return np.asarray(self.fn_many(pts), dtype=float).reshape(pts.shape)
 
 
 class NumericScalarField:
@@ -169,8 +168,9 @@ def extract_oneform(op: DivOperator, base: DivOperator):
     return PointwiseOneForm(chart, None, fn_many)
 
 
-def _closedness_details(form, pts: np.ndarray, fd_step: float):
-    """Max |d_i E_j - d_j E_i| with its index pair and point."""
+def _closedness_details(form, pts: np.ndarray, h0: float):
+    """Max |d_i E_j - d_j E_i| with its index pair and point; a form held
+    as a batch callable is differentiated with base step h0."""
     chart = form.chart
     n = chart.dim
     if n < 2:
@@ -183,7 +183,7 @@ def _closedness_details(form, pts: np.ndarray, fd_step: float):
             return matrix[i][j].eval_many(arrays)
     else:
         # [point, axis, component]
-        partials = _central_partials(form.values_matrix, pts, fd_step)
+        partials = _partials(chart, form.values_matrix, pts, h0)
 
         def pair_values(i, j):
             return partials[:, i, j] - partials[:, j, i]
@@ -199,16 +199,17 @@ def _closedness_details(form, pts: np.ndarray, fd_step: float):
     return worst, pair, where
 
 
-def closedness_residual(form, points, fd_step: float = CLOSEDNESS_FD_STEP) -> float:
+def closedness_residual(form, points, fd_step_scale: float = 1e-5) -> float:
     """Max over sample points and index pairs of |d_i E_j - d_j E_i|.
 
     Symbolic forms are differentiated exactly; forms held as a batch
-    callable by central differences with an absolute step, which must be
-    finite and positive.
+    callable by central differences with step ``fd_step_scale`` times the
+    chart's shortest side, which must be finite and positive.
     """
-    _require_step(fd_step)
+    _require_step(fd_step_scale)
     pts = np.asarray(points, dtype=float)
-    worst, _, _ = _closedness_details(form, pts, fd_step)
+    worst, _, _ = _closedness_details(form, pts,
+                                      fd_step_scale * form.chart.min_side)
     return worst
 
 
@@ -296,18 +297,6 @@ def star_shaped_subchart(chart: Chart) -> Chart | None:
 # the decision pipeline
 
 
-def _central_partials(fn_many: Callable, pts: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of a batch function along each coordinate axis:
-    entry [:, i] (or [:, i, ...] for array values) is the i-th partial."""
-    n = pts.shape[1]
-    cols = []
-    for i in range(n):
-        shift = np.zeros(n)
-        shift[i] = h
-        cols.append((fn_many(pts + shift) - fn_many(pts - shift)) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
 def _tensoriality_stage(diff: DivOperator, fields, scalars, pts):
     """Worst Leibniz residual of E = D - D0 at weight 0, with its witness:
     the Leibniz-only case of the axiom sweep ``axioms._residuals``."""
@@ -345,7 +334,7 @@ def _density_verification(op, density: NumericScalarField, weight: float,
     arrays = chart.arrays(pts)
     n = chart.dim
     rho = density.many(pts)
-    grad = _central_partials(density.many, pts, h)
+    grad = _partials(chart, density.many, pts, h)
     worst = 0.0
     for x, image in zip(fields, op.apply_fields(fields, pts)):
         comp_vals = [c.eval_many(arrays) for c in x.components]
@@ -367,7 +356,7 @@ def _gradient_verification(diff: DivOperator, potential: NumericScalarField,
     chart = potential.chart
     arrays = chart.arrays(pts)
     n = chart.dim
-    grad = _central_partials(potential.many, pts, h)
+    grad = _partials(chart, potential.many, pts, h)
     worst = 0.0
     for x, image in zip(fields, diff.apply_fields(fields, pts)):
         comp_vals = [c.eval_many(arrays) for c in x.components]
@@ -414,7 +403,8 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
     if tens > config.tol:
         return Classification(NOT_TENSORIAL, form, residuals, witness=witness)
 
-    closed, pair, where = _closedness_details(form, pts, CLOSEDNESS_FD_STEP)
+    closed, pair, where = _closedness_details(
+        form, pts, config.fd_step_scale * chart.min_side)
     residuals["closedness"] = closed
     if closed > config.tol:
         return Classification(NOT_COCYCLE, form, residuals,

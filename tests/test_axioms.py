@@ -365,8 +365,8 @@ def test_batched_sweep_matches_reference_where_probes_shrink():
     report = _assert_matches_reference(op, config)
     assert any(e.skipped > 0 for e in report.entries)
     pts = np.asarray(sample_points(annulus, 40, 3))
-    probes = axioms._probes(annulus, dict(library_fields(annulus))["swirl"],
-                            pts, 1.6)
+    swirl = dict(library_fields(annulus))["swirl"]
+    probes = axioms._probes(annulus, swirl.values_matrix(pts), pts, 1.6)
     assert np.any(probes.usable & (probes.h < 1.6))
     assert np.any(~probes.usable)
 
@@ -379,7 +379,8 @@ def test_batched_sweep_matches_reference_zero_field():
                                        CheckConfig(n_points=25), fields, scalars)
     assert report.skipped == 0
     pts = np.asarray(sample_points(BOX, 25))
-    assert axioms._probes(BOX, fields[0][1], pts, 2e-5).up.shape == (0, 2)
+    zero = fields[0][1].values_matrix(pts)
+    assert axioms._probes(BOX, zero, pts, 2e-5).up.shape == (0, 2)
 
 
 def test_batched_sweep_matches_reference_nan_blackbox():

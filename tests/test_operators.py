@@ -12,9 +12,7 @@ from divkit.operators import (
     Connection,
     DivOperator,
     Metric,
-    alie_map,
     blackbox_operator,
-    covariant_derivative,
     div_affine,
     div_metric,
     div_sdensity,
@@ -23,7 +21,6 @@ from divkit.operators import (
     levi_civita,
     parallel_residual,
     perturbed_operator,
-    torsion_connection,
 )
 from divkit.reconstruct import extract_oneform
 
@@ -200,6 +197,35 @@ def test_div_affine_zero_connection_is_flat_divergence():
         assert da.apply(x, p) == pytest.approx(dv.apply(x, p), rel=1e-13, abs=1e-14)
 
 
+def alie_map(connection, field):
+    """Reference matrix of the difference map between the Lie derivative and
+    the covariant derivative along the field: entry (k, j) is
+    -(d_j X^k + gamma^k_{ij} X^i)."""
+    names = field.chart.coords
+    n = field.chart.dim
+    rows = []
+    for k in range(n):
+        row = []
+        for j in range(n):
+            acc = field.components[k].diff(names[j])
+            for i in range(n):
+                acc = acc + connection.gamma[k][i][j] * field.components[i]
+            row.append((-acc).simplify())
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_alie_map_zero_connection_values():
+    # the reference against a hand value
+    x = VectorField.from_strings(BOX, ("x^2", "0"))
+    a = alie_map(Connection.zero(BOX), x)
+    env = {"x": 0.4, "y": -0.2}
+    assert a[0][0].eval(env) == pytest.approx(-0.8, rel=1e-15)
+    assert a[0][1].eval(env) == 0.0
+    assert a[1][0].eval(env) == 0.0
+    assert a[1][1].eval(env) == 0.0
+
+
 def test_div_affine_is_minus_trace_of_difference_map():
     conn = polar_hand_connection()
     d = div_affine(conn)
@@ -292,57 +318,6 @@ def test_apply_many_matches_apply():
     many = d.apply_many(x, pts)
     single = np.array([d.apply(x, tuple(row)) for row in pts])
     np.testing.assert_allclose(many, single, rtol=1e-14, atol=0)
-
-
-# ---------------------------------------------------------------------------
-# difference map and torsion
-
-
-def test_alie_map_zero_connection_values():
-    x = VectorField.from_strings(BOX, ("x^2", "0"))
-    a = alie_map(Connection.zero(BOX), x)
-    env = {"x": 0.4, "y": -0.2}
-    assert a[0][0].eval(env) == pytest.approx(-0.8, rel=1e-15)
-    assert a[0][1].eval(env) == 0.0
-    assert a[1][0].eval(env) == 0.0
-    assert a[1][1].eval(env) == 0.0
-
-
-def asymmetric_connection():
-    z = "0"
-    rows_0 = (("x", "y"), (z, z))
-    rows_1 = ((z, "1"), ("x*y", z))
-    parse = lambda grid: tuple(
-        tuple(parse_expr(t, BOX.coords) for t in row) for row in grid)
-    return Connection(BOX, (parse(rows_0), parse(rows_1)))
-
-
-def test_torsion_connection_reverses_difference_map():
-    conn = asymmetric_connection()
-    tors = torsion_connection(conn)
-    x = VectorField.from_strings(BOX, ("x*y", "sin(x)"))
-    y = VectorField.from_strings(BOX, ("1-y", "x^2"))
-    a = alie_map(conn, x)
-    got = covariant_derivative(tors, y, x)
-    for p in sample_points(BOX, 15, seed=25):
-        env = BOX.env(p)
-        for k in range(2):
-            minus_a = -sum(a[k][j].eval(env) * y.components[j].eval(env)
-                           for j in range(2))
-            assert got.components[k].eval(env) == pytest.approx(
-                minus_a, rel=1e-12, abs=1e-13)
-
-
-def test_torsion_connection_fixes_symmetric_symbols():
-    conn = levi_civita(POLAR_METRIC)
-    tors = torsion_connection(conn)
-    for p in sample_points(POLAR, 5, seed=26):
-        env = POLAR.env(p)
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    assert tors.gamma[k][i][j].eval(env) == pytest.approx(
-                        conn.gamma[k][i][j].eval(env), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +595,24 @@ def test_apply_fields_checks_chart_and_domain(name, op):
         op.apply_fields(fields, np.vstack([inside, [[2.0, 0.0]]]))
     with pytest.raises(DomainError):
         op.apply_fields(fields, inside[:, :1])
+
+
+@pytest.mark.parametrize("stage", ["check_axioms", "classify"])
+@pytest.mark.parametrize("returns", ["scalar", "short"])
+def test_blackbox_return_values_are_checked(stage, returns):
+    # a scalar used to end in a raw numpy ValueError from check_axioms and
+    # in not_tensorial from classify; m - 1 values in a raw ValueError
+    from divkit.axioms import check_axioms
+    from divkit.reconstruct import classify
+
+    flat = div_volume(VolumeForm.from_string(BOX, "1"))
+
+    def fn_many(field, pts):
+        return 0.0 if returns == "scalar" else flat.apply_many(field, pts)[1:]
+
+    op = blackbox_operator(BOX, flat.apply, fn_many=fn_many)
+    with pytest.raises(ValidationError, match="one array of shape"):
+        check_axioms(op) if stage == "check_axioms" else classify(op, flat)
 
 
 def test_blackbox_takes_fn_many_or_fn_fields():

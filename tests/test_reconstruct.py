@@ -40,6 +40,7 @@ from divkit.operators import (
 from divkit.reconstruct import (
     CLOSED_NOT_EXACT,
     DIVERGENCE,
+    INCONSISTENT,
     NOT_COCYCLE,
     NOT_TENSORIAL,
     ClassifyConfig,
@@ -293,7 +294,16 @@ def test_closedness_residual_rejects_bad_step(step):
     form = PointwiseOneForm(BOX, lambda point: (point[1], -point[0]))
     for f in (form, one_form(BOX, "-y", "0")):
         with pytest.raises(ValidationError):
-            closedness_residual(f, box_points(BOX, count=5), fd_step=step)
+            closedness_residual(f, box_points(BOX, count=5), fd_step_scale=step)
+
+
+def test_closedness_residual_where_no_probe_fits():
+    # a probe that leaves the box shrinks once; at ten times the box even the
+    # shrunk one leaves it, so every sample is skipped and the residual is inf
+    form = PointwiseOneForm(BOX, lambda point: (point[1], -point[0]))
+    pts = box_points(BOX)
+    assert closedness_residual(form, pts, fd_step_scale=0.3) == pytest.approx(2.0)
+    assert closedness_residual(form, pts, fd_step_scale=10.0) == math.inf
 
 
 def test_closedness_residual_one_dimensional_chart():
@@ -580,6 +590,16 @@ def test_classify_blackbox_pair():
     result = classify(weighted_op().as_blackbox(), flat_op().as_blackbox())
     assert result.verdict == DIVERGENCE
     assert result.residuals["verification"] <= 1e-6
+    # a box of side 1e-4 and a coarse step: the closedness and verification
+    # probes shrink instead of leaving the chart, so the blackbox answers as
+    # its symbolic twin does
+    tiny = Chart(("x", "y"), ((0.0, 1e-4), (0.0, 1e-4)))
+    for chart, config, verdict in (
+            (tiny, None, DIVERGENCE),
+            (BOX, ClassifyConfig(fd_step_scale=0.2), INCONSISTENT)):
+        op, base = weighted_op(chart), flat_op(chart)
+        assert classify(op, base, config=config).verdict == verdict
+        assert classify(op.as_blackbox(), base, config=config).verdict == verdict
 
 
 def test_classify_metric_reference_rebuild():
