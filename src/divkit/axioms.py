@@ -332,9 +332,10 @@ def _leibniz_root(op, f: Expr, x: VectorField, dx: Expr, weight: float) -> Expr:
 
 def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
                weight: float, pts: np.ndarray, h0: float | None = None):
-    """Yield (|residual|, valid) at the points, for the cocycle residual of
-    each pair fields[a], fields[b] with a < b, then for the Leibniz residual
-    at ``weight`` of each scalar and field.  The cocycle terms are swept only
+    """Yield |residual| at the points (nan or inf where it could not be
+    evaluated) for the cocycle residual of each pair fields[a], fields[b]
+    with a < b, then for the Leibniz residual at ``weight`` of each scalar
+    and field.  The cocycle terms are swept only
     when a base central-difference step ``h0`` is given; a symbolic operator
     differentiates exactly and does not use it.
 
@@ -354,8 +355,7 @@ def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
         roots += [_leibniz_root(op, f, x, dx, weight)
                   for f in scalars for x, dx in zip(fields, images)]
         for value in eval_roots(roots, arrays):
-            vals = np.abs(value)
-            yield vals, np.isfinite(vals)
+            yield np.abs(value)
         return
     scaled = [_scaled(op.chart, f, x) for f in scalars for x in fields]
     if h0 is None:
@@ -366,8 +366,7 @@ def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
         values = iter(op.apply_fields(
             [bracket(fields[a], fields[b]) for a, b in pairs] + scaled, pts))
     for a, b in pairs:
-        vals = np.abs(next(values) - (along[a, b] - along[b, a]))
-        yield vals, np.isfinite(vals)
+        yield np.abs(next(values) - (along[a, b] - along[b, a]))
     # f, then X(f) per field; at weight 0, X(f) is neither built nor evaluated
     own = eval_roots([g for f in scalars for g in
                       [f] + [apply_field(x, f) for x in fields if weight]], arrays)
@@ -377,8 +376,7 @@ def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
             gap = next(values) - f_vals * dx
             if weight:
                 gap = gap - weight * next(own)
-            vals = np.abs(gap)
-            yield vals, np.isfinite(vals)
+            yield np.abs(gap)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +389,10 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
     """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at one point."""
     _require_step(fd_step_scale)
     op.chart.require_inside(point)
-    (vals, valid), = _residuals(op, [x, y], [], op.weight,
-                                np.asarray([point], dtype=float),
-                                fd_step_scale * op.chart.min_side)
-    if not valid[0]:
+    vals, = _residuals(op, [x, y], [], op.weight,
+                       np.asarray([point], dtype=float),
+                       fd_step_scale * op.chart.min_side)
+    if not math.isfinite(vals[0]):
         raise DomainError("residual could not be evaluated at this point")
     return float(vals[0])
 
@@ -407,8 +405,8 @@ def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
     if not math.isfinite(w):
         raise ValidationError("weight must be finite")
     op.chart.require_inside(point)
-    (vals, valid), = _residuals(op, [x], [f], w, np.asarray([point], dtype=float))
-    if not valid[0]:
+    vals, = _residuals(op, [x], [f], w, np.asarray([point], dtype=float))
+    if not math.isfinite(vals[0]):
         raise DomainError("residual could not be evaluated at this point")
     return float(vals[0])
 
@@ -460,11 +458,11 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
     sweep = _residuals(op, [x for _, x in fields], [f for _, f in scalars],
                        op.weight, pts, h0)
     entries = []
-    for (axiom, label), (vals, valid) in zip(labels, sweep):
-        worst, k = _finite_max(np.where(valid, vals, np.nan))
+    for (axiom, label), vals in zip(labels, sweep):
+        worst, k = _finite_max(vals)
         entries.append(AxiomEntry(axiom, label, worst,
                                   None if k is None else tuple(pts[k]),
-                                  int(vals.size), int(vals.size - valid.sum())))
+                                  int(vals.size), int((~np.isfinite(vals)).sum())))
 
     manifest = {
         "seed": config.seed,

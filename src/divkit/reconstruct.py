@@ -304,7 +304,7 @@ def _tensoriality_stage(diff: DivOperator, fields, scalars, pts):
                        0.0, pts)
     labels = [(fname, xname) for fname, _ in scalars for xname, _ in fields]
     worst, witness = 0.0, None
-    for (fname, xname), (vals, _) in zip(labels, sweep):
+    for (fname, xname), vals in zip(labels, sweep):
         local, k = _finite_max(vals)
         if local > worst:
             worst = local
