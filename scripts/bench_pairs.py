@@ -9,7 +9,11 @@ checkout given as ``--parent-dir``), then runs ``perfbench/run.py --trace 0``
 of each side from that side's own files, one pair per workload and seed.
 The two sides alternate: the parent runs first in even-numbered pairs, the
 working tree first in odd-numbered ones, so a drift in the host's speed
-favours neither.  The output file holds every run's metrics and, for each
+favours neither.  Each side's processes keep their bytecode in a fresh
+directory of their own (``PYTHONPYCACHEPREFIX``, written even under
+``PYTHONDONTWRITEBYTECODE``), filled by one warm-up import before the first
+pair, so a ``__pycache__`` left in one checkout cannot make that side's
+start-up look faster.  The output file holds every run's metrics and, for each
 workload and end-to-end metric, each side's median and quartiles, the number
 of pairs in which the working tree was lower, and the median change.
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -29,6 +34,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("axiom-sweep", "classify-verdicts", "dense-eval", "cli-specs")
 SIDES = ("parent", "change")
+# What a benchmark run imports, from the checkout's root: compiled once per
+# side before the first pair.
+WARM_UP = ("import sys; sys.path[:0] = ['src', 'perfbench']; "
+           "import argparse, hashlib, platform, resource, statistics; "
+           "import divkit, divkit.cli, workloads, tracer, reference")
 
 
 def parse_args(argv):
@@ -63,12 +73,22 @@ def git(*argv, cwd=ROOT) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, args) -> dict:
+def side_env(pycache: Path) -> dict:
+    """The environment of one side's processes: bytecode read from and
+    written to ``pycache`` only.  Writing stays on even where the caller's
+    PYTHONDONTWRITEBYTECODE turns it off; otherwise every process would
+    compile numpy and the standard library afresh under the prefix."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(checkout: Path, env: dict, workload: str, seed: int, args) -> dict:
     """One ``perfbench/run.py`` result: its last stdout line, plus ENV."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd + (["--tiny"] if args.tiny else []),
-                          cwd=checkout, capture_output=True, text=True)
+                          cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {workload} seed {seed} exited "
@@ -122,8 +142,12 @@ def claim_check(figures: dict) -> dict:
             "parent_iqr": round(parent["q3"] - parent["q1"], 4)}
 
 
-def bench(args, parent_dir: Path) -> dict:
+def bench(args, parent_dir: Path, pycache: Path) -> dict:
     checkouts = {"parent": parent_dir, "change": ROOT}
+    envs = {side: side_env(pycache / side) for side in SIDES}
+    for side in SIDES:
+        subprocess.run([sys.executable, "-c", WARM_UP], cwd=checkouts[side],
+                       env=envs[side], check=True, capture_output=True)
     out = {
         "what": "divkit benchmark, parent against the working tree: every "
                 "run, with each side's median and quartiles per workload and "
@@ -134,14 +158,18 @@ def bench(args, parent_dir: Path) -> dict:
         "parent": git("rev-parse", "--short", args.parent),
         "change": "working tree at " + git("rev-parse", "--short", "HEAD"),
         "pairing": "one pair per seed; parent ran first on even pair index, "
-                   "change first on odd",
+                   "change first on odd; each side's processes kept their "
+                   "bytecode in a fresh PYTHONPYCACHEPREFIX directory of "
+                   "their own, written even under PYTHONDONTWRITEBYTECODE "
+                   "and warmed by one import before pair 0",
     }
     workloads = {}
     for workload in args.workloads:
         runs = {s: [] for s in SIDES}
         for i, seed in enumerate(args.seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                runs[side].append(run_once(checkouts[side], workload, seed, args))
+                runs[side].append(run_once(checkouts[side], envs[side],
+                                           workload, seed, args))
                 print(f"{workload} seed {seed} {side}: "
                       f"{runs[side][-1]['metrics']}", file=sys.stderr)
         workloads[workload] = summarise(args.seeds, runs)
@@ -158,14 +186,15 @@ def bench(args, parent_dir: Path) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.parent_dir is not None:
-        out = bench(args, args.parent_dir.resolve())
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
+        pycache = Path(tmp) / "pycache"
+        if args.parent_dir is not None:
+            out = bench(args, args.parent_dir.resolve(), pycache)
+        else:
             parent_dir = Path(tmp) / "parent"
             git("worktree", "add", "--detach", str(parent_dir), args.parent)
             try:
-                out = bench(args, parent_dir)
+                out = bench(args, parent_dir, pycache)
             finally:
                 git("worktree", "remove", "--force", str(parent_dir))
     args.out.write_text(json.dumps(out, indent=1) + "\n")

@@ -16,10 +16,18 @@ single-point residuals are one-point sweeps, and ``classify``'s
 tensoriality residual is the Leibniz-only sweep of D - D0 at weight 0.
 Each residual's worst sample is taken by ``_finite_max``.  ``_probes``
 places every finite-difference probe, ``classify``'s too.
+
+A battery, ``_Battery``, holds the fields and scalars with the trees the
+sweep derives from them alone: each bracket [X, Y], field fX and
+derivative X(f), built on first use.  A generated battery depends only on
+the chart, the seed and the two counts, never on the operator, so
+``_generated`` keeps the last few and every ``check_axioms`` and
+``classify`` with an equal chart and sizes reuses one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -198,6 +206,68 @@ def random_scalars(chart: Chart, count: int, rng) -> list[tuple[str, Expr]]:
     return [(f"f{k}", _random_polynomial(chart, rng)) for k in range(count)]
 
 
+class _Battery:
+    """Named fields and scalars on one chart, with the trees a sweep derives
+    from them alone, each built on first use and kept: the bracket
+    [X_a, X_b], the field f_k X_i and the derivative X_i(f_k).
+
+    Every scalar is checked against the chart here, once.  Trees are never
+    changed after they are built (only their ``simplify``/``diff`` memos
+    fill in), so one battery may serve any number of sweeps."""
+
+    def __init__(self, chart: Chart, fields: Sequence[tuple[str, VectorField]],
+                 scalars: Sequence[tuple[str, Expr]]):
+        self.chart = chart
+        self.fields = list(fields)
+        self.scalars = list(scalars)
+        for _, f in self.scalars:
+            _require_scalar_on(chart, f)
+        self._trees: dict = {}
+
+    def _tree(self, key, build):
+        tree = self._trees.get(key)
+        if tree is None:
+            tree = self._trees[key] = build()
+        return tree
+
+    def bracket(self, a: int, b: int) -> VectorField:
+        return self._tree(("bracket", a, b), lambda: bracket(
+            self.fields[a][1], self.fields[b][1]))
+
+    def scaled(self, k: int, i: int) -> VectorField:
+        f, x = self.scalars[k][1], self.fields[i][1]
+        return self._tree(("scaled", k, i), lambda: VectorField(
+            self.chart, tuple((f * c).simplify() for c in x.components)))
+
+    def along(self, i: int, k: int) -> Expr:
+        return self._tree(("along", i, k), lambda: apply_field(
+            self.fields[i][1], self.scalars[k][1]))
+
+
+# Generated batteries kept at once; each holds its trees and their memos.
+_BATTERY_CACHE = 8
+
+
+def _drawn(chart: Chart, seed: int, n_fields: int, n_scalars: int,
+           fields=None, scalars=None) -> _Battery:
+    """A battery of the given fields and scalars, each part not given drawn
+    from one generator seeded with ``seed``: ``n_fields`` random fields and
+    the library, then ``n_scalars`` random scalars."""
+    rng = np.random.default_rng(seed)
+    if fields is None:
+        fields = random_fields(chart, n_fields, rng) + library_fields(chart)
+    if scalars is None:
+        scalars = random_scalars(chart, n_scalars, rng)
+    return _Battery(chart, fields, scalars)
+
+
+@functools.lru_cache(maxsize=_BATTERY_CACHE)
+def _generated(chart: Chart, seed: int, n_fields: int, n_scalars: int) -> _Battery:
+    """The drawn battery of a sweep configuration, shared by every sweep
+    with an equal chart, seed and sizes."""
+    return _drawn(chart, seed, n_fields, n_scalars)
+
+
 # ---------------------------------------------------------------------------
 # residual machinery
 
@@ -304,16 +374,12 @@ def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
     return at_samples, along
 
 
-def _scaled(chart: Chart, f: Expr, x: VectorField) -> VectorField:
-    """The field fX on the chart."""
-    return VectorField(chart, tuple((f * c).simplify() for c in x.components))
-
-
-def _cocycle_root(op, x: VectorField, y: VectorField, dx: Expr, dy: Expr) -> Expr:
+def _cocycle_root(op, xy: VectorField, x: VectorField, y: VectorField,
+                  dx: Expr, dy: Expr) -> Expr:
     """D([X,Y]) - (X(D(Y)) - Y(D(X))) for a symbolic operator, built from
-    the images ``dx`` = D(X) and ``dy`` = D(Y), which are differentiated
-    exactly."""
-    expr = op.symbolic(bracket(x, y))
+    the bracket ``xy`` = [X, Y] and the images ``dx`` = D(X) and ``dy`` =
+    D(Y), which are differentiated exactly."""
+    expr = op.symbolic(xy)
     for comp, nm in zip(x.components, op.chart.coords):
         expr = expr - comp * dy.diff(nm)
     for comp, nm in zip(y.components, op.chart.coords):
@@ -321,55 +387,53 @@ def _cocycle_root(op, x: VectorField, y: VectorField, dx: Expr, dy: Expr) -> Exp
     return expr
 
 
-def _leibniz_root(op, f: Expr, x: VectorField, dx: Expr, weight: float) -> Expr:
-    """D(fX) - f D(X) - weight X(f) for a symbolic operator, built from the
-    image ``dx`` = D(X).  At weight 0 the X(f) term is left out."""
-    expr = op.symbolic(_scaled(op.chart, f, x)) - f * dx
-    if weight:
-        expr = expr - const(weight) * apply_field(x, f)
-    return expr
-
-
-def _residuals(op, fields: Sequence[VectorField], scalars: Sequence[Expr],
-               weight: float, pts: np.ndarray, h0: float | None = None):
+def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
+               h0: float | None = None):
     """Yield |residual| at the points (nan or inf where it could not be
-    evaluated) for the cocycle residual of each pair fields[a], fields[b]
-    with a < b, then for the Leibniz residual at ``weight`` of each scalar
-    and field.  The cocycle terms are swept only
-    when a base central-difference step ``h0`` is given; a symbolic operator
-    differentiates exactly and does not use it.
+    evaluated) for the cocycle residual of each pair of the battery's fields
+    X_a, X_b with a < b, then for the Leibniz residual at ``weight`` of each
+    scalar and field.  The cocycle terms are swept only when a base
+    central-difference step ``h0`` is given; a symbolic operator
+    differentiates exactly and does not use it.  Every bracket, fX and X(f)
+    comes from the battery.
 
     A symbolic operator takes one image per field and evaluates every tree
     in one ``eval_roots`` call.  An opaque one takes its images and central
     differences from ``_fd_images``, then one ``apply_fields`` call for all
     brackets and fX (without cocycle terms, for the fields and fX, with no
     probes); its f and X(f) are one ``eval_roots`` call."""
-    for f in scalars:
-        _require_scalar_on(op.chart, f)
+    fields = [x for _, x in battery.fields]
+    scalars = [f for _, f in battery.scalars]
     pairs = [] if h0 is None else list(itertools.combinations(range(len(fields)), 2))
+    terms = [(k, i) for k in range(len(scalars)) for i in range(len(fields))]
     arrays = op.chart.arrays(pts)
     if op.is_symbolic:
         images = [op.symbolic(x) for x in fields]
-        roots = [_cocycle_root(op, fields[a], fields[b], images[a], images[b])
-                 for a, b in pairs]
-        roots += [_leibniz_root(op, f, x, dx, weight)
-                  for f in scalars for x, dx in zip(fields, images)]
+        roots = [_cocycle_root(op, battery.bracket(a, b), fields[a], fields[b],
+                               images[a], images[b]) for a, b in pairs]
+        for k, i in terms:
+            # D(fX) - f D(X) - weight X(f); at weight 0, X(f) is left out
+            expr = op.symbolic(battery.scaled(k, i)) - scalars[k] * images[i]
+            if weight:
+                expr = expr - const(weight) * battery.along(i, k)
+            roots.append(expr)
         for value in eval_roots(roots, arrays):
             yield np.abs(value)
         return
-    scaled = [_scaled(op.chart, f, x) for f in scalars for x in fields]
+    scaled = [battery.scaled(k, i) for k, i in terms]
     if h0 is None:
-        images = op.apply_fields(list(fields) + scaled, pts)
+        images = op.apply_fields(fields + scaled, pts)
         images, values = images[:len(fields)], iter(images[len(fields):])
     else:
         images, along = _fd_images(op, fields, pts, h0)
         values = iter(op.apply_fields(
-            [bracket(fields[a], fields[b]) for a, b in pairs] + scaled, pts))
+            [battery.bracket(a, b) for a, b in pairs] + scaled, pts))
     for a, b in pairs:
         yield np.abs(next(values) - (along[a, b] - along[b, a]))
     # f, then X(f) per field; at weight 0, X(f) is neither built nor evaluated
-    own = eval_roots([g for f in scalars for g in
-                      [f] + [apply_field(x, f) for x in fields if weight]], arrays)
+    own = eval_roots([g for k, f in enumerate(scalars) for g in
+                      [f] + [battery.along(i, k) for i in range(len(fields))
+                             if weight]], arrays)
     for _ in scalars:
         f_vals = next(own)
         for dx in images:
@@ -389,8 +453,8 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
     """|D([X,Y]) - (X(D(Y)) - Y(D(X)))| at one point."""
     _require_step(fd_step_scale)
     op.chart.require_inside(point)
-    vals, = _residuals(op, [x, y], [], op.weight,
-                       np.asarray([point], dtype=float),
+    vals, = _residuals(op, _Battery(op.chart, [("X", x), ("Y", y)], []),
+                       op.weight, np.asarray([point], dtype=float),
                        fd_step_scale * op.chart.min_side)
     if not math.isfinite(vals[0]):
         raise DomainError("residual could not be evaluated at this point")
@@ -405,7 +469,8 @@ def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
     if not math.isfinite(w):
         raise ValidationError("weight must be finite")
     op.chart.require_inside(point)
-    vals, = _residuals(op, [x], [f], w, np.asarray([point], dtype=float))
+    vals, = _residuals(op, _Battery(op.chart, [("X", x)], [("f", f)]), w,
+                       np.asarray([point], dtype=float))
     if not math.isfinite(vals[0]):
         raise DomainError("residual could not be evaluated at this point")
     return float(vals[0])
@@ -434,19 +499,20 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
 
     Fields are the configured number of random degree-3 polynomial fields
     plus the deterministic library; scalars are random polynomials.  Passing
-    explicit batteries overrides generation.
+    explicit batteries overrides generation; the manifest's ``n_fields`` and
+    ``n_scalars`` count the random ones actually drawn.
     """
     config = config or CheckConfig()
     chart = op.chart
-    rng = np.random.default_rng(config.seed)
-    if fields is None:
-        fields = random_fields(chart, config.n_fields, rng) + library_fields(chart)
-    else:
-        fields = list(fields)
-    if scalars is None:
-        scalars = random_scalars(chart, config.n_scalars, rng)
-    else:
-        scalars = list(scalars)
+    # random fields and scalars drawn: none for a part given explicitly
+    n_fields = config.n_fields if fields is None else 0
+    n_scalars = config.n_scalars if scalars is None else 0
+    if fields is None and scalars is None:
+        battery = _generated(chart, config.seed, config.n_fields, config.n_scalars)
+    else:  # a one-off battery, kept out of the cache
+        battery = _drawn(chart, config.seed, config.n_fields, config.n_scalars,
+                         fields, scalars)
+    fields, scalars = battery.fields, battery.scalars
     pts = np.asarray(sample_points(chart, config.n_points, config.seed), dtype=float)
     tol = config.tol if config.tol is not None else (1e-9 if op.is_symbolic else 1e-6)
     h0 = config.fd_step_scale * chart.min_side
@@ -455,8 +521,7 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
               for (nx, _), (ny, _) in itertools.combinations(fields, 2)]
     labels += [("leibniz", f"leibniz({fname},{name_x})")
                for fname, _ in scalars for name_x, _ in fields]
-    sweep = _residuals(op, [x for _, x in fields], [f for _, f in scalars],
-                       op.weight, pts, h0)
+    sweep = _residuals(op, battery, op.weight, pts, h0)
     entries = []
     for (axiom, label), vals in zip(labels, sweep):
         worst, k = _finite_max(vals)
@@ -467,9 +532,10 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
     manifest = {
         "seed": config.seed,
         "n_points": config.n_points,
-        "n_fields": config.n_fields,
-        "n_scalars": config.n_scalars,
+        "n_fields": n_fields,
+        "n_scalars": n_scalars,
         "fields": [nm for nm, _ in fields],
+        "scalars": [nm for nm, _ in scalars],
         "generator_version": GENERATOR_VERSION,
         "mode": "symbolic" if op.is_symbolic else "finite-difference",
         "fd_step": None if op.is_symbolic else h0,

@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .axioms import (_finite_max, _partials, _require_step, _residuals,
-                     leibniz_residual, library_fields, random_fields,
-                     random_scalars)
+from .axioms import (_Battery, _finite_max, _generated, _partials,
+                     _require_step, _residuals, leibniz_residual,
+                     library_fields)
 from .errors import ChartMismatch, ValidationError
 from .expr import Expr
 from .geometry import (
@@ -297,12 +297,13 @@ def star_shaped_subchart(chart: Chart) -> Chart | None:
 # the decision pipeline
 
 
-def _tensoriality_stage(diff: DivOperator, fields, scalars, pts):
-    """Worst Leibniz residual of E = D - D0 at weight 0, with its witness:
-    the Leibniz-only case of the axiom sweep ``axioms._residuals``."""
-    sweep = _residuals(diff, [x for _, x in fields], [f for _, f in scalars],
-                       0.0, pts)
-    labels = [(fname, xname) for fname, _ in scalars for xname, _ in fields]
+def _tensoriality_stage(diff: DivOperator, battery: _Battery, pts):
+    """Worst Leibniz residual of E = D - D0 at weight 0 over the battery,
+    with its witness: the Leibniz-only case of the axiom sweep
+    ``axioms._residuals``."""
+    sweep = _residuals(diff, battery, 0.0, pts)
+    labels = [(fname, xname) for fname, _ in battery.scalars
+              for xname, _ in battery.fields]
     worst, witness = 0.0, None
     for (fname, xname), vals in zip(labels, sweep):
         local, k = _finite_max(vals)
@@ -390,14 +391,12 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
         raise ChartMismatch("classification chart differs from the operators'")
     config = config or ClassifyConfig()
     chart = op.chart
-    rng = np.random.default_rng(config.seed)
-    fields = random_fields(chart, config.n_fields, rng) + library_fields(chart)
-    scalars = random_scalars(chart, config.n_scalars, rng)
+    battery = _generated(chart, config.seed, config.n_fields, config.n_scalars)
     pts = np.asarray(sample_points(chart, config.n_points, config.seed),
                      dtype=float)
     residuals: dict = {}
 
-    tens, witness = _tensoriality_stage(diff, fields, scalars, pts)
+    tens, witness = _tensoriality_stage(diff, battery, pts)
     residuals["tensoriality"] = tens
     form = extract_oneform(op, base)
     if tens > config.tol:

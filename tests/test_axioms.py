@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from divkit import axioms
+from divkit import axioms, geometry
 from divkit.axioms import (
     AxiomEntry,
     CheckConfig,
@@ -42,6 +42,7 @@ from divkit.operators import (
     div_affine,
     perturbed_operator,
 )
+from divkit.reconstruct import DIVERGENCE, ClassifyConfig, classify
 
 BOX = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
 POLAR = Chart(("r", "th"), ((1.0, 2.5), (0.0, 1.5)))
@@ -573,3 +574,102 @@ def test_symbolic_sweep_takes_one_image_per_field():
     assert len(calls) == len(fields) + pairs + len(scalars) * len(fields) == 143
     for _, x in fields:
         assert sum(1 for c in calls if c is x) == 1
+
+
+# ---------------------------------------------------------------------------
+# the battery cache
+#
+# A generated battery depends only on the chart, the seed and the two
+# sizes, so check_axioms and classify share one per configuration, with the
+# brackets, fields fX and derivatives X(f) it has built.  An explicit battery
+# is a one-off, drawn as before and never cached.
+
+
+def _count_builds(monkeypatch):
+    """Record each call of geometry.bracket and geometry.apply_field, under
+    every name the sweep reaches them by."""
+    calls = []
+    for name in ("bracket", "apply_field"):
+        original = getattr(geometry, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in (geometry, axioms):
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_equal_configs_reuse_one_battery(monkeypatch):
+    config = CheckConfig(seed=11, n_points=30, n_fields=3, n_scalars=2)
+    first = check_axioms(WEIGHTED_OP.as_blackbox(), config)
+    battery = axioms._generated(BOX, 11, 3, 2)
+    trees = dict(battery._trees)
+    # brackets, fX and X(f) of 3 random and 5 library fields, 2 scalars
+    assert len(trees) == 28 + 16 + 16
+
+    calls = _count_builds(monkeypatch)
+    chart = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    op = div_volume(VolumeForm.from_string(chart, "exp(x+0.5*y)"))
+    second = check_axioms(op.as_blackbox(),
+                          CheckConfig(seed=11, n_points=30, n_fields=3, n_scalars=2))
+    verdict = classify(op, FLAT_OP, config=ClassifyConfig(
+        seed=11, n_points=30, n_fields=3, n_scalars=2))
+    assert calls == []
+    assert battery._trees.keys() == trees.keys()
+    assert all(battery._trees[key] is tree for key, tree in trees.items())
+    assert verdict.verdict == DIVERGENCE
+
+    assert second.entries == first.entries and second.manifest == first.manifest
+    monkeypatch.undo()
+    _assert_matches_reference(WEIGHTED_OP.as_blackbox(), config)
+
+
+def _recording_batteries(monkeypatch):
+    built = []
+
+    class Recording(axioms._Battery):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(axioms, "_Battery", Recording)
+    return built
+
+
+def test_explicit_batteries_keep_the_rng_streams_and_stay_uncached(monkeypatch):
+    config = CheckConfig(seed=5, n_points=10, n_fields=2, n_scalars=2)
+    fields = library_fields(BOX)[:2]
+    scalars = [("g", ex("x*y - 0.5"))]
+    built = _recording_batteries(monkeypatch)
+    axioms._generated.cache_clear()
+
+    only_fields = check_axioms(WEIGHTED_OP, config, fields=fields)
+    only_scalars = check_axioms(WEIGHTED_OP, config, scalars=scalars)
+    both = check_axioms(WEIGHTED_OP, config, fields, scalars)
+    assert axioms._generated.cache_info().currsize == 0
+    assert len(built) == 3
+    assert built[0].fields == fields
+    assert built[0].scalars == random_scalars(BOX, 2, np.random.default_rng(5))
+    assert built[1].fields == random_fields(BOX, 2, np.random.default_rng(5)) \
+        + library_fields(BOX)
+    assert built[1].scalars == scalars
+
+    # the manifest counts the random fields and scalars actually drawn
+    assert (only_fields.manifest["n_fields"], only_fields.manifest["n_scalars"]) == (0, 2)
+    assert (only_scalars.manifest["n_fields"], only_scalars.manifest["n_scalars"]) == (2, 0)
+    assert (both.manifest["n_fields"], both.manifest["n_scalars"]) == (0, 0)
+    assert both.manifest["fields"] == ["unit_x", "unit_y"]
+    assert both.manifest["scalars"] == ["g"]
+    assert only_fields.manifest["scalars"] == ["f0", "f1"]
+
+
+def test_battery_cache_is_bounded():
+    bound = axioms._generated.cache_info().maxsize
+    assert bound == axioms._BATTERY_CACHE
+    for seed in range(bound + 2):
+        report = check_axioms(FLAT_OP, CheckConfig(seed=seed, n_points=5,
+                                                   n_fields=1, n_scalars=1))
+        assert report.passed
+    assert axioms._generated.cache_info().currsize <= bound

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divkit.axioms import (
+    _Battery,
     _finite_max,
     check_axioms,
     library_fields,
@@ -234,7 +235,8 @@ def test_tensoriality_stage_matches_pair_route_on_blackboxes(name, seed):
     fields, scalars, pts = _stage_inputs(BOX, seed)
     for d, d0 in ((op.as_blackbox(), base), (op, base.as_blackbox()),
                   (op.as_blackbox(), base.as_blackbox())):
-        got = _tensoriality_stage(difference(d, d0), fields, scalars, pts)
+        got = _tensoriality_stage(difference(d, d0),
+                                  _Battery(BOX, fields, scalars), pts)
         assert got == _reference_tensoriality_stage(d, d0, fields, scalars, pts)
 
 
@@ -248,8 +250,8 @@ def test_tensoriality_stage_matches_pair_route_on_symbolic_pairs(seed):
         div_metric(metric))
     for name, (op, base) in pairs.items():
         fields, scalars, pts = _stage_inputs(op.chart, seed)
-        got, witness = _tensoriality_stage(difference(op, base), fields,
-                                           scalars, pts)
+        got, witness = _tensoriality_stage(
+            difference(op, base), _Battery(op.chart, fields, scalars), pts)
         want, want_witness = _reference_tensoriality_stage(
             op, base, fields, scalars, pts)
         if name == "s-half-flat":
