@@ -23,6 +23,7 @@ Standard library only.  Exits 1 when a run fails or reports a wrong output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -71,6 +72,21 @@ def parse_args(argv):
 def git(*argv, cwd=ROOT) -> str:
     return subprocess.run(["git", *argv], cwd=cwd, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+@contextlib.contextmanager
+def parent_checkout(parent: str, parent_dir: Path | None, tmp: Path):
+    """The parent side's files: ``parent_dir`` when given, otherwise a new
+    ``git worktree`` of revision ``parent`` under ``tmp``, removed on exit."""
+    if parent_dir is not None:
+        yield parent_dir.resolve()
+        return
+    path = tmp / "parent"
+    git("worktree", "add", "--detach", str(path), parent)
+    try:
+        yield path
+    finally:
+        git("worktree", "remove", "--force", str(path))
 
 
 def side_env(pycache: Path) -> dict:
@@ -187,16 +203,8 @@ def bench(args, parent_dir: Path, pycache: Path) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        pycache = Path(tmp) / "pycache"
-        if args.parent_dir is not None:
-            out = bench(args, args.parent_dir.resolve(), pycache)
-        else:
-            parent_dir = Path(tmp) / "parent"
-            git("worktree", "add", "--detach", str(parent_dir), args.parent)
-            try:
-                out = bench(args, parent_dir, pycache)
-            finally:
-                git("worktree", "remove", "--force", str(parent_dir))
+        with parent_checkout(args.parent, args.parent_dir, Path(tmp)) as parent_dir:
+            out = bench(args, parent_dir, Path(tmp) / "pycache")
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -1,0 +1,109 @@
+"""Output identity: a parent revision against the working tree.
+
+    python3 scripts/compare_outputs.py --parent HEAD~1 --seeds 0,7
+    python3 scripts/compare_outputs.py --parent main --parent-dir ../main --seeds 0
+
+Checks the parent revision out as ``bench_pairs.py`` does (a new ``git
+worktree``, or an existing checkout given as ``--parent-dir``).  Each side
+then runs in a fresh child process from its own files: it imports that
+side's ``perfbench/workloads.py`` and runs every ``axiom-sweep`` and
+``classify-verdicts`` operation once per seed.  The child prints the repr of
+every report entry (max residual, argmax point, samples, skipped) and of
+every classification field (verdict, residuals, periods, witness, restricted
+box), one line each.
+
+Standard library only.  Exits 0 when both sides print the same lines and 1
+at the first difference, which it names.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, parent_checkout, side_env
+
+WORKLOADS = ("axiom-sweep", "classify-verdicts")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", help="git revision of the parent side")
+    parser.add_argument("--parent-dir", type=Path,
+                        help="an existing checkout of --parent to use instead "
+                             "of a new git worktree")
+    parser.add_argument("--seeds", required=True,
+                        help="comma-separated workload seeds")
+    parser.add_argument("--child", action="store_true",
+                        help="print the outputs of the checkout in the "
+                             "current directory")
+    args = parser.parse_args(argv)
+    if not args.child and args.parent is None:
+        parser.error("--parent is required")
+    return args
+
+
+def output_lines(result) -> list[str]:
+    """What one operation's result says, one repr per line."""
+    if hasattr(result, "entries"):
+        return [f"entry {i} {entry!r}" for i, entry in enumerate(result.entries)]
+    box = None if result.restricted_to is None else result.restricted_to.box
+    return [f"verdict {result.verdict!r}", f"residuals {result.residuals!r}",
+            f"periods {result.periods!r}", f"witness {result.witness!r}",
+            f"restricted {box!r}"]
+
+
+def child(seeds: str) -> int:
+    """Print every output of the checkout in the current directory."""
+    root = Path.cwd().resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import divkit
+    import workloads
+
+    if root not in Path(divkit.__file__).resolve().parents:
+        raise SystemExit(f"divkit imported from {divkit.__file__}, not {root}")
+    for seed in seeds.split(","):
+        for workload in WORKLOADS:
+            for op in workloads.build(workload, int(seed)):
+                for line in output_lines(op.run(None)):
+                    print(f"{workload} seed {seed} {op.label}: {line}")
+    return 0
+
+
+def side_lines(checkout: Path, env: dict, seeds: str) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--child",
+         "--seeds", seeds],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: exited {proc.returncode}: "
+                         f"{proc.stderr[-800:]}")
+    return proc.stdout.splitlines()
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.child:
+        return child(args.seeds)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with parent_checkout(args.parent, args.parent_dir, tmp) as parent_dir:
+            parent = side_lines(parent_dir, side_env(tmp / "parent-pycache"),
+                                args.seeds)
+        change = side_lines(ROOT, side_env(tmp / "change-pycache"), args.seeds)
+    pairs = itertools.zip_longest(parent, change, fillvalue="(no line)")
+    for k, (old, new) in enumerate(pairs):
+        if old != new:
+            print(f"line {k + 1} differs\n  parent: {old}\n  change: {new}",
+                  file=sys.stderr)
+            return 1
+    print(f"{len(change)} output lines identical", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

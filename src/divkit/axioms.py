@@ -124,13 +124,8 @@ class ResidualReport:
 
     @property
     def max_residual(self) -> float:
-        best = 0.0
-        seen = False
-        for e in self.entries:
-            if e.samples > e.skipped:
-                seen = True
-                best = max(best, e.max_residual)
-        return best if seen else math.inf
+        worst = self.argmax
+        return math.inf if worst is None else worst.max_residual
 
     @property
     def argmax(self) -> AxiomEntry | None:

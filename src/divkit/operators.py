@@ -236,26 +236,23 @@ class DivOperator:
     the positive density whose divergence the operator is, when the
     construction carries one.  An operator without ``theta`` is a blackbox,
     evaluated only through one stored callable ``fn_fields(fields, points)``
-    (one array per field); a ``fn_many(field, points)`` is lifted into it.
+    (one array per field); ``blackbox_operator`` lifts a user's per-field
+    callable into it.
     ``kind`` names the construction and decides nothing.
     """
 
     def __init__(self, chart: Chart, kind: str, *, weight: float = 1.0,
                  theta: OneForm | None = None,
                  density: Expr | None = None,
-                 fn_many: Callable | None = None,
                  fn_fields: Callable | None = None):
         self.chart = chart
         self.kind = kind
         self.weight = float(weight)
         if not math.isfinite(self.weight):
             raise ValidationError("weight must be finite")
-        if fn_many is not None and fn_fields is not None:
-            raise ValidationError("give a blackbox fn_many or fn_fields, not both")
         self.theta = theta
         self.density = density
-        self.fn_fields = fn_fields if fn_many is None else (
-            lambda fields, pts: [fn_many(x, pts) for x in fields])
+        self.fn_fields = fn_fields
 
     def __repr__(self):
         return f"DivOperator(kind={self.kind!r}, chart={self.chart.coords})"
@@ -421,5 +418,6 @@ def blackbox_operator(chart: Chart, fn: Callable, fn_many: Callable | None = Non
     other fields in one batch."""
     if not callable(fn):
         raise ValidationError("blackbox operator needs a callable")
+    batch = as_batch(fn, fn_many)
     return DivOperator(chart, "blackbox", weight=weight,
-                       fn_many=as_batch(fn, fn_many))
+                       fn_fields=lambda fields, pts: [batch(x, pts) for x in fields])

@@ -10,7 +10,9 @@ star-shaped about its basepoint a closed form integrates to a potential
 along straight segments, and exp(potential) times the reference density
 rebuilds a volume whose divergence is D.  On charts with excluded disks a
 nonzero loop integral certifies that no single volume works globally;
-otherwise the decision is rerun on a disk-free slab.
+otherwise the decision is rerun on a disk-free slab.  One helper verifies
+D against the rebuilt volume's divergence, or D - D0 against the potential's
+gradient when D0 carries no density, on the chart's fields at slab points.
 """
 
 from __future__ import annotations
@@ -84,7 +86,13 @@ class PointwiseOneForm:
         return tuple(self.values_matrix(np.asarray([point], dtype=float))[0].tolist())
 
     def values_matrix(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn_many(pts), dtype=float).reshape(pts.shape)
+        if len(pts) == 0:  # a lifted fn would give shape (0,) here
+            return np.zeros(pts.shape)
+        values = np.asarray(self.fn_many(pts), dtype=float)
+        if values.shape != pts.shape:
+            raise ValidationError(f"a one-form callable must return an array "
+                                  f"of shape {pts.shape}, not {values.shape}")
+        return values
 
 
 class NumericScalarField:
@@ -100,7 +108,12 @@ class NumericScalarField:
         return float(self.many(np.asarray([point], dtype=float))[0])
 
     def many(self, pts) -> np.ndarray:
-        return np.asarray(self.fn_many(np.asarray(pts, dtype=float)), dtype=float)
+        pts = np.asarray(pts, dtype=float)
+        values = np.asarray(self.fn_many(pts), dtype=float)
+        if values.shape != pts.shape[:1]:
+            raise ValidationError(f"a scalar callable must return an array "
+                                  f"of shape ({len(pts)},), not {values.shape}")
+        return values
 
 
 @dataclass(frozen=True)
@@ -324,60 +337,31 @@ def tensoriality_residual(op: DivOperator, base: DivOperator, f: Expr,
     return leibniz_residual(difference(op, base), f, field, point, weight=0.0)
 
 
-def _density_verification(op, density: NumericScalarField, weight: float,
-                          fields, pts: np.ndarray, h: float) -> float:
-    """Max |D(X) - divergence of the rebuilt density applied to X|.
-
-    The density gradient is taken by central differences; the flat part of
-    the field divergence is exact.
-    """
-    chart = density.chart
+def _verification(target: DivOperator, scalar: NumericScalarField,
+                  weight: float | None, fields, pts: np.ndarray,
+                  h: float) -> float:
+    """Max over the fields of |D(X) - X(rho)/rho - weight * div_flat X| for
+    the rebuilt density rho, or of |(D - D0)(X) - X(P)| for the potential P
+    when ``weight`` is None; the gradient of ``scalar`` (rho or P) is taken
+    by central differences with base step h, the flat divergence exactly."""
+    chart = scalar.chart
     arrays = chart.arrays(pts)
-    n = chart.dim
-    rho = density.many(pts)
-    grad = _partials(chart, density.many, pts, h)
+    rho = scalar.many(pts) if weight is not None else None
+    grad = _partials(chart, scalar.many, pts, h)
     worst = 0.0
-    for x, image in zip(fields, op.apply_fields(fields, pts)):
+    for x, image in zip(fields, target.apply_fields(fields, pts)):
         comp_vals = [c.eval_many(arrays) for c in x.components]
-        div_flat = sum(c.diff(nm).eval_many(arrays)
-                       for c, nm in zip(x.components, chart.coords))
-        rebuilt = sum(grad[:, i] * comp_vals[i] for i in range(n)) / rho \
-            + weight * div_flat
+        rebuilt = sum(grad[:, i] * comp_vals[i] for i in range(chart.dim))
+        if rho is not None:
+            div_flat = sum(c.diff(nm).eval_many(arrays)
+                           for c, nm in zip(x.components, chart.coords))
+            rebuilt = rebuilt / rho + weight * div_flat
         local, _ = _finite_max(np.abs(image - rebuilt))
         worst = max(worst, local)
     return worst
 
 
-def _gradient_verification(diff: DivOperator, potential: NumericScalarField,
-                           fields, pts: np.ndarray, h: float) -> float:
-    """Max |(D - D0)(X) - X(potential)| with a central-difference gradient.
-
-    Used when the base operator carries no reference density to rescale.
-    """
-    chart = potential.chart
-    arrays = chart.arrays(pts)
-    n = chart.dim
-    grad = _partials(chart, potential.many, pts, h)
-    worst = 0.0
-    for x, image in zip(fields, diff.apply_fields(fields, pts)):
-        comp_vals = [c.eval_many(arrays) for c in x.components]
-        pairing = sum(grad[:, i] * comp_vals[i] for i in range(n))
-        local, _ = _finite_max(np.abs(image - pairing))
-        worst = max(worst, local)
-    return worst
-
-
-def _restricted(op: DivOperator, sub: Chart, parent: Chart) -> DivOperator:
-    """Batch-callable view of an operator on a disk-free subchart."""
-
-    def fn_fields(fields, pts):
-        return op.apply_fields([VectorField(parent, x.components) for x in fields],
-                               pts)
-
-    return DivOperator(sub, "blackbox", weight=op.weight, fn_fields=fn_fields)
-
-
-def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
+def classify(op: DivOperator, base: DivOperator,
              config: ClassifyConfig | None = None) -> Classification:
     """Decide how the candidate operator relates to the reference divergence.
 
@@ -387,8 +371,6 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
     periods followed by the same rebuild on a disk-free slab (holed chart).
     """
     diff = difference(op, base)
-    if chart is not None and chart != op.chart:
-        raise ChartMismatch("classification chart differs from the operators'")
     config = config or ClassifyConfig()
     chart = op.chart
     battery = _generated(chart, config.seed, config.n_fields, config.n_scalars)
@@ -427,29 +409,23 @@ def classify(op: DivOperator, base: DivOperator, chart: Chart | None = None,
     else:
         work_chart = chart
 
-    restricted = work_chart is not chart
     potential = integrate_potential(form, work_chart)
-    # a rebuilt density explains D itself, a bare potential only D - D0
-    target = op if base.density is not None else diff
-    if restricted:
-        target = _restricted(target, work_chart, chart)
-    verify_fields = [x for _, x in library_fields(work_chart)]
+    volume = None
+    if base.density is not None:  # a rebuilt density explains D itself
+        volume = rebuild_volume(
+            potential, VolumeForm(base.chart, base.density, validate=False))
+        target, scalar, weight = op, volume.density, base.weight
+    else:  # a bare potential explains only D - D0
+        target, scalar, weight = diff, potential, None
+    # slab points lie inside the chart, so its own fields and D serve
     verify_pts = np.asarray(
         sample_points(work_chart, min(config.n_points, 50), config.seed),
         dtype=float)
-    h = config.fd_step_scale * work_chart.min_side
-
-    volume = None
-    if base.density is not None:
-        volume = rebuild_volume(
-            potential, VolumeForm(base.chart, base.density, validate=False))
-        verify = _density_verification(target, volume.density, base.weight,
-                                       verify_fields, verify_pts, h)
-    else:
-        verify = _gradient_verification(target, potential, verify_fields,
-                                        verify_pts, h)
+    verify = _verification(target, scalar, weight,
+                           [x for _, x in library_fields(chart)], verify_pts,
+                           config.fd_step_scale * work_chart.min_side)
     residuals["verification"] = verify
-    restricted_to = work_chart if restricted else None
+    restricted_to = work_chart if work_chart is not chart else None
     if verify > config.tol:
         return Classification(INCONSISTENT, form, residuals, periods=periods,
                               potential=potential, volume=volume,

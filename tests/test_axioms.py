@@ -32,7 +32,6 @@ from divkit.geometry import (
     sample_points,
 )
 from divkit.operators import (
-    DivOperator,
     Metric,
     blackbox_operator,
     div_metric,
@@ -236,6 +235,19 @@ def test_check_axioms_skip_budget():
     assert not report.passed
 
 
+def test_check_axioms_every_sample_skipped():
+    # no live entry: no argmax, an infinite residual and a failed sweep
+    def nothing(field, pts):
+        return np.full(len(pts), math.nan)
+
+    bad = blackbox_operator(BOX, FLAT_OP.apply, fn_many=nothing)
+    report = check_axioms(bad, CheckConfig(n_points=20, n_fields=1, n_scalars=1))
+    assert report.argmax is None
+    assert report.max_residual == math.inf
+    assert report.skip_rate == 1.0
+    assert not report.passed
+
+
 def test_report_invariants():
     entry = AxiomEntry("cocycle", "cocycle(a,b)", 2e-9, (0.0, 0.0), 10, 0)
     strict = ResidualReport(tolerance=1e-9, entries=(entry,), manifest={})
@@ -402,7 +414,7 @@ def _counting(op):
         rows.append(len(pts))
         return op.apply_many(field, pts)
 
-    return DivOperator(op.chart, "blackbox", weight=op.weight, fn_many=fn_many), rows
+    return blackbox_operator(op.chart, op.apply, fn_many, weight=op.weight), rows
 
 
 def test_batched_sweep_crosses_block_boundary():

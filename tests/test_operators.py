@@ -80,6 +80,45 @@ def test_polar_det():
     assert POLAR_METRIC.det().eval(env) == pytest.approx(4.0, rel=1e-15)
 
 
+def test_spherical_metric_in_three_dimensions():
+    # the 3x3 branch of the determinant, and through it the 3-D inverse,
+    # Riemannian divergence and Levi-Civita connection
+    from divkit.axioms import check_axioms, library_fields
+    from divkit.reconstruct import DIVERGENCE, classify
+
+    sph = Chart(("r", "th", "ph"), ((1.0, 2.0), (0.5, 1.5), (0.0, 1.0)))
+    g = Metric.from_strings(sph, (("1", "0", "0"), ("0", "r^2", "0"),
+                                  ("0", "0", "r^2*sin(th)^2")))
+    pts = np.asarray(sample_points(sph, 20, seed=14))
+    arrays = sph.arrays(pts)
+    r, th = pts[:, 0], pts[:, 1]
+    np.testing.assert_allclose(g.det().eval_many(arrays),
+                               r ** 4 * np.sin(th) ** 2, rtol=1e-13)
+
+    full = Metric.from_strings(sph, (("2 + r", "0.1*th", "0.2"),
+                                     ("0.1*th", "r^2", "0.1*r"),
+                                     ("0.2", "0.1*r", "1 + th")))
+
+    def at_points(rows):  # [point, row, column]
+        return np.moveaxis(np.array([[e.eval_many(arrays) for e in row]
+                                     for row in rows]), -1, 0)
+
+    matrix, inverse = at_points(full.components), at_points(full.inverse())
+    np.testing.assert_allclose(full.det().eval_many(arrays),
+                               np.linalg.det(matrix), rtol=1e-12)
+    np.testing.assert_allclose(inverse @ matrix,
+                               np.broadcast_to(np.eye(3), matrix.shape),
+                               atol=1e-12)
+
+    op = div_metric(g)
+    assert check_axioms(op).passed
+    fields = [x for _, x in library_fields(sph)]
+    gap = difference(op, div_affine(levi_civita(g))).apply_fields(fields, pts)
+    assert np.max(np.abs(gap)) <= 1e-12
+    flat = div_volume(VolumeForm.from_string(sph, "1"))
+    assert classify(op, flat).verdict == DIVERGENCE
+
+
 # ---------------------------------------------------------------------------
 # connections
 
@@ -525,8 +564,6 @@ HOLED = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)),
 def _many_field_operators():
     """(name, operator) for every way an operator is evaluated: symbolic,
     forwarding to another operator's apply_fields, or a user's callable."""
-    from divkit.reconstruct import _restricted, star_shaped_subchart
-
     weighted = div_volume(VolumeForm.from_string(BOX, "exp(x^2 - y)"))
     flat = div_volume(VolumeForm.from_string(BOX, "1"))
     swirl = OneForm.from_strings(BOX, ("-y", "x*y"))
@@ -537,7 +574,7 @@ def _many_field_operators():
         ("as_blackbox", weighted.as_blackbox()),
         ("blackbox-symbolic", difference(weighted.as_blackbox(), flat)),
         ("perturbed-blackbox", perturbed_operator(weighted.as_blackbox(), swirl)),
-        ("restricted", _restricted(holed, star_shaped_subchart(HOLED), HOLED)),
+        ("holed", holed),
         ("pointwise", blackbox_operator(
             BOX, lambda field, p: weighted.apply(field, p))),
     ]
@@ -595,6 +632,9 @@ def test_apply_fields_checks_chart_and_domain(name, op):
         op.apply_fields(fields, np.vstack([inside, [[2.0, 0.0]]]))
     with pytest.raises(DomainError):
         op.apply_fields(fields, inside[:, :1])
+    for center, _ in op.chart.disks:  # a point inside an excluded disk
+        with pytest.raises(DomainError):
+            op.apply_fields(fields, np.vstack([inside, [center]]))
 
 
 @pytest.mark.parametrize("stage", ["check_axioms", "classify"])
@@ -613,9 +653,3 @@ def test_blackbox_return_values_are_checked(stage, returns):
     op = blackbox_operator(BOX, flat.apply, fn_many=fn_many)
     with pytest.raises(ValidationError, match="one array of shape"):
         check_axioms(op) if stage == "check_axioms" else classify(op, flat)
-
-
-def test_blackbox_takes_fn_many_or_fn_fields():
-    with pytest.raises(ValidationError, match="not both"):
-        DivOperator(BOX, "blackbox", fn_many=lambda field, pts: pts[:, 0],
-                    fn_fields=lambda fields, pts: [pts[:, 0] for _ in fields])
