@@ -6,11 +6,13 @@
 Checks the parent revision out as ``bench_pairs.py`` does (a new ``git
 worktree``, or an existing checkout given as ``--parent-dir``).  Each side
 then runs in a fresh child process from its own files: it imports that
-side's ``perfbench/workloads.py`` and runs every ``axiom-sweep`` and
-``classify-verdicts`` operation once per seed.  The child prints the repr of
-every report entry (max residual, argmax point, samples, skipped) and of
-every classification field (verdict, residuals, periods, witness, restricted
-box), one line each.
+side's ``perfbench/workloads.py``, builds every ``axiom-sweep`` and
+``classify-verdicts`` operation once per seed and runs them all twice, so a
+cache that goes stale when it is reused shows in the second pass.  The child
+prints the repr of every report entry (max residual, argmax point, samples,
+skipped) and of every classification field (verdict, residuals, periods,
+witness, restricted box), one line each; both passes are compared with the
+parent's.
 
 Standard library only.  Exits 0 when both sides print the same lines and 1
 at the first difference, which it names.
@@ -28,6 +30,8 @@ from pathlib import Path
 from bench_pairs import ROOT, parent_checkout, side_env
 
 WORKLOADS = ("axiom-sweep", "classify-verdicts")
+# Every operation runs once per pass, on the same operators and batteries.
+PASSES = (1, 2)
 
 
 def parse_args(argv):
@@ -67,10 +71,12 @@ def child(seeds: str) -> int:
     if root not in Path(divkit.__file__).resolve().parents:
         raise SystemExit(f"divkit imported from {divkit.__file__}, not {root}")
     for seed in seeds.split(","):
-        for workload in WORKLOADS:
-            for op in workloads.build(workload, int(seed)):
+        ops = [(workload, op) for workload in WORKLOADS
+               for op in workloads.build(workload, int(seed))]
+        for run in PASSES:
+            for workload, op in ops:
                 for line in output_lines(op.run(None)):
-                    print(f"{workload} seed {seed} {op.label}: {line}")
+                    print(f"{workload} seed {seed} pass {run} {op.label}: {line}")
     return 0
 
 

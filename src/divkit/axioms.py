@@ -22,7 +22,10 @@ sweep derives from them alone: each bracket [X, Y], field fX and
 derivative X(f), built on first use.  A generated battery depends only on
 the chart, the seed and the two counts, never on the operator, so
 ``_generated`` keeps the last few and every ``check_axioms`` and
-``classify`` with an equal chart and sizes reuses one.
+``classify`` with an equal chart and sizes reuses one.  The battery also
+keeps each symbolic operator's residual trees while that operator lives,
+so a second sweep of it builds no tree and ``eval_roots`` reuses the
+parent counts of the first.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -208,7 +212,9 @@ class _Battery:
 
     Every scalar is checked against the chart here, once.  Trees are never
     changed after they are built (only their ``simplify``/``diff`` memos
-    fill in), so one battery may serve any number of sweeps."""
+    fill in), so one battery may serve any number of sweeps.  The residual
+    trees of each symbolic operator swept are kept too, per operator (held
+    weakly) and per key of ``roots``."""
 
     def __init__(self, chart: Chart, fields: Sequence[tuple[str, VectorField]],
                  scalars: Sequence[tuple[str, Expr]]):
@@ -218,6 +224,7 @@ class _Battery:
         for _, f in self.scalars:
             _require_scalar_on(chart, f)
         self._trees: dict = {}
+        self._roots = weakref.WeakKeyDictionary()
 
     def _tree(self, key, build):
         tree = self._trees.get(key)
@@ -237,6 +244,15 @@ class _Battery:
     def along(self, i: int, k: int) -> Expr:
         return self._tree(("along", i, k), lambda: apply_field(
             self.fields[i][1], self.scalars[k][1]))
+
+    def roots(self, op: DivOperator, key, build) -> list[Expr]:
+        """The residual trees of a symbolic operator for ``key``, built by
+        ``build()`` on first use and kept while the operator lives."""
+        built = self._roots.setdefault(op, {})
+        roots = built.get(key)
+        if roots is None:
+            roots = built[key] = build()
+        return roots
 
 
 # Generated batteries kept at once; each holds its trees and their memos.
@@ -393,25 +409,31 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
     comes from the battery.
 
     A symbolic operator takes one image per field and evaluates every tree
-    in one ``eval_roots`` call.  An opaque one takes its images and central
-    differences from ``_fd_images``, then one ``apply_fields`` call for all
-    brackets and fX (without cocycle terms, for the fields and fX, with no
-    probes); its f and X(f) are one ``eval_roots`` call."""
+    in one ``eval_roots`` call; the battery keeps the trees by weight and by
+    whether cocycle terms are swept.  An opaque one takes its images and
+    central differences from ``_fd_images``, then one ``apply_fields`` call
+    for all brackets and fX (without cocycle terms, for the fields and fX,
+    with no probes); its f and X(f) are one ``eval_roots`` call."""
     fields = [x for _, x in battery.fields]
     scalars = [f for _, f in battery.scalars]
     pairs = [] if h0 is None else list(itertools.combinations(range(len(fields)), 2))
     terms = [(k, i) for k in range(len(scalars)) for i in range(len(fields))]
     arrays = op.chart.arrays(pts)
     if op.is_symbolic:
-        images = [op.symbolic(x) for x in fields]
-        roots = [_cocycle_root(op, battery.bracket(a, b), fields[a], fields[b],
-                               images[a], images[b]) for a, b in pairs]
-        for k, i in terms:
-            # D(fX) - f D(X) - weight X(f); at weight 0, X(f) is left out
-            expr = op.symbolic(battery.scaled(k, i)) - scalars[k] * images[i]
-            if weight:
-                expr = expr - const(weight) * battery.along(i, k)
-            roots.append(expr)
+        def build():
+            images = [op.symbolic(x) for x in fields]
+            roots = [_cocycle_root(op, battery.bracket(a, b), fields[a],
+                                   fields[b], images[a], images[b])
+                     for a, b in pairs]
+            for k, i in terms:
+                # D(fX) - f D(X) - weight X(f); at weight 0, X(f) is left out
+                expr = op.symbolic(battery.scaled(k, i)) - scalars[k] * images[i]
+                if weight:
+                    expr = expr - const(weight) * battery.along(i, k)
+                roots.append(expr)
+            return roots
+
+        roots = battery.roots(op, (weight, h0 is not None), build)
         for value in eval_roots(roots, arrays):
             yield np.abs(value)
         return

@@ -268,9 +268,11 @@ def eval_roots(roots: Sequence[Expr],
     parent), and each is dropped after its last use.  Each returned array
     is the caller's own: none is an input array or another root's value.
     Non-finite positions and constant trees are handled as in ``eval_many``.
+    The parent counts of the last ``_PLAN_CACHE`` root sets are kept, so a
+    root set evaluated again is not walked again.
     """
     roots = tuple(roots)
-    uses = _parent_counts(roots)
+    uses = dict(_plan(roots))  # a copy: evaluation counts it down
     memo: dict = {}
     for root in roots:
         yield _evaluate(root, arrays, memo, uses)
@@ -289,6 +291,26 @@ def _evaluate(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
     elif root.kind == "var" or (uses is not None and id(root) in memo):
         out = out.copy()
     return out
+
+
+# Root sets whose parent counts are kept, least recently used first.  Each
+# entry holds its roots, so no id in its key or counts is reused while it is
+# kept.
+_PLAN_CACHE = 32
+_plans: dict[tuple[int, ...], tuple[tuple[Expr, ...], dict[int, int]]] = {}
+
+
+def _plan(roots: tuple[Expr, ...]) -> dict[int, int]:
+    """The parent counts of a root set, walked once while it stays among the
+    last ``_PLAN_CACHE`` sets evaluated."""
+    key = tuple(map(id, roots))
+    entry = _plans.pop(key, None)
+    if entry is None:
+        entry = (roots, _parent_counts(roots))
+        if len(_plans) >= _PLAN_CACHE:
+            del _plans[next(iter(_plans))]
+    _plans[key] = entry  # now the most recently used
+    return entry[1]
 
 
 def _parent_counts(roots: Sequence[Expr]) -> dict[int, int]:

@@ -22,13 +22,16 @@ the weights agree.  With a blackbox on either side the result is a blackbox
 combining the two images.  Every evaluation goes through ``apply_fields``:
 one ``eval_roots`` call over all the images for a symbolic operator, one
 call of the stored callable for a blackbox.  A blackbox built on other
-operators forwards the whole list of fields to theirs.
+operators forwards the whole list of fields to theirs.  An operator never
+changes after it is built, so each image D(X) is built once and kept while
+its field lives.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -237,8 +240,9 @@ class DivOperator:
     construction carries one.  An operator without ``theta`` is a blackbox,
     evaluated only through one stored callable ``fn_fields(fields, points)``
     (one array per field); ``blackbox_operator`` lifts a user's per-field
-    callable into it.
-    ``kind`` names the construction and decides nothing.
+    callable into it.  An operator with neither is a ValidationError.
+    ``kind`` names the construction and decides nothing.  No part may be
+    changed once the operator is built: its images are kept.
     """
 
     def __init__(self, chart: Chart, kind: str, *, weight: float = 1.0,
@@ -250,9 +254,14 @@ class DivOperator:
         self.weight = float(weight)
         if not math.isfinite(self.weight):
             raise ValidationError("weight must be finite")
+        if theta is None and fn_fields is None:
+            raise ValidationError("an operator needs a one-form theta or a "
+                                  "callable fn_fields")
         self.theta = theta
         self.density = density
         self.fn_fields = fn_fields
+        # D(X) per field, kept while the field lives; equal fields share one
+        self._images = weakref.WeakKeyDictionary()
 
     def __repr__(self):
         return f"DivOperator(kind={self.kind!r}, chart={self.chart.coords})"
@@ -266,7 +275,12 @@ class DivOperator:
             raise ChartMismatch("field lives on a different chart")
 
     def symbolic(self, field: VectorField) -> Expr | None:
-        """Expression for D(X), or None for blackbox operators."""
+        """Expression for D(X), or None for blackbox operators.  Each image
+        is built once and kept, with its ``diff`` memos, while its field
+        lives; every sweep and evaluation of the operator shares it."""
+        image = self._images.get(field)
+        if image is not None:
+            return image
         self._require_field(field)
         if self.theta is None:
             return None
@@ -276,7 +290,8 @@ class DivOperator:
                                self.chart.coords):
             acc = acc + comp * t
             acc = acc + s * comp.diff(nm)
-        return acc.simplify()
+        image = self._images[field] = acc.simplify()
+        return image
 
     def apply(self, field: VectorField, point: Sequence[float]) -> float:
         """Evaluate D(X) at a chart point: the one-row view of apply_many,

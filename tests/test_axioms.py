@@ -1,12 +1,15 @@
 """Axiom residual sweeps: true divergences pass, perturbed ones are caught."""
 
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from divkit import axioms, geometry
+from divkit import expr as expr_module
 from divkit.axioms import (
     AxiomEntry,
     CheckConfig,
@@ -685,3 +688,74 @@ def test_battery_cache_is_bounded():
                                                    n_fields=1, n_scalars=1))
         assert report.passed
     assert axioms._generated.cache_info().currsize <= bound
+
+
+# ---------------------------------------------------------------------------
+# images and residual trees kept between sweeps
+#
+# An operator never changes after it is built, so it keeps each image D(X)
+# while X lives, and a battery keeps each symbolic operator's residual trees
+# while the operator lives.  A second sweep gives the same report as the
+# first without building either again.
+
+
+def test_second_sweep_of_one_operator_builds_no_image(monkeypatch):
+    op = div_sdensity(VolumeForm.from_string(BOX, "exp(x - 0.25*y)"), 0.5)
+    config = CheckConfig(seed=13, n_points=25, n_fields=2, n_scalars=2)
+    first = check_axioms(op, config)
+    images = dict(op._images)
+    # one image per distinct field among the 7 fields, 21 brackets and 14
+    # fX; equal fields (the brackets of the unit fields are all 0) share one
+    battery = axioms._generated(BOX, 13, 2, 2)
+    swept = [x for _, x in battery.fields] + [battery.bracket(a, b)
+                                              for a in range(7) for b in range(a + 1, 7)]
+    swept += [battery.scaled(k, i) for k in range(2) for i in range(7)]
+    assert len(swept) == 42 and images.keys() == set(swept)
+
+    simplified = []
+    original = expr_module._simplify
+
+    def counting(e):
+        simplified.append(e)
+        return original(e)
+
+    monkeypatch.setattr(expr_module, "_simplify", counting)
+    second = check_axioms(op, config)
+    # the opaque route reaches the same images through apply_fields
+    opaque = check_axioms(op.as_blackbox(), config)
+    assert simplified == []
+    assert dict(op._images).keys() == images.keys()
+    assert all(op._images[x] is image for x, image in images.items())
+    assert second.entries == first.entries and second.manifest == first.manifest
+    monkeypatch.undo()
+    assert opaque.entries == _ref_entries(op.as_blackbox(), config)
+
+
+def test_kept_residual_trees_match_a_fresh_battery():
+    # one operator swept at each key of its kept trees gives the values of
+    # a battery built afresh, whatever order the keys come in
+    op = div_sdensity(VolumeForm.from_string(BOX, "exp(x - 0.25*y)"), 0.5)
+    battery = axioms._generated(BOX, 17, 2, 1)
+    pts = np.asarray(sample_points(BOX, 15, 17), dtype=float)
+    keys = [(0.5, 1e-5), (0.0, None), (0.5, None), (0.0, 1e-5), (0.5, 1e-5)]
+    for weight, h0 in keys:
+        fresh = axioms._drawn(BOX, 17, 2, 1)
+        got = list(axioms._residuals(op, battery, weight, pts, h0))
+        want = list(axioms._residuals(op, fresh, weight, pts, h0))
+        assert len(got) == len(want) > 0
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+    assert set(battery._roots[op]) == {(0.5, True), (0.0, False), (0.5, False),
+                                       (0.0, True)}
+
+
+def test_kept_residual_trees_do_not_keep_the_operator_alive():
+    op = div_volume(VolumeForm.from_string(BOX, "exp(0.5*x*y)"))
+    config = CheckConfig(seed=19, n_points=10, n_fields=1, n_scalars=1)
+    check_axioms(op, config)
+    battery = axioms._generated(BOX, 19, 1, 1)
+    assert len(battery._roots) == 1
+    ref = weakref.ref(op)
+    del op
+    gc.collect()
+    assert ref() is None
+    assert len(battery._roots) == 0

@@ -1,5 +1,6 @@
 """Parser, calculus, and evaluation tests for the expression DSL."""
 
+import gc
 import math
 
 import numpy as np
@@ -306,6 +307,53 @@ def test_eval_roots_holds_only_multi_parent_values(roots):
     assert max(between) <= bound
     # each kept value is dropped after its last use
     assert between[-1] == 0
+
+
+def test_eval_roots_keeps_a_bounded_number_of_plans():
+    x, y = var("x"), var("y")
+    arrays = {"x": np.array([0.5, -0.25]), "y": np.array([2.0, 0.75])}
+    for k in range(expr_module._PLAN_CACHE + 5):
+        shared = Expr("mul", (x, const(float(k))))
+        roots = [Expr("add", (shared, y)), Expr("sin", (shared,))]
+        got = list(eval_roots(roots, arrays))
+        assert np.array_equal(got[1], np.sin(arrays["x"] * k))
+        assert len(expr_module._plans) <= expr_module._PLAN_CACHE
+    # the latest set is kept, and each run counts down a copy of its counts
+    key = tuple(map(id, roots))
+    counts = dict(expr_module._plans[key][1])
+    assert counts == {id(shared): 2}
+    again = list(eval_roots(roots, arrays))
+    assert all(np.array_equal(a, b) for a, b in zip(again, got))
+    assert expr_module._plans[key][1] == counts
+
+
+def test_eval_roots_equal_structures_with_other_nodes_agree():
+    # two root sets built alike from different node objects, evaluated in
+    # turn and after the first is dropped, give the same values: no plan is
+    # taken for another set's nodes
+    arrays = {"x": np.linspace(-0.9, 0.9, 7), "y": np.linspace(0.5, 1.5, 7)}
+
+    def build():
+        shared = p("sin(x*y) + y")
+        return [Expr("mul", (shared, shared)), Expr("exp", (shared,)),
+                Expr("add", (p("x^2"), shared))]
+
+    first = build()
+    want = list(eval_roots(first, arrays))
+    second = build()
+    assert second == first and all(a is not b for a, b in zip(first, second))
+    for _ in range(2):
+        got = list(eval_roots(second, arrays))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        del first
+        gc.collect()
+        first = build()
+        got = list(eval_roots(first, arrays))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(np.array_equal(a, r.eval_many(arrays)) for a, r in zip(want, second))
+    for roots in (first, second):
+        assert expr_module._plans[tuple(map(id, roots))][1] \
+            == expr_module._parent_counts(roots)
 
 
 # ---------------------------------------------------------------------------

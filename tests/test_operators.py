@@ -1,6 +1,8 @@
 """Metrics, connections, and the divergence operator constructions."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -334,6 +336,37 @@ def test_operator_weight_must_be_finite(weight):
         DivOperator(BOX, "pairing", weight=weight, theta=OneForm.from_strings(BOX, ("0", "0")))
     with pytest.raises(ValidationError, match="weight must be finite"):
         div_sdensity(VolumeForm.from_string(BOX, "1"), weight)
+
+
+def test_operator_needs_a_one_form_or_a_callable():
+    # such an operator used to be accepted as a blackbox whose first
+    # evaluation raised a raw TypeError
+    with pytest.raises(ValidationError, match="theta or a callable"):
+        DivOperator(BOX, "blackbox")
+    with pytest.raises(ValidationError, match="theta or a callable"):
+        DivOperator(BOX, "pairing", weight=0.0)
+
+
+def test_images_are_kept_while_their_field_lives():
+    op = div_volume(VolumeForm.from_string(BOX, "exp(x - y)"))
+    x = VectorField.from_strings(BOX, ("x*y", "y^2-x"))
+    image = op.symbolic(x)
+    assert op.symbolic(x) is image
+    # a structurally equal field shares the image and adds no entry
+    assert op.symbolic(VectorField.from_strings(BOX, ("x*y", "y^2-x"))) is image
+    assert len(op._images) == 1
+    pts = np.asarray(sample_points(BOX, 9, 4))
+    want = image.eval_many(BOX.arrays(pts))
+    assert np.array_equal(op.apply_many(x, pts), want)
+    assert np.array_equal(op.as_blackbox().apply_many(x, pts), want)
+    with pytest.raises(ChartMismatch):
+        op.symbolic(VectorField.from_strings(POLAR, ("r", "th")))
+
+    ref = weakref.ref(x)
+    del x
+    gc.collect()
+    assert ref() is None
+    assert len(op._images) == 0
 
 
 def test_apply_many_rejects_points_of_the_wrong_width():
