@@ -6,13 +6,15 @@
 Checks the parent revision out as ``bench_pairs.py`` does (a new ``git
 worktree``, or an existing checkout given as ``--parent-dir``).  Each side
 then runs in a fresh child process from its own files: it imports that
-side's ``perfbench/workloads.py``, builds every ``axiom-sweep`` and
-``classify-verdicts`` operation once per seed and runs them all twice, so a
-cache that goes stale when it is reused shows in the second pass.  The child
-prints the repr of every report entry (max residual, argmax point, samples,
-skipped) and of every classification field (verdict, residuals, periods,
-witness, restricted box), one line each; both passes are compared with the
-parent's.
+side's ``perfbench/workloads.py``, builds every ``axiom-sweep``,
+``classify-verdicts`` and ``dense-eval`` operation once per seed and runs
+them all twice, so a cache that goes stale when it is reused shows in the
+second pass.  ``dense-eval`` evaluates 2,000 points, so it holds the
+node-by-node evaluation path to identity as the other two hold the
+level-by-level one.  The child prints the repr of every report entry (max
+residual, argmax point, samples, skipped), of every classification field
+(verdict, residuals, periods, witness, restricted box) and of the integral's
+value, one line each; both passes are compared with the parent's.
 
 Standard library only.  Exits 0 when both sides print the same lines and 1
 at the first difference, which it names.
@@ -29,7 +31,7 @@ from pathlib import Path
 
 from bench_pairs import ROOT, parent_checkout, side_env
 
-WORKLOADS = ("axiom-sweep", "classify-verdicts")
+WORKLOADS = ("axiom-sweep", "classify-verdicts", "dense-eval")
 # Every operation runs once per pass, on the same operators and batteries.
 PASSES = (1, 2)
 
@@ -55,6 +57,8 @@ def output_lines(result) -> list[str]:
     """What one operation's result says, one repr per line."""
     if hasattr(result, "entries"):
         return [f"entry {i} {entry!r}" for i, entry in enumerate(result.entries)]
+    if not hasattr(result, "verdict"):  # the integral's value
+        return [f"value {result!r}"]
     box = None if result.restricted_to is None else result.restricted_to.box
     return [f"verdict {result.verdict!r}", f"residuals {result.residuals!r}",
             f"periods {result.periods!r}", f"witness {result.witness!r}",

@@ -25,7 +25,7 @@ the chart, the seed and the two counts, never on the operator, so
 ``classify`` with an equal chart and sizes reuses one.  The battery also
 keeps each symbolic operator's residual trees while that operator lives,
 so a second sweep of it builds no tree and ``eval_roots`` reuses the
-parent counts of the first.
+plan of the first.
 """
 
 from __future__ import annotations
@@ -147,9 +147,21 @@ class ResidualReport:
 # field and scalar batteries
 
 
+# Generated batteries kept at once; each holds its trees and their memos.
+# Library fields are kept for as many charts.
+_BATTERY_CACHE = 8
+
+
 def library_fields(chart: Chart) -> list[tuple[str, VectorField]]:
     """Deterministic named fields: coordinate units, a swirl, the dilation,
-    and a trigonometric mix."""
+    and a trigonometric mix.  Equal charts get the same field objects while
+    the last few are kept, so an operator's images of them, which live as
+    long as their fields, are not built again."""
+    return list(_library(chart))
+
+
+@functools.lru_cache(maxsize=_BATTERY_CACHE)
+def _library(chart: Chart) -> tuple[tuple[str, VectorField], ...]:
     names = chart.coords
     n = chart.dim
     out: list[tuple[str, VectorField]] = []
@@ -166,7 +178,7 @@ def library_fields(chart: Chart) -> list[tuple[str, VectorField]]:
                  else Expr("cos", (var(names[(i + 1) % n]),))
                  for i in range(n))
     out.append(("trig", VectorField(chart, trig)))
-    return out
+    return tuple(out)
 
 
 def _monomials(names: Sequence[str], degree: int):
@@ -253,10 +265,6 @@ class _Battery:
         if roots is None:
             roots = built[key] = build()
         return roots
-
-
-# Generated batteries kept at once; each holds its trees and their memos.
-_BATTERY_CACHE = 8
 
 
 def _drawn(chart: Chart, seed: int, n_fields: int, n_scalars: int,

@@ -207,7 +207,7 @@ class Expr:
 
     def eval_many(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
         """Vectorised evaluation over numpy arrays of coordinate values: the
-        one-root case of ``eval_roots``, with no parent count.
+        one-root case of ``eval_roots``, node by node and with no plan.
 
         Domain violations are not raised here; offending positions come back
         as nan/inf for the caller to filter.  Shared subtrees are evaluated
@@ -261,18 +261,36 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
 def eval_roots(roots: Sequence[Expr],
                arrays: Mapping[str, np.ndarray]) -> Iterator[np.ndarray]:
     """Values of several trees over the same coordinate arrays, in the order
-    of ``roots``, each computed when it is requested.
+    of ``roots``.
 
-    Every node is evaluated once over all the trees.  Across roots only the
-    values of nodes with more than one parent are kept (a root counts as one
-    parent), and each is dropped after its last use.  Each returned array
+    Every node is evaluated once over all the trees.  Each returned array
     is the caller's own: none is an input array or another root's value.
     Non-finite positions and constant trees are handled as in ``eval_many``.
-    The parent counts of the last ``_PLAN_CACHE`` root sets are kept, so a
-    root set evaluated again is not walked again.
+
+    Two paths give bit-identical values.  When every array is one-dimensional
+    with the same length m, 0 < m <= ``_BATCH_POINTS``, the trees are
+    evaluated level by level (``_Program``), and every root is computed
+    before the first one is yielded.  Otherwise each root is computed when
+    it is requested, node by node: across roots only the values of nodes
+    with more than one parent are kept (a root counts as one parent), and
+    each is dropped after its last use.  The plans of the last
+    ``_PLAN_CACHE`` root sets are kept, so a root set evaluated again is not
+    walked again.
     """
     roots = tuple(roots)
-    uses = dict(_plan(roots))  # a copy: evaluation counts it down
+    if not roots:
+        return
+    plan = _plan(roots)
+    shape = next((np.shape(v) for v in arrays.values() if np.shape(v)), ())
+    if (len(shape) == 1 and 0 < shape[0] <= _BATCH_POINTS
+            and all(np.shape(v) == shape for v in arrays.values())):
+        if plan.program is None:
+            plan.program = _Program(roots)
+        yield from plan.program.run(arrays, shape[0])
+        return
+    if plan.counts is None:
+        plan.counts = _parent_counts(roots)
+    uses = dict(plan.counts)  # a copy: evaluation counts it down
     memo: dict = {}
     for root in roots:
         yield _evaluate(root, arrays, memo, uses)
@@ -293,24 +311,46 @@ def _evaluate(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
     return out
 
 
-# Root sets whose parent counts are kept, least recently used first.  Each
-# entry holds its roots, so no id in its key or counts is reused while it is
-# kept.
-_PLAN_CACHE = 32
-_plans: dict[tuple[int, ...], tuple[tuple[Expr, ...], dict[int, int]]] = {}
+# The largest point count evaluated level by level.  Each group of nodes
+# costs a gather of its argument rows, so past a few hundred points the
+# gathers cost more than the numpy calls they save and node by node wins.
+_BATCH_POINTS = 256
+# Bytes of the level-by-level buffer: its columns are taken in chunks so
+# that one chunk of every row fits.
+_BUFFER_BYTES = 1 << 20
+
+# Root sets whose plans are kept, least recently used first.  Each entry
+# holds its roots, so no id in its key is reused while it is kept.  The
+# bound covers the root sets one pass of classify cycles through (about
+# 40); an LRU smaller than a cycle misses on every set.
+_PLAN_CACHE = 128
+_plans: dict[tuple[int, ...], "_Plan"] = {}
 
 
-def _plan(roots: tuple[Expr, ...]) -> dict[int, int]:
-    """The parent counts of a root set, walked once while it stays among the
-    last ``_PLAN_CACHE`` sets evaluated."""
+class _Plan:
+    """What one root set's evaluation works out once: the parent counts of
+    the node-by-node path and the program of the level-by-level path, each
+    built on first use."""
+
+    __slots__ = ("roots", "counts", "program")
+
+    def __init__(self, roots: tuple[Expr, ...]):
+        self.roots = roots
+        self.counts: dict[int, int] | None = None
+        self.program: _Program | None = None
+
+
+def _plan(roots: tuple[Expr, ...]) -> _Plan:
+    """The plan of a root set, kept while the set stays among the last
+    ``_PLAN_CACHE`` sets evaluated."""
     key = tuple(map(id, roots))
-    entry = _plans.pop(key, None)
-    if entry is None:
-        entry = (roots, _parent_counts(roots))
+    plan = _plans.pop(key, None)
+    if plan is None:
+        plan = _Plan(roots)
         if len(_plans) >= _PLAN_CACHE:
             del _plans[next(iter(_plans))]
-    _plans[key] = entry  # now the most recently used
-    return entry[1]
+    _plans[key] = plan  # now the most recently used
+    return plan
 
 
 def _parent_counts(roots: Sequence[Expr]) -> dict[int, int]:
@@ -328,6 +368,150 @@ def _parent_counts(roots: Sequence[Expr]) -> dict[int, int]:
             if not seen:
                 stack.extend(node.args)
     return {key: n for key, n in counts.items() if n > 1}
+
+
+# Node kinds evaluated a whole level at a time: exact IEEE operations, whose
+# bits do not depend on the operand layout.
+_GROUPED = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+            "neg": np.negative}
+_SINGLE = {"div": np.divide, "pow": np.power, **FUNCTIONS,
+           "bump": lambda t, out: np.copyto(out, _bump(t))}
+
+
+class _Program:
+    """A root set laid out level by level over a (rows x points) buffer.
+
+    The rows hold one value each: the coordinates, then the distinct inner
+    nodes sorted by (depth, kind), so the nodes of one kind at one depth
+    fill one contiguous slice, then the constants used as rows.  Each
+    ``add``/``sub``/``mul``/``neg`` group is one ufunc call on its gathered
+    argument rows.  ``div``, ``pow`` and the functions run one node at a
+    time, with a constant argument passed as a scalar as ``_eval_vector``
+    does: numpy's power takes other code paths for a scalar exponent such
+    as 2.0, 0.5 or -1 than for an array of them, and the bits differ.  A
+    subtree without coordinates is evaluated once here, by ``_eval_vector``,
+    and is a constant from then on.
+    """
+
+    __slots__ = ("coords", "consts", "n_rows", "steps", "root_rows")
+
+    def __init__(self, roots: tuple[Expr, ...]):
+        rows: dict[int, int] = {}         # coordinate or inner node -> row
+        coords: dict[str, int] = {}
+        scalars: dict[int, object] = {}   # constant subtree -> its value
+        depth: dict[int, int] = {}        # other node -> 1 + deepest argument
+        groups: dict[tuple[int, str], list[Expr]] = {}
+        depth_get, groups_get = depth.get, groups.get
+
+        def visit(node: Expr) -> int:
+            """The node's depth, or -1 for a constant subtree.  One frame
+            per tree level, as in ``_eval_vector``."""
+            key = id(node)
+            d = depth_get(key)
+            if d is not None:
+                return d
+            if key in scalars:
+                return -1
+            args = node.args
+            if not args:
+                if node.kind == "var":
+                    depth[key] = 0
+                    rows[key] = coords.setdefault(node.name, len(coords))
+                    return 0
+                scalars[key] = np.float64(node.value)
+                return -1
+            d = visit(args[0])
+            if len(args) > 1:
+                d1 = visit(args[1])
+                if d1 > d:
+                    d = d1
+            if d < 0:
+                # the arguments are in the memo: no deeper recursion
+                scalars[key] = np.float64(_eval_vector(node, {}, scalars))
+                return -1
+            depth[key] = d + 1
+            group = groups_get((d + 1, node.kind))
+            if group is None:
+                groups[d + 1, node.kind] = [node]
+            else:
+                group.append(node)
+            return d + 1
+
+        with np.errstate(all="ignore"):
+            for root in roots:
+                visit(root)
+        # visit holds itself through its closure; without this the walk's
+        # dicts would wait for the cycle collector
+        del visit
+        self.coords = list(coords)
+        end = len(coords) + sum(map(len, groups.values()))
+        const_rows: dict[str, int] = {}
+        consts: list[float] = []
+
+        def row(node: Expr) -> int:
+            r = rows.get(id(node))
+            if r is not None:
+                return r
+            value = float(scalars[id(node)])
+            key = value.hex()  # tells -0.0 from 0.0
+            if key not in const_rows:
+                const_rows[key] = end + len(consts)
+                consts.append(value)
+            return const_rows[key]
+
+        # (ufunc, output rows, argument, second argument or None); an
+        # argument is a row, an index array of rows, or a scalar
+        self.steps: list[tuple] = []
+        rows_get = rows.get
+        first = len(coords)
+        for (_, kind), nodes in sorted(groups.items()):
+            n = len(nodes)
+            rows.update(zip(map(id, nodes), range(first, first + n)))
+            if kind in _GROUPED:
+                args = []
+                for j in range(len(nodes[0].args)):
+                    ix = [rows_get(id(e.args[j])) for e in nodes]
+                    if None in ix:  # a constant argument takes a row
+                        ix = [row(e.args[j]) for e in nodes]
+                    args.append(np.array(ix, dtype=np.int32))
+                args.append(None)
+                self.steps.append((_GROUPED[kind], slice(first, first + n),
+                                   args[0], args[1]))
+            else:
+                fn = _SINGLE[kind]
+                for k, node in enumerate(nodes):
+                    args = [scalars[id(a)] if id(a) in scalars else row(a)
+                            for a in node.args]
+                    args.append(None)
+                    self.steps.append((fn, first + k, args[0], args[1]))
+            first += n
+        self.root_rows = np.array([row(r) for r in roots], dtype=np.intp)
+        self.consts = np.array(consts, dtype=float)
+        self.n_rows = end + len(consts)
+
+    def run(self, arrays: Mapping[str, np.ndarray], m: int) -> list[np.ndarray]:
+        """Every root's value at the m points, each a row of one new
+        (roots x m) array.  The points are taken in chunks of columns, so
+        the buffer holds at most about ``_BUFFER_BYTES``."""
+        n_rows = self.n_rows
+        width = max(1, min(m, _BUFFER_BYTES // (8 * n_rows)))
+        scalar = np.float64
+        out = np.empty((len(self.root_rows), m))
+        with np.errstate(all="ignore"):
+            for lo in range(0, m, width):
+                hi = min(lo + width, m)
+                buf = np.empty((n_rows, hi - lo))
+                for r, nm in enumerate(self.coords):
+                    buf[r] = arrays[nm][lo:hi]
+                buf[n_rows - len(self.consts):] = self.consts[:, None]
+                for fn, dest, a, b in self.steps:
+                    a = a if a.__class__ is scalar else buf[a]
+                    if b is None:
+                        fn(a, out=buf[dest])
+                    else:
+                        fn(a, b if b.__class__ is scalar else buf[b], out=buf[dest])
+                out[:, lo:hi] = buf[self.root_rows]
+        return list(out)
 
 
 def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,

@@ -24,7 +24,7 @@ one ``eval_roots`` call over all the images for a symbolic operator, one
 call of the stored callable for a blackbox.  A blackbox built on other
 operators forwards the whole list of fields to theirs.  An operator never
 changes after it is built, so each image D(X) is built once and kept while
-its field lives.
+its field lives, and each difference D - D0 while D0 lives.
 """
 
 from __future__ import annotations
@@ -262,6 +262,8 @@ class DivOperator:
         self.fn_fields = fn_fields
         # D(X) per field, kept while the field lives; equal fields share one
         self._images = weakref.WeakKeyDictionary()
+        # D - D0 per base operator D0, kept while D0 lives
+        self._differences = weakref.WeakKeyDictionary()
 
     def __repr__(self):
         return f"DivOperator(kind={self.kind!r}, chart={self.chart.coords})"
@@ -326,7 +328,7 @@ class DivOperator:
                                       f"({pts.shape[0]},) per field")
             return values
         images = [self.symbolic(x) for x in fields]
-        if len(images) == 1:  # one root needs no parent count
+        if len(images) == 1:  # one root needs no plan
             return [images[0].eval_many(arrays)]
         return list(eval_roots(images, arrays))
 
@@ -400,8 +402,15 @@ def _combined(kind: str, op: DivOperator, other: DivOperator,
 
 
 def difference(op: DivOperator, base: DivOperator) -> DivOperator:
-    """E = D - D0, the operator every stage of ``classify`` works on."""
-    return _combined("difference", op, base, operator.sub)
+    """E = D - D0, the operator every stage of ``classify`` works on.  It is
+    kept on D, weakly keyed by D0, so a repeated ``classify`` of one pair
+    reuses E with its images, residual trees and evaluation plans.  A
+    blackbox E holds D0, so D0 then lives as long as D does."""
+    diff = op._differences.get(base)
+    if diff is None:
+        diff = op._differences[base] = _combined("difference", op, base,
+                                                 operator.sub)
+    return diff
 
 
 def perturbed_operator(base: DivOperator, shift: OneForm) -> DivOperator:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,13 @@ def test_eval_roots_values_are_independent():
     assert np.array_equal(arrays["x"], before["x"])
 
 
+def _node_by_node():
+    """Coordinate arrays with more points than the level-by-level path
+    takes, so ``eval_roots`` goes node by node."""
+    m = expr_module._BATCH_POINTS + 1
+    return {"x": np.linspace(-1.0, 1.0, m), "y": np.linspace(2.0, 0.5, m)}
+
+
 @settings(max_examples=100, deadline=None)
 @given(shared_forests())
 def test_eval_roots_holds_only_multi_parent_values(roots):
@@ -293,7 +301,7 @@ def test_eval_roots_holds_only_multi_parent_values(roots):
         memos.append(memo)
         return out
 
-    arrays = {"x": np.linspace(-1.0, 1.0, 3), "y": np.linspace(2.0, 0.5, 3)}
+    arrays = _node_by_node()
     between = []
     expr_module._eval_vector = recording
     try:
@@ -309,51 +317,153 @@ def test_eval_roots_holds_only_multi_parent_values(roots):
     assert between[-1] == 0
 
 
+def test_eval_roots_level_by_level_buffer_is_bounded():
+    # about 4,000 distinct inner nodes at the largest level-by-level point
+    # count would need an 8 MB buffer in one piece; the columns are taken in
+    # chunks, so numpy's allocations stay within a few buffer bounds
+    x, y = var("x"), var("y")
+    roots = [Expr("mul", (x if k % 2 else y, const(k + 0.5))) for k in range(2048)]
+    while len(roots) > 4:  # pairwise sums, 12 levels deep
+        roots = [Expr("add" if k % 4 else "sub", (roots[k], roots[k + 1]))
+                 for k in range(0, len(roots), 2)]
+    m = expr_module._BATCH_POINTS
+    arrays = {"x": np.linspace(-1.0, 1.0, m), "y": np.linspace(0.5, 2.0, m)}
+    list(eval_roots(roots, arrays))  # the plan is built outside the trace
+    tracemalloc.start()
+    try:
+        got = list(eval_roots(roots, arrays))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * expr_module._BUFFER_BYTES
+    assert all(np.array_equal(a, r.eval_many(arrays)) for a, r in zip(got, roots))
+
+
 def test_eval_roots_keeps_a_bounded_number_of_plans():
     x, y = var("x"), var("y")
-    arrays = {"x": np.array([0.5, -0.25]), "y": np.array([2.0, 0.75])}
+    small = {"x": np.array([0.5, -0.25]), "y": np.array([2.0, 0.75])}
     for k in range(expr_module._PLAN_CACHE + 5):
         shared = Expr("mul", (x, const(float(k))))
         roots = [Expr("add", (shared, y)), Expr("sin", (shared,))]
-        got = list(eval_roots(roots, arrays))
-        assert np.array_equal(got[1], np.sin(arrays["x"] * k))
+        got = list(eval_roots(roots, small))
+        assert np.array_equal(got[1], np.sin(small["x"] * k))
         assert len(expr_module._plans) <= expr_module._PLAN_CACHE
-    # the latest set is kept, and each run counts down a copy of its counts
-    key = tuple(map(id, roots))
-    counts = dict(expr_module._plans[key][1])
-    assert counts == {id(shared): 2}
-    again = list(eval_roots(roots, arrays))
-    assert all(np.array_equal(a, b) for a, b in zip(again, got))
-    assert expr_module._plans[key][1] == counts
+    # the latest set is kept with its own roots; each path builds its part
+    # of the plan once, and node by node counts down a copy of the counts
+    plan = expr_module._plans[tuple(map(id, roots))]
+    assert all(a is b for a, b in zip(plan.roots, roots))
+    program = plan.program
+    assert program is not None and plan.counts is None
+    large = _node_by_node()
+    want = [r.eval_many(large) for r in roots]
+    for _ in range(2):
+        assert all(np.array_equal(a, b) for a, b in zip(eval_roots(roots, large), want))
+        assert plan.counts == {id(shared): 2}
+        again = list(eval_roots(roots, small))
+        assert all(np.array_equal(a, b) for a, b in zip(again, got))
+        assert plan.program is program
+    assert expr_module._plans[tuple(map(id, roots))] is plan
 
 
 def test_eval_roots_equal_structures_with_other_nodes_agree():
     # two root sets built alike from different node objects, evaluated in
-    # turn and after the first is dropped, give the same values: no plan is
-    # taken for another set's nodes
-    arrays = {"x": np.linspace(-0.9, 0.9, 7), "y": np.linspace(0.5, 1.5, 7)}
-
+    # turn and after the first is dropped, give the same values on both
+    # paths: no plan is taken for another set's nodes
     def build():
         shared = p("sin(x*y) + y")
         return [Expr("mul", (shared, shared)), Expr("exp", (shared,)),
                 Expr("add", (p("x^2"), shared))]
 
-    first = build()
-    want = list(eval_roots(first, arrays))
-    second = build()
-    assert second == first and all(a is not b for a, b in zip(first, second))
-    for _ in range(2):
-        got = list(eval_roots(second, arrays))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        del first
-        gc.collect()
+    for m in (7, expr_module._BATCH_POINTS + 1):
+        arrays = {"x": np.linspace(-0.9, 0.9, m), "y": np.linspace(0.5, 1.5, m)}
         first = build()
-        got = list(eval_roots(first, arrays))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert all(np.array_equal(a, r.eval_many(arrays)) for a, r in zip(want, second))
-    for roots in (first, second):
-        assert expr_module._plans[tuple(map(id, roots))][1] \
-            == expr_module._parent_counts(roots)
+        want = list(eval_roots(first, arrays))
+        second = build()
+        assert second == first and all(a is not b for a, b in zip(first, second))
+        for _ in range(2):
+            got = list(eval_roots(second, arrays))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            del first
+            gc.collect()
+            first = build()
+            got = list(eval_roots(first, arrays))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(np.array_equal(a, r.eval_many(arrays)) for a, r in zip(want, second))
+        for roots in (first, second):
+            plan = expr_module._plans[tuple(map(id, roots))]
+            assert all(a is b for a, b in zip(plan.roots, roots))
+
+
+# numpy's power takes other code paths for these scalar exponents than for
+# an array of them, and the bits differ
+_SCALAR_EXPONENTS = (2.0, 0.5, -1.0, 1.5)
+
+
+@st.composite
+def exponent_forests(draw):
+    """Shared forests over x and y in which ``pow`` mostly raises to one of
+    the exponents numpy treats specially, given as a constant leaf or as a
+    constant subtree such as -(1.0); roots include leaves, constant trees
+    and repeats."""
+    pool = [var("x"), var("y"), const(draw(st.sampled_from([0.0, -0.0, 0.5, 3.0])))]
+    for _ in range(draw(st.integers(min_value=1, max_value=25))):
+        kind = draw(st.sampled_from(_KINDS + ("pow",) * 4))
+        if kind == "pow" and draw(st.booleans()):
+            c = draw(st.sampled_from(_SCALAR_EXPONENTS))
+            exponent = const(c) if draw(st.booleans()) else Expr("neg", (const(-c),))
+            args = (draw(st.sampled_from(pool)), exponent)
+        else:
+            arity = 2 if kind in ("add", "sub", "mul", "div", "pow") else 1
+            args = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+        pool.append(Expr(kind, args))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+def _columns(m, seed):
+    """x and y as the columns of one (m, 2) point array, as a chart gives
+    them, with zeros, signed zeros and ones among random values."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3.0, 3.0, size=(m, 2))
+    special = np.array([0.0, -0.0, 1.0, -1.0, 4.0])
+    pts[: min(m, 5), 0] = special[: min(m, 5)]
+    pts[-min(m, 5):, 1] = special[: min(m, 5)]
+    return {"x": pts[:, 0], "y": pts[:, 1]}
+
+
+_EXPONENT_TREES = [Expr("pow", (var("x"), const(c))) for c in _SCALAR_EXPONENTS] \
+    + [Expr("pow", (Expr("add", (var("y"), const(0.25))), Expr("neg", (const(-c),))))
+       for c in _SCALAR_EXPONENTS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_forests(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["one", "chunk-1", "chunk", "chunk+1", "threshold",
+                        "threshold+1"]))
+@example(_EXPONENT_TREES, 0, "threshold")
+@example(_EXPONENT_TREES + _EXPONENT_TREES[:2], 1, "chunk+1")
+def test_eval_roots_level_by_level_matches_node_by_node(roots, seed, size):
+    # the buffer bound is set so that a chunk is 3 points wide; m is one
+    # point, a chunk width -1, 0 or +1, or the largest level-by-level point
+    # count and one above it, where eval_roots goes node by node too.
+    # eval_many is node by node at any size.
+    m = {"one": 1, "chunk-1": 2, "chunk": 3, "chunk+1": 4,
+         "threshold": expr_module._BATCH_POINTS,
+         "threshold+1": expr_module._BATCH_POINTS + 1}[size]
+    arrays = _columns(m, seed)
+    original = expr_module._BUFFER_BYTES
+    expr_module._BUFFER_BYTES = 8 * 3 * expr_module._Program(tuple(roots)).n_rows
+    try:
+        got = list(eval_roots(roots, arrays))
+    finally:
+        expr_module._BUFFER_BYTES = original
+    assert len(got) == len(roots)
+    for root, value in zip(roots, got):
+        want = root.eval_many(arrays)
+        assert value.dtype == want.dtype and value.shape == want.shape
+        assert np.array_equal(value, want, equal_nan=True), str(root)
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(got)
+                   for b in got[k + 1:])
+    assert list(eval_roots([], arrays)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Decision pipeline tests: extraction, potentials, periods, verdicts."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from divkit.axioms import (
     random_fields,
     random_scalars,
 )
+from divkit import expr as expr_module
 from divkit.errors import ChartMismatch, DomainError, ValidationError
 from divkit.expr import Expr, const, parse_expr, var
 from divkit.geometry import (
@@ -625,6 +628,44 @@ def test_classify_blackbox_pair():
         op, base = weighted_op(chart), flat_op(chart)
         assert classify(op, base, config=config).verdict == verdict
         assert classify(op.as_blackbox(), base, config=config).verdict == verdict
+
+
+def test_second_classify_of_a_pair_reuses_the_difference(monkeypatch):
+    # E = D - D0 is kept on D, so its images, residual trees and evaluation
+    # plans outlive the first call: the second builds no plan
+    config = ClassifyConfig(n_points=30, n_fields=2, n_scalars=1, seed=3)
+    for op, base in ((weighted_op(), flat_op()),
+                     (weighted_op().as_blackbox(), flat_op())):
+        first = classify(op, base, config=config)
+        diff = difference(op, base)
+        assert difference(op, base) is diff
+        built = []
+        program, counts = expr_module._Program, expr_module._parent_counts
+        monkeypatch.setattr(expr_module, "_Program",
+                            lambda roots: built.append(roots) or program(roots))
+        monkeypatch.setattr(expr_module, "_parent_counts",
+                            lambda roots: built.append(roots) or counts(roots))
+        second = classify(op, base, config=config)
+        monkeypatch.undo()
+        assert built == []
+        assert difference(op, base) is diff
+        assert (second.verdict, second.residuals, second.witness) \
+            == (first.verdict, first.residuals, first.witness)
+
+
+@pytest.mark.parametrize("blackbox", [False, True])
+def test_kept_difference_does_not_keep_its_operators_alive(blackbox):
+    # a blackbox E calls D and D0, so it holds both; kept on D, it dies
+    # with D, where a module-level map keyed by D would keep it for good
+    op, base = weighted_op(), flat_op()
+    if blackbox:
+        op = op.as_blackbox()
+    assert classify(op, base).verdict == DIVERGENCE
+    assert difference(op, base).is_symbolic is not blackbox
+    refs = [weakref.ref(op), weakref.ref(base), weakref.ref(difference(op, base))]
+    del op, base
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_classify_metric_reference_rebuild():
