@@ -17,7 +17,7 @@ residual, argmax point, samples, skipped), of every classification field
 value, one line each; both passes are compared with the parent's.
 
 Standard library only.  Exits 0 when both sides print the same lines and 1
-at the first difference, which it names.
+otherwise, after naming every line that differs and their count.
 """
 
 from __future__ import annotations
@@ -106,11 +106,16 @@ def main(argv=None) -> int:
                                 args.seeds)
         change = side_lines(ROOT, side_env(tmp / "change-pycache"), args.seeds)
     pairs = itertools.zip_longest(parent, change, fillvalue="(no line)")
+    differing = 0
     for k, (old, new) in enumerate(pairs):
         if old != new:
+            differing += 1
             print(f"line {k + 1} differs\n  parent: {old}\n  change: {new}",
                   file=sys.stderr)
-            return 1
+    if differing:
+        print(f"{differing} of {max(len(parent), len(change))} output lines "
+              f"differ", file=sys.stderr)
+        return 1
     print(f"{len(change)} output lines identical", file=sys.stderr)
     return 0
 

@@ -45,6 +45,7 @@ from .geometry import (
     Chart,
     VectorField,
     VolumeForm,
+    _require_same_chart,
     _require_scalar_on,
     apply_field,
     bracket,
@@ -503,7 +504,9 @@ def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
 
 def cartan_identity_residual(x: VectorField, y: VectorField, volume: VolumeForm,
                              point: Sequence[float]) -> float:
-    """|L_[X,Y] - (L_X L_Y - L_Y L_X)| applied to the volume, at one point."""
+    """|L_[X,Y] - (L_X L_Y - L_Y L_X)| applied to the volume, at one point.
+    The fields and the volume must share one chart (else ChartMismatch)."""
+    _require_same_chart(x.chart, volume.chart)
     volume.chart.require_inside(point)
     rho = volume.density
     lhs = lie_coefficient(bracket(x, y), rho)

@@ -11,8 +11,10 @@ along straight segments, and exp(potential) times the reference density
 rebuilds a volume whose divergence is D.  On charts with excluded disks a
 nonzero loop integral certifies that no single volume works globally;
 otherwise the decision is rerun on a disk-free slab.  One helper verifies
-D against the rebuilt volume's divergence, or D - D0 against the potential's
-gradient when D0 carries no density, on the chart's fields at slab points.
+E against the potential's gradient, E(X) = X(P), on the chart's fields at
+slab points, however D and D0 are held.  When D0 is the divergence of
+rho0, that says D is the divergence of exp(P) rho0; central differences of
+P stay accurate where those of exp(P) rho0 grow with the box.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .axioms import (_Battery, _finite_max, _generated, _partials,
                      _require_step, _residuals, leibniz_residual,
                      library_fields)
-from .errors import ChartMismatch, ValidationError
+from .errors import ChartMismatch, DomainError, ValidationError
 from .expr import Expr
 from .geometry import (
     Chart,
@@ -217,12 +219,15 @@ def closedness_residual(form, points, fd_step_scale: float = 1e-5) -> float:
 
     Symbolic forms are differentiated exactly; forms held as a batch
     callable by central differences with step ``fd_step_scale`` times the
-    chart's shortest side, which must be finite and positive.
+    chart's shortest side, which must be finite and positive.  The points
+    must form an (m, n) array inside the chart, or DomainError is raised.
     """
     _require_step(fd_step_scale)
+    chart = form.chart
     pts = np.asarray(points, dtype=float)
-    worst, _, _ = _closedness_details(form, pts,
-                                      fd_step_scale * form.chart.min_side)
+    if not np.all(chart.contains_mask(chart.arrays(pts))):
+        raise DomainError("a point lies outside the chart domain")
+    worst, _, _ = _closedness_details(form, pts, fd_step_scale * chart.min_side)
     return worst
 
 
@@ -231,9 +236,15 @@ def integrate_potential(form, chart: Chart | None = None,
     """Potential of a closed form, integrated along the straight segment from
     the chart basepoint; the basepoint value is 0 by construction.
 
-    The chart must be free of excluded disks so every segment stays inside.
+    ``chart`` defaults to the form's own.  It must use the form's
+    coordinates with its box inside the form's box (else ChartMismatch) and
+    be free of excluded disks, so every segment stays inside.
     """
     chart = chart or form.chart
+    if chart.coords != form.chart.coords or any(
+            a < lo or b > hi
+            for (a, b), (lo, hi) in zip(chart.box, form.chart.box)):
+        raise ChartMismatch("potential chart must lie inside the form's chart")
     if chart.disks:
         raise ValidationError("potential integration needs a disk-free chart")
     rule = rule or default_rule()
@@ -337,25 +348,17 @@ def tensoriality_residual(op: DivOperator, base: DivOperator, f: Expr,
     return leibniz_residual(difference(op, base), f, field, point, weight=0.0)
 
 
-def _verification(target: DivOperator, scalar: NumericScalarField,
-                  weight: float | None, fields, pts: np.ndarray,
-                  h: float) -> float:
-    """Max over the fields of |D(X) - X(rho)/rho - weight * div_flat X| for
-    the rebuilt density rho, or of |(D - D0)(X) - X(P)| for the potential P
-    when ``weight`` is None; the gradient of ``scalar`` (rho or P) is taken
-    by central differences with base step h, the flat divergence exactly."""
-    chart = scalar.chart
+def _verification(diff: DivOperator, potential: NumericScalarField, fields,
+                  pts: np.ndarray, h: float) -> float:
+    """Max over the fields of |(D - D0)(X) - X(P)| for the potential P,
+    whose gradient is taken by central differences with base step h."""
+    chart = potential.chart
     arrays = chart.arrays(pts)
-    rho = scalar.many(pts) if weight is not None else None
-    grad = _partials(chart, scalar.many, pts, h)
+    grad = _partials(chart, potential.many, pts, h)
     worst = 0.0
-    for x, image in zip(fields, target.apply_fields(fields, pts)):
+    for x, image in zip(fields, diff.apply_fields(fields, pts)):
         comp_vals = [c.eval_many(arrays) for c in x.components]
         rebuilt = sum(grad[:, i] * comp_vals[i] for i in range(chart.dim))
-        if rho is not None:
-            div_flat = sum(c.diff(nm).eval_many(arrays)
-                           for c, nm in zip(x.components, chart.coords))
-            rebuilt = rebuilt / rho + weight * div_flat
         local, _ = _finite_max(np.abs(image - rebuilt))
         worst = max(worst, local)
     return worst
@@ -366,9 +369,10 @@ def classify(op: DivOperator, base: DivOperator,
     """Decide how the candidate operator relates to the reference divergence.
 
     Stages, each on the difference E = D - D0: sampled tensoriality of E,
-    closedness of its one-form, then either potential integration plus
-    volume rebuild and pointwise verification (disk-free chart) or loop
-    periods followed by the same rebuild on a disk-free slab (holed chart).
+    closedness of its one-form, then either potential integration and
+    pointwise verification of E(X) = X(P) (disk-free chart) or loop periods
+    followed by the same on a disk-free slab (holed chart).  When D0
+    carries a density rho0, the volume exp(P) rho0 is rebuilt too.
     """
     diff = difference(op, base)
     config = config or ClassifyConfig()
@@ -410,18 +414,13 @@ def classify(op: DivOperator, base: DivOperator,
         work_chart = chart
 
     potential = integrate_potential(form, work_chart)
-    volume = None
-    if base.density is not None:  # a rebuilt density explains D itself
-        volume = rebuild_volume(
-            potential, VolumeForm(base.chart, base.density, validate=False))
-        target, scalar, weight = op, volume.density, base.weight
-    else:  # a bare potential explains only D - D0
-        target, scalar, weight = diff, potential, None
-    # slab points lie inside the chart, so its own fields and D serve
+    volume = None if base.density is None else rebuild_volume(
+        potential, VolumeForm(base.chart, base.density, validate=False))
+    # slab points lie inside the chart, so its own fields and E serve
     verify_pts = np.asarray(
         sample_points(work_chart, min(config.n_points, 50), config.seed),
         dtype=float)
-    verify = _verification(target, scalar, weight,
+    verify = _verification(diff, potential,
                            [x for _, x in library_fields(chart)], verify_pts,
                            config.fd_step_scale * work_chart.min_side)
     residuals["verification"] = verify

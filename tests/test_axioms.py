@@ -1,12 +1,15 @@
 """Axiom residual sweeps: true divergences pass, perturbed ones are caught."""
 
 import gc
+import itertools
 import math
 import re
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divkit import axioms, geometry
 from divkit import expr as expr_module
@@ -32,9 +35,11 @@ from divkit.geometry import (
     VolumeForm,
     apply_field,
     bracket,
+    d_oneform,
     sample_points,
 )
 from divkit.operators import (
+    DivOperator,
     Metric,
     blackbox_operator,
     div_metric,
@@ -160,6 +165,18 @@ def test_cartan_identity_holds():
         for i in range(len(fields)):
             for j in range(i + 1, len(fields)):
                 assert cartan_identity_residual(fields[i], fields[j], vol, p) <= 1e-9
+
+
+def test_cartan_identity_residual_rejects_mismatched_charts():
+    # a volume on (u, v) used to end in a raw KeyError: 'y'
+    x, y = (f for _, f in library_fields(BOX)[:2])
+    vol = VolumeForm.from_string(Chart(("u", "v"), BOX.box), "exp(u)")
+    with pytest.raises(ChartMismatch):
+        cartan_identity_residual(x, y, vol, (0.1, 0.2))
+    other = VectorField.from_strings(POLAR, ("1", "0"))
+    with pytest.raises(ChartMismatch):
+        cartan_identity_residual(x, other, VolumeForm.from_string(BOX, "1"),
+                                 (0.1, 0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -759,3 +776,112 @@ def test_kept_residual_trees_do_not_keep_the_operator_alive():
     gc.collect()
     assert ref() is None
     assert len(battery._roots) == 0
+
+
+# ---------------------------------------------------------------------------
+# the normal form as an oracle
+#
+# A symbolic D = s * div_flat + theta has closed-form residuals: div_flat
+# obeys the bracket rule exactly, so the cocycle residual of (X, Y) is
+# |d theta(X, Y)| and the Leibniz residual at weight w is |(s - w) X(f)|.
+# Each swept array must match its closed form to the rounding bound that
+# README states, gamma_k * S for k roundings on terms of total magnitude S.
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _magnitude(e, arrays, memo):
+    """(S, k) for a tree of +, -, *, integer powers, sin and cos: S is the
+    tree evaluated on absolute values (1 + |a| for sin a and cos a), k the
+    most roundings any term of its expansion meets.  Computing the tree in
+    floating point then errs by at most gamma_k * S."""
+    if id(e) in memo:
+        return memo[id(e)][1]
+    kind, args = e.kind, e.args
+    parts = [_magnitude(a, arrays, memo) for a in args]
+    if kind == "const":
+        out = (abs(e.value), 0)
+    elif kind == "var":
+        out = (np.abs(arrays[e.name]), 0)
+    elif kind == "neg":
+        out = parts[0]
+    elif kind in ("add", "sub"):
+        out = (parts[0][0] + parts[1][0], max(parts[0][1], parts[1][1]) + 1)
+    elif kind == "mul":
+        out = (parts[0][0] * parts[1][0], parts[0][1] + parts[1][1] + 1)
+    elif kind == "pow" and args[1].kind == "const" \
+            and float(args[1].value).is_integer() and args[1].value >= 0:
+        p = int(args[1].value)
+        out = (parts[0][0] ** p, p * parts[0][1] + 2)
+    elif kind in ("sin", "cos"):
+        out = (1.0 + parts[0][0], parts[0][1] + 1)
+    else:
+        raise NotImplementedError(kind)
+    memo[id(e)] = (e, out)  # the node is kept, so its id is not reused
+    return out
+
+
+def _rounding_bound(e, arrays, memo):
+    mag, k = _magnitude(e, arrays, memo)
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF) * mag
+
+
+@st.composite
+def _normal_forms(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    chart = Chart(("x", "y", "z")[:dim], ((-1.0, 1.0),) * dim)
+    monomials = [m for m, _ in axioms._monomials(chart.coords, 2)]
+    # three decimals keep the coefficients clear of subnormal products
+    coeffs = st.lists(st.floats(-2.0, 2.0).map(lambda v: round(v, 3)),
+                      min_size=len(monomials), max_size=len(monomials))
+    theta = OneForm(chart, tuple(
+        sum((const(c) * m for c, m in zip(draw(coeffs), monomials)),
+            const(0.0)).simplify()
+        for _ in range(dim)))
+    s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    w = draw(st.sampled_from([0.0, 1.0]))
+    return DivOperator(chart, "normal form", weight=s, theta=theta), w
+
+
+@settings(max_examples=8, deadline=None)
+@given(_normal_forms())
+def test_sweep_residuals_match_the_normal_form(case):
+    op, w = case
+    chart, s = op.chart, op.weight
+    config = CheckConfig()
+    battery = axioms._generated(chart, config.seed, config.n_fields,
+                                config.n_scalars)
+    pts = np.asarray(sample_points(chart, config.n_points, config.seed))
+    arrays = chart.arrays(pts)
+    swept = list(axioms._residuals(op, battery, w, pts,
+                                   config.fd_step_scale * chart.min_side))
+    fields = [x for _, x in battery.fields]
+    d_theta = d_oneform(op.theta)
+    memo = {}
+    # (closed form, the residual tree the sweep evaluates, rebuilt here only
+    # for its magnitude), in the sweep's order: pairs, then scalar by field
+    want = []
+    for a, b in itertools.combinations(range(len(fields)), 2):
+        x, y = fields[a], fields[b]
+        closed = const(0.0)
+        for i, j in itertools.product(range(chart.dim), repeat=2):
+            closed = closed + x.components[i] * y.components[j] * d_theta[i][j]
+        dx, dy = op.symbolic(x), op.symbolic(y)
+        computed = op.symbolic(battery.bracket(a, b))
+        for comp, nm in zip(x.components, chart.coords):
+            computed = computed - comp * dy.diff(nm)
+        for comp, nm in zip(y.components, chart.coords):
+            computed = computed + comp * dx.diff(nm)
+        want.append((closed, computed))
+    for k, (_, f) in enumerate(battery.scalars):
+        for i, x in enumerate(fields):
+            closed = const(s - w) * apply_field(x, f)
+            computed = op.symbolic(battery.scaled(k, i)) - f * op.symbolic(x) \
+                - const(w) * battery.along(i, k)
+            want.append((closed, computed))
+    assert len(swept) == len(want) > 0
+    for got, (closed, computed) in zip(swept, want):
+        gap = np.abs(got - np.abs(closed.eval_many(arrays)))
+        allowed = _rounding_bound(closed, arrays, memo) \
+            + _rounding_bound(computed, arrays, memo)
+        assert np.all(gap <= allowed), (closed, float(np.max(gap - allowed)))

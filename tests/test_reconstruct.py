@@ -32,6 +32,7 @@ from divkit.geometry import (
 )
 from divkit.operators import (
     Connection,
+    DivOperator,
     Metric,
     blackbox_operator,
     div_affine,
@@ -311,6 +312,19 @@ def test_closedness_residual_where_no_probe_fits():
     assert closedness_residual(form, pts, fd_step_scale=10.0) == math.inf
 
 
+@pytest.mark.parametrize("pointwise", [False, True])
+def test_closedness_residual_checks_its_points(pointwise):
+    # the answer used to depend on how the form is held: a flat point raised
+    # DomainError for a OneForm but a raw IndexError for a PointwiseOneForm,
+    # and a point outside the box gave 2.0 (evaluated there) against inf
+    form = PointwiseOneForm(BOX, lambda point: (-point[1], point[0])) \
+        if pointwise else one_form(BOX, "-y", "x")
+    for points in ([0.1, 0.2], [[5.0, 5.0]], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(DomainError):
+            closedness_residual(form, points)
+    assert closedness_residual(form, [[0.1, 0.2]]) == pytest.approx(2.0)
+
+
 def test_pointwise_form_checks_returned_shape():
     # a transposed (n, m) return used to be reshaped silently into wrong
     # values: 0.494 around the circle instead of -pi/2
@@ -378,6 +392,20 @@ def test_integrate_potential_gradient_matches_form():
         grad = (fhat.many(pts + shift) - fhat.many(pts - shift)) / (2 * h)
         want = form.components[i].eval_many(BOX.arrays(pts))
         np.testing.assert_allclose(grad, want, atol=1e-5)
+
+
+def test_integrate_potential_checks_its_chart():
+    # a (u, v) chart used to be read as (x, y): -0.25 for (2x, -1) at
+    # (0.5, 0.5), with no error
+    form = one_form(BOX, "2*x", "-1")
+    for chart in (Chart(("u", "v"), BOX.box),
+                  Chart(("x", "y"), ((-1.0, 2.0), (-1.0, 1.0)))):
+        with pytest.raises(ChartMismatch):
+            integrate_potential(form, chart)
+    # a slab of the box integrates from the slab's own basepoint (0.5, 0)
+    slab = Chart(("x", "y"), ((0.0, 1.0), (-1.0, 1.0)))
+    fhat = integrate_potential(form, slab)
+    assert fhat((0.75, 0.5)) == pytest.approx(0.75 ** 2 - 0.25 - 0.5, abs=1e-12)
 
 
 def test_integrate_potential_refuses_disks():
@@ -620,14 +648,59 @@ def test_classify_blackbox_pair():
     assert result.residuals["verification"] <= 1e-6
     # a box of side 1e-4 and a coarse step: the closedness and verification
     # probes shrink instead of leaving the chart, so the blackbox answers as
-    # its symbolic twin does
+    # its symbolic twin does; a step of 0.2 differentiates the quadratic
+    # potential exactly
     tiny = Chart(("x", "y"), ((0.0, 1e-4), (0.0, 1e-4)))
-    for chart, config, verdict in (
-            (tiny, None, DIVERGENCE),
-            (BOX, ClassifyConfig(fd_step_scale=0.2), INCONSISTENT)):
+    for chart, config in ((tiny, None), (BOX, ClassifyConfig(fd_step_scale=0.2))):
         op, base = weighted_op(chart), flat_op(chart)
-        assert classify(op, base, config=config).verdict == verdict
-        assert classify(op.as_blackbox(), base, config=config).verdict == verdict
+        assert classify(op, base, config=config).verdict == DIVERGENCE
+        assert classify(op.as_blackbox(), base, config=config).verdict == DIVERGENCE
+
+
+# True divergences div(rho) against the flat divergence, as (density, half
+# side of the square box, fd_step_scale).  Central differences of the
+# rebuilt density exp(P) * rho0 grow with the box and with the step, and
+# call all but the first and last INCONSISTENT; those of P do not.
+VERIFIED_DIVERGENCES = [
+    ("exp(x^2 - y)", 1.0, None),
+    ("exp(x^2 - y)", 1.0, 0.2),
+    ("exp(x^2 - y)", 4.0, None),
+    ("exp(sin(3*x)*y)", 4.0, None),
+    ("1 + x^2 + y^2", 16.0, None),
+]
+
+
+@pytest.mark.parametrize("density,half,step", VERIFIED_DIVERGENCES)
+def test_verdict_does_not_depend_on_how_the_operators_are_held(density, half,
+                                                                step):
+    chart = Chart(("x", "y"), ((-half, half), (-half, half)))
+    op = div_volume(VolumeForm.from_string(chart, density))
+    base = flat_op(chart)
+    config = ClassifyConfig() if step is None else ClassifyConfig(fd_step_scale=step)
+    results = [classify(d, d0, config=config)
+               for d in (op, op.as_blackbox()) for d0 in (base, base.as_blackbox())]
+    assert [r.verdict for r in results] == [DIVERGENCE] * 4
+    assert len({r.residuals["verification"] for r in results}) == 1
+    # the rebuilt volume still comes with a symbolic base only
+    assert [r.volume is None for r in results] == [False, True, False, True]
+
+
+def test_classify_inconsistent_when_only_verification_sees_the_fault():
+    # an adversarial blackbox: a true divergence, except that it adds 1e-3
+    # to every value in a batch of exactly 50 points, the verification's
+    # sample size; the sampled stages never see a batch of that size
+    true = weighted_op()
+
+    def fn_fields(fields, pts):
+        shift = 1e-3 if len(pts) == 50 else 0.0
+        return [v + shift for v in true.apply_fields(fields, pts)]
+
+    op = DivOperator(BOX, "blackbox", fn_fields=fn_fields)
+    for base in (flat_op(), flat_op().as_blackbox()):
+        result = classify(op, base)
+        assert result.verdict == INCONSISTENT
+        assert result.residuals["verification"] == pytest.approx(1e-3, rel=1e-6)
+        assert result.witness == {"residual": result.residuals["verification"]}
 
 
 def test_second_classify_of_a_pair_reuses_the_difference(monkeypatch):
