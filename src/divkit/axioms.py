@@ -9,13 +9,14 @@ route.  For a symbolic operator each residual is one expression tree, built
 on one image D(X) per field and differentiated exactly, and all the trees
 are evaluated in one ``eval_roots`` call, so a subtree shared between
 residuals is computed once.  An opaque operator's cocycle residual comes
-from central differences along each field's direction, every probe of one
-evaluated field gathered into one batched call; every bracket and fX goes
-to the operator in one ``apply_fields`` call, reusing each image.  The
+from central differences along each field's direction, every field
+evaluated in one call per block of samples and probes; every bracket and
+fX goes to the operator in one ``apply_fields`` call, reusing each image.  The
 single-point residuals are one-point sweeps, and ``classify``'s
 tensoriality residual is the Leibniz-only sweep of D - D0 at weight 0.
-Each residual's worst sample is taken by ``_finite_max``.  ``_probes``
-places every finite-difference probe, ``classify``'s too.
+A sweep returns one (residuals x points) array; ``_maxima`` takes each
+residual's worst sample in one pass.  ``_probes`` places every
+finite-difference probe, ``classify``'s too.
 
 A battery, ``_Battery``, holds the fields and scalars with the trees the
 sweep derives from them alone: each bracket [X, Y], field fX and
@@ -293,19 +294,25 @@ def _generated(chart: Chart, seed: int, n_fields: int, n_scalars: int) -> _Batte
 
 _TINY = 1e-300
 
-# Rows per opaque-operator call in a finite-difference sweep.  Each field's
-# batch holds the samples plus two probes per partner field, so blocks bound
-# the evaluation memo at large sample counts.
+# Rows per opaque-operator call in a finite-difference sweep: a block of
+# whole point sets (the samples, or one field's up and down probes) for
+# every field.  Blocks bound the evaluation memo at large sample counts.
 BATCH_ROWS = 4096
 
 
-def _finite_max(vals: np.ndarray) -> tuple[float, int | None]:
-    """Largest finite value and its index; (inf, None) when none is finite."""
-    finite = np.isfinite(vals)
-    if not np.any(finite):
-        return math.inf, None
-    k = int(np.argmax(np.where(finite, vals, -1.0)))
-    return float(vals[k]), k
+def _maxima(values: np.ndarray) -> list[tuple[float, int | None, int]]:
+    """For each row of a (residuals x points) array of |residual|, which it
+    overwrites where not finite: the largest finite value, its column and
+    the count of values that are not finite; (inf, None, count) if none is."""
+    if not values.shape[1]:
+        return [(math.inf, None, 0)] * len(values)
+    finite = np.isfinite(values)
+    np.copyto(values, -1.0, where=~finite)
+    cols = values.argmax(axis=1)
+    worst = values[np.arange(len(values)), cols]
+    skipped = values.shape[1] - np.count_nonzero(finite, axis=1)
+    return [(w, k, s) if s < values.shape[1] else (math.inf, None, s)
+            for w, k, s in zip(worst.tolist(), cols.tolist(), skipped.tolist())]
 
 
 @dataclass(frozen=True)
@@ -364,33 +371,42 @@ def _partials(chart: Chart, fn, pts: np.ndarray, h0: float) -> np.ndarray:
     return np.stack([_fd_quotient(p, fn(p.up), fn(p.dn)) for p in probes], axis=1)
 
 
+def _set_values(op, fields: Sequence[VectorField], sets):
+    """Yield the (rows x fields) values of each point set in turn, one
+    ``apply_fields`` call per block of consecutive whole sets; a set of
+    more than ``BATCH_ROWS`` rows goes alone, split into blocks."""
+    def evaluate(group):
+        rows = np.concatenate(group)
+        vals = np.concatenate([
+            np.stack(op.apply_fields(fields, rows[i:i + BATCH_ROWS]), axis=1)
+            for i in range(0, len(rows), BATCH_ROWS)])
+        return np.split(vals, np.cumsum([len(s) for s in group[:-1]]))
+
+    group = []
+    for rows in sets:
+        if group and sum(map(len, group)) + len(rows) > BATCH_ROWS:
+            yield from evaluate(group)
+            group = []
+        group.append(rows)
+    yield from evaluate(group)
+
+
 def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
-    """What the finite-difference route needs of an opaque operator, from one
-    batched evaluation of each field Y over the sample points followed by the
-    probes of every other field X.
+    """What the finite-difference route needs of an opaque operator, from
+    every field evaluated at the samples and then at each field's probes.
 
     Returns D(Y) at the samples, per field, and {(a, b): X(D(Y))} for
     X = fields[a], Y = fields[b], a != b, nan where no probe fits.  This
     relies on the operator computing each row from that row alone."""
     probes = [_probes(op.chart, x.values_matrix(pts), pts, h0) for x in fields]
-    m = pts.shape[0]
-    at_samples, along = [], {}
-    for b, y in enumerate(fields):
-        partners = [a for a in range(len(fields)) if a != b]
-        rows = [pts]
-        for a in partners:
-            rows += [probes[a].up, probes[a].dn]
-        rows = np.concatenate(rows)
-        vals = np.concatenate([op.apply_many(y, rows[i:i + BATCH_ROWS])
-                               for i in range(0, rows.shape[0], BATCH_ROWS)])
-        # a copy, so no view keeps the whole batch alive
-        at_samples.append(vals[:m].copy())
-        start = m
-        for a in partners:
-            k = probes[a].up.shape[0]
-            g_up, g_dn = vals[start:start + k], vals[start + k:start + 2 * k]
-            along[a, b] = _fd_quotient(probes[a], g_up, g_dn)
-            start += 2 * k
+    values = _set_values(op, fields, itertools.chain(
+        [pts], (np.concatenate([p.up, p.dn]) for p in probes)))
+    # a copy, so no view keeps the whole block alive
+    at_samples = list(next(values).T.copy())
+    along = {}
+    for a, (p, vals) in enumerate(zip(probes, values)):
+        quotient = _fd_quotient(p, vals[:len(p.up)], vals[len(p.up):])  # (m x fields)
+        along.update(((a, b), quotient[:, b]) for b in range(len(fields)) if b != a)
     return at_samples, along
 
 
@@ -408,14 +424,14 @@ def _cocycle_root(op, xy: VectorField, x: VectorField, y: VectorField,
 
 
 def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
-               h0: float | None = None):
-    """Yield |residual| at the points (nan or inf where it could not be
-    evaluated) for the cocycle residual of each pair of the battery's fields
-    X_a, X_b with a < b, then for the Leibniz residual at ``weight`` of each
-    scalar and field.  The cocycle terms are swept only when a base
-    central-difference step ``h0`` is given; a symbolic operator
-    differentiates exactly and does not use it.  Every bracket, fX and X(f)
-    comes from the battery.
+               h0: float | None = None) -> np.ndarray:
+    """The (residuals x points) array of |residual| (nan or inf where it
+    could not be evaluated): one row for the cocycle residual of each pair
+    of the battery's fields X_a, X_b with a < b, then one for the Leibniz
+    residual at ``weight`` of each scalar and field.  The cocycle terms are
+    swept only when a base central-difference step ``h0`` is given; a
+    symbolic operator differentiates exactly and does not use it.  Every
+    bracket, fX and X(f) comes from the battery.
 
     A symbolic operator takes one image per field and evaluates every tree
     in one ``eval_roots`` call; the battery keeps the trees by weight and by
@@ -428,45 +444,50 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
     pairs = [] if h0 is None else list(itertools.combinations(range(len(fields)), 2))
     terms = [(k, i) for k in range(len(scalars)) for i in range(len(fields))]
     arrays = op.chart.arrays(pts)
-    if op.is_symbolic:
-        def build():
-            images = [op.symbolic(x) for x in fields]
-            roots = [_cocycle_root(op, battery.bracket(a, b), fields[a],
-                                   fields[b], images[a], images[b])
-                     for a, b in pairs]
-            for k, i in terms:
-                # D(fX) - f D(X) - weight X(f); at weight 0, X(f) is left out
-                expr = op.symbolic(battery.scaled(k, i)) - scalars[k] * images[i]
-                if weight:
-                    expr = expr - const(weight) * battery.along(i, k)
-                roots.append(expr)
-            return roots
 
-        roots = battery.roots(op, (weight, h0 is not None), build)
-        for value in eval_roots(roots, arrays):
-            yield np.abs(value)
-        return
-    scaled = [battery.scaled(k, i) for k, i in terms]
-    if h0 is None:
-        images = op.apply_fields(fields + scaled, pts)
-        images, values = images[:len(fields)], iter(images[len(fields):])
-    else:
-        images, along = _fd_images(op, fields, pts, h0)
-        values = iter(op.apply_fields(
-            [battery.bracket(a, b) for a, b in pairs] + scaled, pts))
-    for a, b in pairs:
-        yield np.abs(next(values) - (along[a, b] - along[b, a]))
-    # f, then X(f) per field; at weight 0, X(f) is neither built nor evaluated
-    own = eval_roots([g for k, f in enumerate(scalars) for g in
-                      [f] + [battery.along(i, k) for i in range(len(fields))
-                             if weight]], arrays)
-    for _ in scalars:
-        f_vals = next(own)
-        for dx in images:
-            gap = next(values) - f_vals * dx
+    def build():
+        images = [op.symbolic(x) for x in fields]
+        roots = [_cocycle_root(op, battery.bracket(a, b), fields[a],
+                               fields[b], images[a], images[b])
+                 for a, b in pairs]
+        for k, i in terms:
+            # D(fX) - f D(X) - weight X(f); at weight 0, X(f) is left out
+            expr = op.symbolic(battery.scaled(k, i)) - scalars[k] * images[i]
             if weight:
-                gap = gap - weight * next(own)
-            yield np.abs(gap)
+                expr = expr - const(weight) * battery.along(i, k)
+            roots.append(expr)
+        return roots
+
+    def opaque(images, along, values):
+        values.reverse()  # popped, and the quotients dropped, once used
+        for a, b in pairs:
+            yield values.pop() - (along[a, b] - along[b, a])
+        along.clear()
+        # f, then X(f) per field; at weight 0, X(f) is neither built nor evaluated
+        own = eval_roots([g for k, f in enumerate(scalars) for g in
+                          [f] + [battery.along(i, k) for i in range(len(fields))
+                                 if weight]], arrays)
+        for _ in scalars:
+            f_vals = next(own)
+            for dx in images:
+                gap = values.pop() - f_vals * dx
+                if weight:
+                    gap = gap - weight * next(own)
+                yield gap
+
+    if op.is_symbolic:
+        values = eval_roots(battery.roots(op, (weight, h0 is not None), build), arrays)
+    else:  # evaluated before the row array below is taken
+        scaled = [battery.scaled(k, i) for k, i in terms]
+        if not pairs:  # no probes either
+            images = op.apply_fields(fields + scaled, pts)
+            values = opaque(images[:len(fields)], {}, images[len(fields):])
+        else:
+            values = opaque(*_fd_images(op, fields, pts, h0), op.apply_fields(
+                [battery.bracket(a, b) for a, b in pairs] + scaled, pts))
+    # each row is filled as it is evaluated, so no list of rows is held
+    out = np.fromiter(values, np.dtype((float, len(pts))), len(pairs) + len(terms))
+    return np.abs(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +570,10 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
               for (nx, _), (ny, _) in itertools.combinations(fields, 2)]
     labels += [("leibniz", f"leibniz({fname},{name_x})")
                for fname, _ in scalars for name_x, _ in fields]
-    sweep = _residuals(op, battery, op.weight, pts, h0)
-    entries = []
-    for (axiom, label), vals in zip(labels, sweep):
-        worst, k = _finite_max(vals)
-        entries.append(AxiomEntry(axiom, label, worst,
-                                  None if k is None else tuple(pts[k]),
-                                  int(vals.size), int((~np.isfinite(vals)).sum())))
+    maxima = _maxima(_residuals(op, battery, op.weight, pts, h0))
+    entries = [AxiomEntry(axiom, label, worst, None if k is None else tuple(pts[k]),
+                          len(pts), skipped)
+               for (axiom, label), (worst, k, skipped) in zip(labels, maxima)]
 
     manifest = {
         "seed": config.seed,

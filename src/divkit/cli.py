@@ -20,7 +20,7 @@ import numpy as np
 
 from .axioms import CheckConfig, check_axioms, library_fields
 from .errors import DomainError, SpecError, ValidationError
-from .expr import EvalDomainError, ParseError
+from .expr import EvalDomainError, ParseError, eval_roots
 from .geometry import sample_points
 from .operators import difference, div_affine, div_volume, parallel_residual
 from .quadrature import bump_field, grid_integral
@@ -252,7 +252,10 @@ def run_integrate_vanish(spec, args) -> int:
         else spec.config.get("resolution", 64)
     field = bump_field(chart, center, radius, args.direction)
     integrand = (op.symbolic(field) * op.density).simplify()
-    value = grid_integral(integrand.eval_many, chart, resolution=resolution)
+    value = grid_integral(lambda arrays: next(eval_roots((integrand,), arrays)),
+                          chart, resolution=resolution)
+    if not math.isfinite(value):
+        raise DomainError("the integral is not finite")
     print(f"bump center={_point_str(center)} radius={_fmt(radius)} "
           f"direction={args.direction} resolution={resolution}")
     if op.weight != 1.0:  # the integral vanishes for true divergences only

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChartMismatch, SupportError, ValidationError
+from .expr import eval_roots
 
 __all__ = [
     "QuadratureRule",
@@ -78,6 +79,9 @@ def _axis_rules(chart, resolution: int, rule: QuadratureRule):
     return [rule.mapped(a, b, segments=resolution) for a, b in chart.box]
 
 
+_GRID_POINTS = 8192  # per call of fn, so each array stays within 64 KB
+
+
 def grid_integral(fn, chart, resolution: int = 64,
                   rule: QuadratureRule | None = None) -> float:
     """Tensor-product integral of ``fn`` over the chart box.
@@ -86,7 +90,9 @@ def grid_integral(fn, chart, resolution: int = 64,
     values.  ``resolution`` counts quadrature segments per axis, so the node
     count per axis is ``order * resolution``; cost grows like its n-th
     power.  Charts with excluded disks are rejected: the box integral would
-    cross the holes.
+    cross the holes.  From 2-D up, each call gets as many whole slabs (one
+    first-axis node each) as fit in ``_GRID_POINTS`` points, or one larger
+    slab; each slab is summed on its own, in order, so no bit changes.
     """
     rule = rule or default_rule()
     if chart.disks:
@@ -107,14 +113,15 @@ def grid_integral(fn, chart, resolution: int = 64,
         rest_weights = rest_weights * w.ravel()
 
     total = 0.0
-    ones = np.ones_like(rest_cols[0])
-    for x0, w0 in zip(first_nodes, first_weights):
-        # one slab of the grid at a time keeps memory flat in 3-D
-        arrays = {names[0]: x0 * ones}
+    per_call = max(1, _GRID_POINTS // rest_weights.size)
+    for lo in range(0, first_nodes.size, per_call):
+        x0 = first_nodes[lo:lo + per_call]
+        arrays = {names[0]: np.repeat(x0, rest_weights.size)}
         for nm, col in zip(names[1:], rest_cols):
-            arrays[nm] = col
-        vals = np.asarray(fn(arrays), dtype=float)
-        total += w0 * float(rest_weights @ vals)
+            arrays[nm] = np.tile(col, x0.size)
+        vals = np.asarray(fn(arrays), dtype=float).reshape(x0.size, -1)
+        for w0, row in zip(first_weights[lo:lo + per_call], vals):
+            total += w0 * float(rest_weights @ row)
     return float(total)
 
 
@@ -196,5 +203,6 @@ def integral_vanishing_check(volume, field, resolution: int = 64,
             if not np.all(np.abs(vals) <= 1e-12):
                 raise SupportError("field does not vanish on the chart boundary")
     coeff = lie_derivative_top(field, volume)
-    return grid_integral(coeff.eval_many, chart, resolution=resolution,
-                         rule=rule)
+    # eval_roots keeps only the values of shared nodes, unlike eval_many
+    return grid_integral(lambda arrays: next(eval_roots((coeff,), arrays)),
+                         chart, resolution=resolution, rule=rule)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .axioms import (_Battery, _finite_max, _generated, _partials,
+from .axioms import (_Battery, _generated, _maxima, _partials,
                      _require_step, _residuals, leibniz_residual,
                      library_fields)
 from .errors import ChartMismatch, DomainError, ValidationError
@@ -203,14 +203,14 @@ def _closedness_details(form, pts: np.ndarray, h0: float):
         def pair_values(i, j):
             return partials[:, i, j] - partials[:, j, i]
 
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    maxima = _maxima(np.abs(np.stack([pair_values(i, j) for i, j in pairs])))
     worst, pair, where = 0.0, None, None
-    for i in range(n):
-        for j in range(i + 1, n):
-            local, k = _finite_max(np.abs(pair_values(i, j)))
-            if k is None:
-                return math.inf, (i, j), None
-            if local > worst:
-                worst, pair, where = local, (i, j), tuple(pts[k])
+    for (i, j), (local, k, _) in zip(pairs, maxima):
+        if k is None:
+            return math.inf, (i, j), None
+        if local > worst:
+            worst, pair, where = local, (i, j), tuple(pts[k])
     return worst, pair, where
 
 
@@ -325,12 +325,11 @@ def _tensoriality_stage(diff: DivOperator, battery: _Battery, pts):
     """Worst Leibniz residual of E = D - D0 at weight 0 over the battery,
     with its witness: the Leibniz-only case of the axiom sweep
     ``axioms._residuals``."""
-    sweep = _residuals(diff, battery, 0.0, pts)
     labels = [(fname, xname) for fname, _ in battery.scalars
               for xname, _ in battery.fields]
+    maxima = _maxima(_residuals(diff, battery, 0.0, pts))
     worst, witness = 0.0, None
-    for (fname, xname), vals in zip(labels, sweep):
-        local, k = _finite_max(vals)
+    for (fname, xname), (local, k, _) in zip(labels, maxima):
         if local > worst:
             worst = local
             witness = {"scalar": fname, "field": xname, "residual": local,
@@ -355,13 +354,10 @@ def _verification(diff: DivOperator, potential: NumericScalarField, fields,
     chart = potential.chart
     arrays = chart.arrays(pts)
     grad = _partials(chart, potential.many, pts, h)
-    worst = 0.0
-    for x, image in zip(fields, diff.apply_fields(fields, pts)):
-        comp_vals = [c.eval_many(arrays) for c in x.components]
-        rebuilt = sum(grad[:, i] * comp_vals[i] for i in range(chart.dim))
-        local, _ = _finite_max(np.abs(image - rebuilt))
-        worst = max(worst, local)
-    return worst
+    gaps = [image - sum(grad[:, i] * c.eval_many(arrays)
+                        for i, c in enumerate(x.components))
+            for x, image in zip(fields, diff.apply_fields(fields, pts))]
+    return max([0.0] + [local for local, _, _ in _maxima(np.abs(np.stack(gaps)))])
 
 
 def classify(op: DivOperator, base: DivOperator,

@@ -438,14 +438,18 @@ def _counting(op):
 
 
 def test_batched_sweep_crosses_block_boundary():
-    # 13 fields at 300 points: 300 + 12 * 2 * 300 = 7,500 rows per field
+    # at 2,049 points each field's probe set has 2 * 2,049 = 4,098 rows, more
+    # than a block holds: it goes alone, split into a full block and one of
+    # 2 rows
     op, rows = _counting(FLAT_OP)
-    config = CheckConfig(n_points=300)
+    config = CheckConfig(n_points=2_049)
+    check_axioms(op, config)
+    # the lifted fn_many is called once per field and block: the samples,
+    # then each field's probes, then every bracket and fX at the samples
+    n = 8 + len(library_fields(BOX))
+    assert rows == [2_049] * n + ([axioms.BATCH_ROWS] * n + [2] * n) * n \
+        + [2_049] * (n * (n - 1) // 2 + 4 * n)
     _assert_matches_reference(op, config)
-    # each field's batch goes in one full block and one of 3,404 rows; the
-    # reference's own calls have at most 300
-    assert max(rows) == axioms.BATCH_ROWS
-    assert rows.count(axioms.BATCH_ROWS) == rows.count(7_500 - axioms.BATCH_ROWS) == 13
 
 
 def test_blackbox_sweep_makes_one_call_per_field():
@@ -457,8 +461,9 @@ def test_blackbox_sweep_makes_one_call_per_field():
 
 
 def test_blackbox_sweep_batches_the_hidden_operator():
-    # one call per field's probe batch, then every bracket and every fX in
-    # one call of 78 + 52 fields
+    # one call of all 13 fields over the samples and every probe set (2,700
+    # rows, one block), then every bracket and every fX in one call of
+    # 78 + 52 fields
     hidden = div_volume(VolumeForm.from_string(BOX, "exp(x+0.5*y)"))
     apply_fields = hidden.apply_fields
     calls = []
@@ -470,7 +475,7 @@ def test_blackbox_sweep_batches_the_hidden_operator():
     hidden.apply_fields = counting
     report = check_axioms(hidden.as_blackbox())
     assert report.passed
-    assert calls == [1] * 13 + [130]
+    assert calls == [13, 130]
 
 
 @pytest.mark.parametrize("blackbox", [False, True])

@@ -363,6 +363,17 @@ def test_domain_error_exits_three(capsys):
     assert "support" in err
 
 
+@pytest.mark.parametrize("name", ["weighted", "D_half"])
+def test_integral_not_finite_exits_three(capsys, name):
+    # a bump of radius 1e-300 overflows its own derivative, so the integral
+    # is nan; it once printed VALUE nan, with VERDICT FAIL for a divergence
+    code, out, err = run(capsys, "integrate-vanish", "--spec", BOX, name,
+                         "--radius", "1e-300")
+    assert code == 3
+    assert out == ""
+    assert err == "error: the integral is not finite\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_bad_point_count_prints_nothing(capsys, count):
     code, out, err = run(capsys, "divergence", "--spec", BOX, "D", "dilation",

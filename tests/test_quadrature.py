@@ -7,7 +7,7 @@ import pytest
 
 from divkit.errors import ChartMismatch, SupportError, ValidationError
 from divkit.expr import parse_expr
-from divkit.geometry import Chart, VectorField, VolumeForm
+from divkit.geometry import Chart, VectorField, VolumeForm, lie_derivative_top
 from divkit.quadrature import (
     QuadratureRule,
     bump_field,
@@ -94,6 +94,63 @@ def test_grid_integral_one_and_three_dims():
     cube = Chart(("x", "y", "z"), ((0.0, 1.0),) * 3)
     v = grid_integral(lambda a: a["x"] * a["y"] * a["z"] + 1.0, cube, resolution=1)
     assert v == pytest.approx(1.125, rel=1e-14)
+
+
+def _slab_by_slab(fn, chart, resolution):
+    """The grid integral as a reference: one call of ``fn`` per slab of the
+    grid (one node of the first axis), each slab's weighted sum added in
+    order; in 1-D, one call for the whole axis."""
+    per_axis = [default_rule().mapped(a, b, segments=resolution) for a, b in chart.box]
+    (first_nodes, first_weights), rest = per_axis[0], per_axis[1:]
+    names = chart.coords
+    if not rest:
+        return float(first_weights @ fn({names[0]: first_nodes}))
+    cols = [g.ravel() for g in np.meshgrid(*[n for n, _ in rest], indexing="ij")]
+    weights = np.ones_like(cols[0])
+    for w in np.meshgrid(*[w for _, w in rest], indexing="ij"):
+        weights = weights * w.ravel()
+    total = 0.0
+    for x0, w0 in zip(first_nodes, first_weights):
+        arrays = {names[0]: np.full(cols[0].size, x0), **dict(zip(names[1:], cols))}
+        total += w0 * float(weights @ fn(arrays))
+    return total
+
+
+def _recording(e, calls):
+    def fn(arrays):
+        calls.append(next(iter(arrays.values())).size)
+        return e.eval_many(arrays)
+    return fn
+
+
+@pytest.mark.parametrize("coords, resolution, sizes", [
+    (("u",), 9, [144]),
+    # 2-D slabs of 2,048 points, four to a call
+    (("x", "y"), 128, [8192] * 512),
+    # slabs of 112 points: 73 fit in a call, so the last call has 39
+    (("x", "y"), 7, [73 * 112, 39 * 112]),
+    # 3-D slabs of 96^2 = 9,216 points, more than a call holds: one each
+    (("x", "y", "z"), 6, [9216] * 96),
+], ids=["1d", "2d-even", "2d-ragged", "3d"])
+def test_grid_integral_blocks_match_slab_by_slab(coords, resolution, sizes):
+    chart = Chart(coords, ((-1.0, 1.5),) + ((-0.5, 1.0),) * (len(coords) - 1))
+    text = {1: "exp(u)*sin(3*u) + bump(u)",
+            2: "exp(x)*sin(3*y) + bump(x)*cos(y) - x*y^3",
+            3: "exp(x)*sin(3*y)*cos(z) + bump(x)*z^2"}[len(coords)]
+    e = parse_expr(text, coords)
+    calls = []
+    got = grid_integral(_recording(e, calls), chart, resolution=resolution)
+    assert got == _slab_by_slab(e.eval_many, chart, resolution)
+    assert calls == sizes
+
+
+def test_vanishing_integral_matches_slab_by_slab():
+    weighted = VolumeForm.from_string(BOX2, "exp(x+0.5*y)")
+    f = bump_field(BOX2, (0.1, -0.2), 0.55, 1)
+    coeff = lie_derivative_top(f, weighted)
+    for resolution in (7, 32):
+        assert integral_vanishing_check(weighted, f, resolution=resolution) \
+            == _slab_by_slab(coeff.eval_many, BOX2, resolution)
 
 
 def test_grid_integral_rejects_disks_and_bad_resolution():

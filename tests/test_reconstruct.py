@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from divkit.axioms import (
     _Battery,
-    _finite_max,
     check_axioms,
     library_fields,
     random_fields,
@@ -186,6 +185,15 @@ def test_tensoriality_residual_singular_point():
 # term or, for two symbolic operators, the two expressions.  The reference
 # below keeps that pair route; the stage now runs the Leibniz residual of
 # the single operator D - D0 at weight 0.
+
+
+def _finite_max(vals):
+    """Largest finite value and its index; (inf, None) when none is finite."""
+    finite = np.isfinite(vals)
+    if not np.any(finite):
+        return math.inf, None
+    k = int(np.argmax(np.where(finite, vals, -1.0)))
+    return float(vals[k]), k
 
 
 def _reference_tensoriality_stage(op, base, fields, scalars, pts):
