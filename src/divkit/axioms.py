@@ -294,9 +294,9 @@ def _generated(chart: Chart, seed: int, n_fields: int, n_scalars: int) -> _Batte
 
 _TINY = 1e-300
 
-# Rows per opaque-operator call in a finite-difference sweep: a block of
-# whole point sets (the samples, or one field's up and down probes) for
-# every field.  Blocks bound the evaluation memo at large sample counts.
+# Rows per opaque-operator call in a finite-difference sweep, for every
+# field: the samples, then each field's up and down probes, packed in order
+# across sets.  Blocks bound the evaluation memo at large sample counts.
 BATCH_ROWS = 4096
 
 
@@ -372,23 +372,21 @@ def _partials(chart: Chart, fn, pts: np.ndarray, h0: float) -> np.ndarray:
 
 
 def _set_values(op, fields: Sequence[VectorField], sets):
-    """Yield the (rows x fields) values of each point set in turn, one
-    ``apply_fields`` call per block of consecutive whole sets; a set of
-    more than ``BATCH_ROWS`` rows goes alone, split into blocks."""
-    def evaluate(group):
-        rows = np.concatenate(group)
-        vals = np.concatenate([
-            np.stack(op.apply_fields(fields, rows[i:i + BATCH_ROWS]), axis=1)
-            for i in range(0, len(rows), BATCH_ROWS)])
-        return np.split(vals, np.cumsum([len(s) for s in group[:-1]]))
-
-    group = []
-    for rows in sets:
-        if group and sum(map(len, group)) + len(rows) > BATCH_ROWS:
-            yield from evaluate(group)
-            group = []
-        group.append(rows)
-    yield from evaluate(group)
+    """Yield the (rows x fields) values of each point set in turn, from one
+    ``apply_fields`` call per block of ``BATCH_ROWS`` rows packed across sets."""
+    sizes, todo = [], np.empty((0, op.chart.dim))  # rows to yield, to evaluate
+    done = np.empty((0, len(fields)))  # values evaluated and not yet yielded
+    for rows in itertools.chain(sets, [None]):  # None: evaluate what is left
+        if rows is not None:
+            sizes.append(len(rows))
+            todo = np.concatenate([todo, rows])
+        while len(todo) >= BATCH_ROWS or (rows is None and len(todo)):
+            block, todo = todo[:BATCH_ROWS], todo[BATCH_ROWS:]
+            done = np.concatenate(  # no name keeps the stacked block alive
+                [done, np.stack(op.apply_fields(fields, block), axis=1)])
+        while sizes and sizes[0] <= len(done):
+            yield done[:sizes[0]]
+            done = done[sizes.pop(0):]
 
 
 def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
@@ -485,8 +483,9 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
         else:
             values = opaque(*_fd_images(op, fields, pts, h0), op.apply_fields(
                 [battery.bracket(a, b) for a, b in pairs] + scaled, pts))
-    # each row is filled as it is evaluated, so no list of rows is held
-    out = np.fromiter(values, np.dtype((float, len(pts))), len(pairs) + len(terms))
+    out = np.empty((len(pairs) + len(terms), len(pts)))
+    for i, row in enumerate(values):  # filled as evaluated; no list of rows is held
+        out[i] = row
     return np.abs(out, out=out)
 
 

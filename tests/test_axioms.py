@@ -405,15 +405,19 @@ def test_batched_sweep_matches_reference_where_probes_shrink():
 
 
 def test_batched_sweep_matches_reference_zero_field():
-    fields = [("zero", VectorField(BOX, (const(0.0), const(0.0))))] \
-        + library_fields(BOX)[:3]
+    # the zero field's probe set is empty; placed last at 2,049 points it
+    # follows probe sets larger than a block
+    zero = [("zero", VectorField(BOX, (const(0.0), const(0.0))))]
     scalars = [("f", ex("x*y - 0.5"))]
-    report = _assert_matches_reference(WEIGHTED_OP.as_blackbox(),
-                                       CheckConfig(n_points=25), fields, scalars)
-    assert report.skipped == 0
-    pts = np.asarray(sample_points(BOX, 25))
-    zero = fields[0][1].values_matrix(pts)
-    assert axioms._probes(BOX, zero, pts, 2e-5).up.shape == (0, 2)
+    for fields, n_points in [(zero + library_fields(BOX)[:3], 25),
+                             (library_fields(BOX)[:3] + zero, 2_049)]:
+        report = _assert_matches_reference(WEIGHTED_OP.as_blackbox(),
+                                           CheckConfig(n_points=n_points),
+                                           fields, scalars)
+        assert report.skipped == 0
+        pts = np.asarray(sample_points(BOX, n_points))
+        values = zero[0][1].values_matrix(pts)
+        assert axioms._probes(BOX, values, pts, 2e-5).up.shape == (0, 2)
 
 
 def test_batched_sweep_matches_reference_nan_blackbox():
@@ -438,18 +442,39 @@ def _counting(op):
 
 
 def test_batched_sweep_crosses_block_boundary():
-    # at 2,049 points each field's probe set has 2 * 2,049 = 4,098 rows, more
-    # than a block holds: it goes alone, split into a full block and one of
-    # 2 rows
+    # at 2,049 points the samples and each field's 4,098 probe rows are
+    # packed into blocks of 4,096 rows: the first block holds the samples
+    # and 2,047 rows of the first probe set, so probe sets span two blocks
     op, rows = _counting(FLAT_OP)
     config = CheckConfig(n_points=2_049)
     check_axioms(op, config)
-    # the lifted fn_many is called once per field and block: the samples,
-    # then each field's probes, then every bracket and fX at the samples
+    # the lifted fn_many is called once per field and block, then once per
+    # bracket and fX at the samples
     n = 8 + len(library_fields(BOX))
-    assert rows == [2_049] * n + ([axioms.BATCH_ROWS] * n + [2] * n) * n \
+    full, rest = divmod(2_049 + n * 2 * 2_049, axioms.BATCH_ROWS)
+    assert (full, rest) == (13, 2_075)
+    assert rows == [axioms.BATCH_ROWS] * n * full + [rest] * n \
         + [2_049] * (n * (n - 1) // 2 + 4 * n)
     _assert_matches_reference(op, config)
+
+
+@pytest.mark.parametrize("sizes", [
+    [0, 3_000, 0, 5_000, 1, 0], [4_096, 0], [0, 0], [5, 7]])
+def test_set_values_packs_rows_across_sets(sizes):
+    # full blocks of BATCH_ROWS rows, whatever the set boundaries, then the
+    # rest; each set gets the values of its own rows, empty sets included
+    op, rows = _counting(WEIGHTED_OP)
+    fields = [x for _, x in library_fields(BOX)[:3]]
+    rng = np.random.default_rng(0)
+    sets = [rng.uniform(-1.0, 1.0, (k, 2)) for k in sizes]
+    values = list(axioms._set_values(op, fields, iter(sets)))
+    full, rest = divmod(sum(sizes), axioms.BATCH_ROWS)
+    blocks = [axioms.BATCH_ROWS] * full + [rest] * (rest > 0)
+    assert rows == [k for k in blocks for _ in fields]
+    assert [v.shape for v in values] == [(k, 3) for k in sizes]
+    for pts, vals in zip(sets, values):
+        for b, x in enumerate(fields):
+            assert np.array_equal(vals[:, b], WEIGHTED_OP.apply_many(x, pts))
 
 
 def test_blackbox_sweep_makes_one_call_per_field():
@@ -519,6 +544,10 @@ def test_one_point_sweep_matches_single_point_residuals(op, blackbox):
     assert [e.max_residual for e in report.entries] == want
     assert [e.argmax_point for e in report.entries] == [p] * 3
     assert want[0] > 1e-3 if cocycle_broken else max(want) < 1e-6
+    # one row per residual, one column for the point
+    battery = axioms._Battery(BOX, [("X", x), ("Y", y)], [("f", f)])
+    assert axioms._residuals(op, battery, op.weight, np.asarray([p]), 2e-5).shape \
+        == (3, 1)
 
 
 # ---------------------------------------------------------------------------
