@@ -4,29 +4,28 @@ An operator D is a divergence when it turns brackets into directional
 derivatives, D([X, Y]) = X(D(Y)) - Y(D(X)), and satisfies the product rule
 D(fX) = f D(X) + X(f) (with the scalar term weighted for the s-density
 variants).  The checker samples both residuals over a battery of fields and
-scalars, all through one sweep, ``_residuals``, which alone chooses the
-route.  For a symbolic operator each residual is one expression tree, built
-on one image D(X) per field and differentiated exactly, and all the trees
-are evaluated in one ``eval_roots`` call, so a subtree shared between
-residuals is computed once.  An opaque operator's cocycle residual comes
-from central differences along each field's direction, every field
-evaluated in one call per block of samples and probes; every bracket and
-fX goes to the operator in one ``apply_fields`` call, reusing each image.  The
-single-point residuals are one-point sweeps, and ``classify``'s
-tensoriality residual is the Leibniz-only sweep of D - D0 at weight 0.
-A sweep returns one (residuals x points) array; ``_maxima`` takes each
-residual's worst sample in one pass.  ``_probes`` places every
-finite-difference probe, ``classify``'s too.
+scalars, all through one sweep, ``_residuals``.  Both routes combine the
+same values: D at the samples of each field, bracket [X, Y] and field fX,
+with f and X(f).  Only X(D(Y)) depends on how D is held.  A symbolic
+operator's images are differentiated exactly, and every value it needs
+comes from one ``eval_roots`` call.  An opaque operator's images come from
+one ``apply_fields`` call, and X(D(Y)) from central differences along each
+field's direction, every field evaluated at the probes in one call per
+block of rows.  One combination then fills the rows.  The single-point
+residuals are one-point sweeps, and ``classify``'s tensoriality residual
+is the Leibniz-only sweep of D - D0 at weight 0.  A sweep returns one
+(residuals x points) array; ``_maxima`` takes each residual's worst sample
+in one pass.  ``_probes`` places every finite-difference probe,
+``classify``'s too.
 
 A battery, ``_Battery``, holds the fields and scalars with the trees the
 sweep derives from them alone: each bracket [X, Y], field fX and
 derivative X(f), built on first use.  A generated battery depends only on
 the chart, the seed and the two counts, never on the operator, so
 ``_generated`` keeps the last few and every ``check_axioms`` and
-``classify`` with an equal chart and sizes reuses one.  The battery also
-keeps each symbolic operator's residual trees while that operator lives,
-so a second sweep of it builds no tree and ``eval_roots`` reuses the
-plan of the first.
+``classify`` with an equal chart and sizes reuses one.  With the images
+an operator keeps, a second sweep builds no tree and ``eval_roots``
+reuses the plans of the first.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -226,9 +224,7 @@ class _Battery:
 
     Every scalar is checked against the chart here, once.  Trees are never
     changed after they are built (only their ``simplify``/``diff`` memos
-    fill in), so one battery may serve any number of sweeps.  The residual
-    trees of each symbolic operator swept are kept too, per operator (held
-    weakly) and per key of ``roots``."""
+    fill in), so one battery may serve any number of sweeps."""
 
     def __init__(self, chart: Chart, fields: Sequence[tuple[str, VectorField]],
                  scalars: Sequence[tuple[str, Expr]]):
@@ -238,7 +234,6 @@ class _Battery:
         for _, f in self.scalars:
             _require_scalar_on(chart, f)
         self._trees: dict = {}
-        self._roots = weakref.WeakKeyDictionary()
 
     def _tree(self, key, build):
         tree = self._trees.get(key)
@@ -258,15 +253,6 @@ class _Battery:
     def along(self, i: int, k: int) -> Expr:
         return self._tree(("along", i, k), lambda: apply_field(
             self.fields[i][1], self.scalars[k][1]))
-
-    def roots(self, op: DivOperator, key, build) -> list[Expr]:
-        """The residual trees of a symbolic operator for ``key``, built by
-        ``build()`` on first use and kept while the operator lives."""
-        built = self._roots.setdefault(op, {})
-        roots = built.get(key)
-        if roots is None:
-            roots = built[key] = build()
-        return roots
 
 
 def _drawn(chart: Chart, seed: int, n_fields: int, n_scalars: int,
@@ -389,36 +375,31 @@ def _set_values(op, fields: Sequence[VectorField], sets):
             done = done[sizes.pop(0):]
 
 
-def _fd_images(op, fields: Sequence[VectorField], pts: np.ndarray, h0: float):
-    """What the finite-difference route needs of an opaque operator, from
-    every field evaluated at the samples and then at each field's probes.
-
-    Returns D(Y) at the samples, per field, and {(a, b): X(D(Y))} for
-    X = fields[a], Y = fields[b], a != b, nan where no probe fits.  This
-    relies on the operator computing each row from that row alone."""
+def _fd_derivatives(op, fields: Sequence[VectorField], pts: np.ndarray,
+                    h0: float) -> np.ndarray:
+    """X(D(Y)) - Y(D(X)) for an opaque operator by central differences,
+    one row for each pair of fields X = X_a, Y = X_b with a < b, in the
+    sweep's order; nan where a field moves but no probe fits.  Every field
+    is evaluated at each field's probes, and each set's quotients are
+    dropped once they are in the rows.  This relies on the operator
+    computing each row from that row alone."""
+    n = len(fields)
     probes = [_probes(op.chart, x.values_matrix(pts), pts, h0) for x in fields]
-    values = _set_values(op, fields, itertools.chain(
-        [pts], (np.concatenate([p.up, p.dn]) for p in probes)))
-    # a copy, so no view keeps the whole block alive
-    at_samples = list(next(values).T.copy())
-    along = {}
+    values = _set_values(op, fields, (np.concatenate([p.up, p.dn]) for p in probes))
+    starts = np.cumsum([0] + [n - 1 - a for a in range(n)])  # X_a's first row
+    out = np.empty((starts[-1], len(pts)))
     for a, (p, vals) in enumerate(zip(probes, values)):
-        quotient = _fd_quotient(p, vals[:len(p.up)], vals[len(p.up):])  # (m x fields)
-        along.update(((a, b), quotient[:, b]) for b in range(len(fields)) if b != a)
-    return at_samples, along
+        along = _fd_quotient(p, vals[:len(p.up)], vals[len(p.up):]).T  # X_a(D(X_b))
+        out[starts[a]:starts[a + 1]] = along[a + 1:]
+        out[starts[:a] + np.arange(a - 1, -1, -1)] -= along[:a]
+    return out
 
 
-def _cocycle_root(op, xy: VectorField, x: VectorField, y: VectorField,
-                  dx: Expr, dy: Expr) -> Expr:
-    """D([X,Y]) - (X(D(Y)) - Y(D(X))) for a symbolic operator, built from
-    the bracket ``xy`` = [X, Y] and the images ``dx`` = D(X) and ``dy`` =
-    D(Y), which are differentiated exactly."""
-    expr = op.symbolic(xy)
-    for comp, nm in zip(x.components, op.chart.coords):
-        expr = expr - comp * dy.diff(nm)
-    for comp, nm in zip(y.components, op.chart.coords):
-        expr = expr + comp * dx.diff(nm)
-    return expr
+def _fill(block: np.ndarray, values) -> np.ndarray:
+    """``block`` with each row taken from the next of ``values`` in turn."""
+    for row, v in zip(block, values):
+        row[:] = v
+    return block
 
 
 def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
@@ -431,61 +412,66 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
     symbolic operator differentiates exactly and does not use it.  Every
     bracket, fX and X(f) comes from the battery.
 
-    A symbolic operator takes one image per field and evaluates every tree
-    in one ``eval_roots`` call; the battery keeps the trees by weight and by
-    whether cocycle terms are swept.  An opaque one takes its images and
-    central differences from ``_fd_images``, then one ``apply_fields`` call
-    for all brackets and fX (without cocycle terms, for the fields and fX,
-    with no probes); its f and X(f) are one ``eval_roots`` call."""
+    Both routes combine the same values, D at the samples of every field,
+    bracket and fX, and f and X(f); only the terms X(D(Y)) differ.  A
+    symbolic operator evaluates them all in one ``eval_roots`` call, with
+    each field's components and the partials of its image D(X), so a
+    subtree an image shares with its partials is computed once.  An opaque
+    one takes its images from one ``apply_fields`` call, f and X(f) from
+    one ``eval_roots`` call, and X(D(Y)) - Y(D(X)) from
+    ``_fd_derivatives``.  The rows are filled as the values arrive and
+    combined slice by slice: the pairs of each field X_a with every X_b,
+    b > a, then the terms of each scalar with every field."""
     fields = [x for _, x in battery.fields]
     scalars = [f for _, f in battery.scalars]
-    pairs = [] if h0 is None else list(itertools.combinations(range(len(fields)), 2))
-    terms = [(k, i) for k in range(len(scalars)) for i in range(len(fields))]
+    n, n_s, m, coords = len(fields), len(scalars), len(pts), op.chart.coords
+    pairs = [] if h0 is None else list(itertools.combinations(range(n), 2))
+    derived = [battery.bracket(a, b) for a, b in pairs] \
+        + [battery.scaled(k, i) for k in range(n_s) for i in range(n)]
+    # values in the order used: f, X(f) per scalar and field unless the
+    # weight is 0, the exact partials' inputs, then D(X) per field, then D
+    # at each bracket and fX
+    roots = list(scalars)
+    if weight:
+        roots += [battery.along(i, k) for k in range(n_s) for i in range(n)]
     arrays = op.chart.arrays(pts)
-
-    def build():
-        images = [op.symbolic(x) for x in fields]
-        roots = [_cocycle_root(op, battery.bracket(a, b), fields[a],
-                               fields[b], images[a], images[b])
-                 for a, b in pairs]
-        for k, i in terms:
-            # D(fX) - f D(X) - weight X(f); at weight 0, X(f) is left out
-            expr = op.symbolic(battery.scaled(k, i)) - scalars[k] * images[i]
-            if weight:
-                expr = expr - const(weight) * battery.along(i, k)
-            roots.append(expr)
-        return roots
-
-    def opaque(images, along, values):
-        values.reverse()  # popped, and the quotients dropped, once used
-        for a, b in pairs:
-            yield values.pop() - (along[a, b] - along[b, a])
-        along.clear()
-        # f, then X(f) per field; at weight 0, X(f) is neither built nor evaluated
-        own = eval_roots([g for k, f in enumerate(scalars) for g in
-                          [f] + [battery.along(i, k) for i in range(len(fields))
-                                 if weight]], arrays)
-        for _ in scalars:
-            f_vals = next(own)
-            for dx in images:
-                gap = values.pop() - f_vals * dx
-                if weight:
-                    gap = gap - weight * next(own)
-                yield gap
-
+    exact = op.is_symbolic and bool(pairs)
     if op.is_symbolic:
-        values = eval_roots(battery.roots(op, (weight, h0 is not None), build), arrays)
-    else:  # evaluated before the row array below is taken
-        scaled = [battery.scaled(k, i) for k, i in terms]
-        if not pairs:  # no probes either
-            images = op.apply_fields(fields + scaled, pts)
-            values = opaque(images[:len(fields)], {}, images[len(fields):])
-        else:
-            values = opaque(*_fd_images(op, fields, pts, h0), op.apply_fields(
-                [battery.bracket(a, b) for a, b in pairs] + scaled, pts))
-    out = np.empty((len(pairs) + len(terms), len(pts)))
-    for i, row in enumerate(values):  # filled as evaluated; no list of rows is held
-        out[i] = row
+        images = [op.symbolic(x) for x in fields + derived]
+        if exact:  # each field's components, then its image's partials
+            roots += [c for x in fields for c in x.components]
+            roots += [image.diff(nm) for image in images[:n] for nm in coords]
+        values = eval_roots(roots + images, arrays)
+    else:
+        values = itertools.chain(eval_roots(roots, arrays),
+                                 op.apply_fields(fields + derived, pts))
+        if pairs:
+            cross = _fd_derivatives(op, fields, pts, h0)
+    first = _fill(np.empty((len(roots) + n, m)), values)
+    f_vals, xf, dx = first[:n_s], first[n_s:n_s + n_s * n], first[len(roots):]
+    if exact:
+        comps, partials = first[len(roots) - 2 * n * len(coords):len(roots)] \
+            .reshape(2, n, len(coords), m)
+    out = np.empty((len(derived), m))
+    start = 0
+    for a in range(n - 1 if pairs else 0):
+        # D([X,Y]) for X = X_a and each Y = X_b, b > a
+        rows = slice(start, start + n - 1 - a)
+        block = _fill(out[rows], values)
+        start = rows.stop
+        if exact:  # D([X,Y]) - x_1 d_1 D(Y) - ... + y_1 d_1 D(X) + ...
+            for i in range(len(coords)):
+                block -= comps[a, i] * partials[a + 1:, i]
+            for i in range(len(coords)):
+                block += comps[a + 1:, i] * partials[a, i]
+        else:  # D([X,Y]) - (X(D(Y)) - Y(D(X)))
+            block -= cross[rows]
+    for k in range(n_s):  # D(fX) - f D(X) - weight X(f), every X
+        block = _fill(out[start:start + n], values)
+        start += n
+        block -= f_vals[k] * dx
+        if weight:
+            block -= weight * xf[k * n:(k + 1) * n]
     return np.abs(out, out=out)
 
 

@@ -105,16 +105,13 @@ class Chart:
         return MARGIN_FRACTION * self.min_side
 
     def contains(self, point: Sequence[float], margin: float = 0.0) -> bool:
+        """The one-row view of ``contains_mask``; a point with the wrong
+        number of coordinates is outside."""
         point = tuple(point)
         if len(point) != self.dim:
             return False
-        for p, (a, b) in zip(point, self.box):
-            if not (a + margin < p < b - margin):
-                return False
-        for center, r in self.disks:
-            if math.dist(point, center) <= r + margin:
-                return False
-        return True
+        return bool(self.contains_mask(
+            self.arrays(np.array([point], dtype=float)), margin)[0])
 
     def contains_mask(self, arrays: dict, margin: float = 0.0) -> np.ndarray:
         """Vectorised containment over coordinate arrays."""
@@ -172,6 +169,14 @@ def sample_points(chart: Chart, count: int = STANDARD_SAMPLE_COUNT,
     return out
 
 
+def _require_coords(chart: Chart, e: Expr, what: str):
+    """ChartMismatch, naming ``what``, when ``e`` uses a coordinate the
+    chart does not have."""
+    extra = e.variables() - set(chart.coords)
+    if extra:
+        raise ChartMismatch(f"{what} uses unknown coordinates {sorted(extra)}")
+
+
 def _check_components(chart: Chart, components, what: str) -> tuple[Expr, ...]:
     comps = tuple(components)
     if len(comps) != chart.dim:
@@ -179,9 +184,7 @@ def _check_components(chart: Chart, components, what: str) -> tuple[Expr, ...]:
     for c in comps:
         if not isinstance(c, Expr):
             raise ValidationError(f"{what} components must be expressions")
-        extra = c.variables() - set(chart.coords)
-        if extra:
-            raise ChartMismatch(f"{what} uses unknown coordinates {sorted(extra)}")
+        _require_coords(chart, c, what)
     return comps
 
 
@@ -242,9 +245,7 @@ class VolumeForm:
     def __post_init__(self, validate: bool):
         if not isinstance(self.density, Expr):
             raise ValidationError("density must be an expression")
-        extra = self.density.variables() - set(self.chart.coords)
-        if extra:
-            raise ChartMismatch(f"density uses unknown coordinates {sorted(extra)}")
+        _require_coords(self.chart, self.density, "density")
         if validate:
             pts = np.asarray(sample_points(self.chart), dtype=float)
             vals = self.density.eval_many(self.chart.arrays(pts))
@@ -311,9 +312,7 @@ def _require_same_chart(a_chart: Chart, b_chart: Chart):
 def _require_scalar_on(chart: Chart, f: Expr):
     if not isinstance(f, Expr):
         raise ValidationError("expected an expression")
-    extra = f.variables() - set(chart.coords)
-    if extra:
-        raise ChartMismatch(f"scalar uses unknown coordinates {sorted(extra)}")
+    _require_coords(chart, f, "scalar")
 
 
 def apply_field(field: VectorField, f: Expr) -> Expr:

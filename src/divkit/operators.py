@@ -44,6 +44,7 @@ from .geometry import (
     OneForm,
     VectorField,
     VolumeForm,
+    _require_coords,
     sample_points,
 )
 
@@ -71,9 +72,7 @@ def _check_matrix(chart: Chart, entries, what: str):
         for e in row:
             if not isinstance(e, Expr):
                 raise ValidationError(f"{what} entries must be expressions")
-            extra = e.variables() - set(chart.coords)
-            if extra:
-                raise ChartMismatch(f"{what} uses unknown coordinates {sorted(extra)}")
+            _require_coords(chart, e, what)
     return rows
 
 
@@ -170,10 +169,7 @@ class Connection:
                 for e in row:
                     if not isinstance(e, Expr):
                         raise ValidationError("connection symbols must be expressions")
-                    extra = e.variables() - set(self.chart.coords)
-                    if extra:
-                        raise ChartMismatch(
-                            f"connection uses unknown coordinates {sorted(extra)}")
+                    _require_coords(self.chart, e, "connection")
         object.__setattr__(self, "gamma", g)
 
     @classmethod
@@ -404,8 +400,8 @@ def _combined(kind: str, op: DivOperator, other: DivOperator,
 def difference(op: DivOperator, base: DivOperator) -> DivOperator:
     """E = D - D0, the operator every stage of ``classify`` works on.  It is
     kept on D, weakly keyed by D0, so a repeated ``classify`` of one pair
-    reuses E with its images, residual trees and evaluation plans.  A
-    blackbox E holds D0, so D0 then lives as long as D does."""
+    reuses E with its images and evaluation plans.  A blackbox E holds D0,
+    so D0 then lives as long as D does."""
     diff = op._differences.get(base)
     if diff is None:
         diff = op._differences[base] = _combined("difference", op, base,

@@ -1,10 +1,8 @@
 """Axiom residual sweeps: true divergences pass, perturbed ones are caught."""
 
-import gc
 import itertools
 import math
 import re
-import weakref
 
 import numpy as np
 import pytest
@@ -442,19 +440,18 @@ def _counting(op):
 
 
 def test_batched_sweep_crosses_block_boundary():
-    # at 2,049 points the samples and each field's 4,098 probe rows are
-    # packed into blocks of 4,096 rows: the first block holds the samples
-    # and 2,047 rows of the first probe set, so probe sets span two blocks
+    # at 2,049 points each field's 4,098 probe rows are packed into blocks
+    # of 4,096 rows, so probe sets span two blocks
     op, rows = _counting(FLAT_OP)
     config = CheckConfig(n_points=2_049)
     check_axioms(op, config)
-    # the lifted fn_many is called once per field and block, then once per
-    # bracket and fX at the samples
+    # the lifted fn_many is called once per field, bracket and fX at the
+    # samples, then once per field and block of probes
     n = 8 + len(library_fields(BOX))
-    full, rest = divmod(2_049 + n * 2 * 2_049, axioms.BATCH_ROWS)
-    assert (full, rest) == (13, 2_075)
-    assert rows == [axioms.BATCH_ROWS] * n * full + [rest] * n \
-        + [2_049] * (n * (n - 1) // 2 + 4 * n)
+    full, rest = divmod(n * 2 * 2_049, axioms.BATCH_ROWS)
+    assert (full, rest) == (13, 26)
+    assert rows == [2_049] * (n + n * (n - 1) // 2 + 4 * n) \
+        + [axioms.BATCH_ROWS] * n * full + [rest] * n
     _assert_matches_reference(op, config)
 
 
@@ -482,13 +479,16 @@ def test_blackbox_sweep_makes_one_call_per_field():
     check_axioms(op)
     fields, scalars = 8 + len(library_fields(BOX)), 4
     pairs = fields * (fields - 1) // 2
-    assert len(rows) == pairs + fields + scalars * fields == 143
+    # each field, bracket and fX at the samples, then each field over the
+    # one block of probes
+    assert len(rows) == fields + pairs + scalars * fields + fields == 156
+    assert rows == [100] * 143 + [2_600] * 13
 
 
 def test_blackbox_sweep_batches_the_hidden_operator():
-    # one call of all 13 fields over the samples and every probe set (2,700
-    # rows, one block), then every bracket and every fX in one call of
-    # 78 + 52 fields
+    # one call of every field, bracket and fX over the samples (13 + 78 + 52
+    # fields), then one of the 13 fields over every probe set (2,600 rows,
+    # one block)
     hidden = div_volume(VolumeForm.from_string(BOX, "exp(x+0.5*y)"))
     apply_fields = hidden.apply_fields
     calls = []
@@ -500,7 +500,7 @@ def test_blackbox_sweep_batches_the_hidden_operator():
     hidden.apply_fields = counting
     report = check_axioms(hidden.as_blackbox())
     assert report.passed
-    assert calls == [13, 130]
+    assert calls == [143, 13]
 
 
 @pytest.mark.parametrize("blackbox", [False, True])
@@ -553,9 +553,9 @@ def test_one_point_sweep_matches_single_point_residuals(op, blackbox):
 # ---------------------------------------------------------------------------
 # the shared symbolic sweep
 #
-# check_axioms takes one image per field and evaluates every residual tree of
-# a symbolic operator in one eval_roots call.  The reference below is the
-# plain per-pair sweep: D(X) rebuilt for each pair and term, each tree
+# check_axioms takes one image per field and evaluates every value a symbolic
+# operator's residuals combine in one eval_roots call.  The reference below
+# is the plain per-pair sweep: one residual tree for each pair and term, each
 # evaluated on its own.  Both must give identical entries.
 
 
@@ -623,11 +623,12 @@ def test_shared_symbolic_sweep_matches_per_pair_reference(seed):
 
 def test_symbolic_sweep_takes_one_image_per_field():
     op = div_sdensity(VolumeForm.from_string(BOX, "exp(x^2 - y)"), 0.5)
-    calls = []
+    built = []
     symbolic = op.symbolic
 
     def counting(field):
-        calls.append(field)
+        if field not in op._images:
+            built.append(field)
         return symbolic(field)
 
     op.symbolic = counting
@@ -635,11 +636,17 @@ def test_symbolic_sweep_takes_one_image_per_field():
     fields = random_fields(BOX, 8, rng) + library_fields(BOX)
     scalars = random_scalars(BOX, 4, rng)
     check_axioms(op, fields=fields, scalars=scalars)
-    pairs = len(fields) * (len(fields) - 1) // 2
-    # D(X) for each field, D([X,Y]) for each pair, D(fX) for each scalar and field
-    assert len(calls) == len(fields) + pairs + len(scalars) * len(fields) == 143
+    # D(X) for each field, D([X,Y]) for each pair, D(fX) for each scalar
+    # and field, each built once; equal fields share one image
+    battery = axioms._Battery(BOX, fields, scalars)
+    swept = [x for _, x in fields]
+    swept += [battery.bracket(a, b) for a, b in itertools.combinations(range(13), 2)]
+    swept += [battery.scaled(k, i) for k in range(4) for i in range(13)]
+    assert len(swept) == 143
+    assert len(built) == len(set(built)) == len(set(swept))
+    assert set(built) == set(swept)
     for _, x in fields:
-        assert sum(1 for c in calls if c is x) == 1
+        assert sum(1 for c in built if c is x) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -742,12 +749,11 @@ def test_battery_cache_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# images and residual trees kept between sweeps
+# images kept between sweeps
 #
 # An operator never changes after it is built, so it keeps each image D(X)
-# while X lives, and a battery keeps each symbolic operator's residual trees
-# while the operator lives.  A second sweep gives the same report as the
-# first without building either again.
+# while X lives.  A second sweep gives the same report as the first without
+# building an image, a tree or a plan again.
 
 
 def test_second_sweep_of_one_operator_builds_no_image(monkeypatch):
@@ -782,34 +788,25 @@ def test_second_sweep_of_one_operator_builds_no_image(monkeypatch):
     assert opaque.entries == _ref_entries(op.as_blackbox(), config)
 
 
-def test_kept_residual_trees_match_a_fresh_battery():
-    # one operator swept at each key of its kept trees gives the values of
-    # a battery built afresh, whatever order the keys come in
+def test_warm_sweep_builds_no_tree_and_no_plan(monkeypatch):
+    # the images, the battery's trees and the evaluation plans all outlive
+    # the first sweep, so a second one of the operator and of its blackbox
+    # view builds none of them again
     op = div_sdensity(VolumeForm.from_string(BOX, "exp(x - 0.25*y)"), 0.5)
-    battery = axioms._generated(BOX, 17, 2, 1)
-    pts = np.asarray(sample_points(BOX, 15, 17), dtype=float)
-    keys = [(0.5, 1e-5), (0.0, None), (0.5, None), (0.0, 1e-5), (0.5, 1e-5)]
-    for weight, h0 in keys:
-        fresh = axioms._drawn(BOX, 17, 2, 1)
-        got = list(axioms._residuals(op, battery, weight, pts, h0))
-        want = list(axioms._residuals(op, fresh, weight, pts, h0))
-        assert len(got) == len(want) > 0
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
-    assert set(battery._roots[op]) == {(0.5, True), (0.0, False), (0.5, False),
-                                       (0.0, True)}
-
-
-def test_kept_residual_trees_do_not_keep_the_operator_alive():
-    op = div_volume(VolumeForm.from_string(BOX, "exp(0.5*x*y)"))
-    config = CheckConfig(seed=19, n_points=10, n_fields=1, n_scalars=1)
-    check_axioms(op, config)
-    battery = axioms._generated(BOX, 19, 1, 1)
-    assert len(battery._roots) == 1
-    ref = weakref.ref(op)
-    del op
-    gc.collect()
-    assert ref() is None
-    assert len(battery._roots) == 0
+    config = CheckConfig(seed=21, n_points=25, n_fields=2, n_scalars=2)
+    hidden = op.as_blackbox()
+    first = [check_axioms(target, config) for target in (op, hidden)]
+    built = _count_builds(monkeypatch)
+    for name in ("_Program", "_parent_counts", "_simplify"):
+        original = getattr(expr_module, name)
+        monkeypatch.setattr(expr_module, name,
+                            lambda *args, _name=name, _original=original:
+                            built.append(_name) or _original(*args))
+    second = [check_axioms(target, config) for target in (op, hidden)]
+    monkeypatch.undo()
+    assert built == []
+    assert [(r.entries, r.manifest) for r in second] \
+        == [(r.entries, r.manifest) for r in first]
 
 
 # ---------------------------------------------------------------------------
@@ -892,8 +889,9 @@ def test_sweep_residuals_match_the_normal_form(case):
     fields = [x for _, x in battery.fields]
     d_theta = d_oneform(op.theta)
     memo = {}
-    # (closed form, the residual tree the sweep evaluates, rebuilt here only
-    # for its magnitude), in the sweep's order: pairs, then scalar by field
+    # (closed form, the residual as a tree of the values the sweep combines,
+    # built here only for its magnitude), in the sweep's order: pairs, then
+    # scalar by field
     want = []
     for a, b in itertools.combinations(range(len(fields)), 2):
         x, y = fields[a], fields[b]

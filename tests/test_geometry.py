@@ -21,6 +21,7 @@ from divkit.geometry import (
     line_integral,
     sample_points,
 )
+from divkit.operators import div_volume
 from divkit.reconstruct import PointwiseOneForm
 
 BOX = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
@@ -75,6 +76,27 @@ def test_chart_containment():
     assert not BOX.contains((0.95, 0.0), margin=0.1)
     with pytest.raises(DomainError):
         ANNULUS.require_inside((0.0, 0.0))
+
+
+@pytest.mark.parametrize("point, inside", [
+    ((0.1835870507260606, -0.07934604467588073), True),
+    ((0.1321713814453301, 0.1501023848139431), False),
+])
+def test_one_containment_rule_at_the_disk_edge(point, inside):
+    # two points within rounding of the disk's edge: the pointwise and the
+    # vectorised tests, and so apply and apply_many, give one answer
+    assert ANNULUS.contains(point) is inside
+    assert ANNULUS.contains_mask(ANNULUS.arrays(np.array([point])))[0] == inside
+    op = div_volume(VolumeForm.from_string(ANNULUS, "1"))
+    dilation = VectorField.from_strings(ANNULUS, ("x", "y"))
+    if inside:
+        assert op.apply(dilation, point) == 2.0
+        assert op.apply_many(dilation, [point]).tolist() == [2.0]
+    else:
+        with pytest.raises(DomainError):
+            op.apply(dilation, point)
+        with pytest.raises(DomainError):
+            op.apply_many(dilation, [point])
 
 
 def test_sample_points_deterministic_and_inside():

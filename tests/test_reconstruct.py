@@ -712,8 +712,8 @@ def test_classify_inconsistent_when_only_verification_sees_the_fault():
 
 
 def test_second_classify_of_a_pair_reuses_the_difference(monkeypatch):
-    # E = D - D0 is kept on D, so its images, residual trees and evaluation
-    # plans outlive the first call: the second builds no plan
+    # E = D - D0 is kept on D, so its images and evaluation plans outlive
+    # the first call: the second builds no plan
     config = ClassifyConfig(n_points=30, n_fields=2, n_scalars=1, seed=3)
     for op, base in ((weighted_op(), flat_op()),
                      (weighted_op().as_blackbox(), flat_op())):
