@@ -33,7 +33,7 @@ root = Expr("sqrt", (metric.det(),)).simplify()
 from_volume = div_volume(VolumeForm(polar, root))
 from_affine = div_affine(levi_civita(metric))
 
-pts = np.asarray(sample_points(polar, 50))
+pts = sample_points(polar, 50)
 gap1 = np.abs(from_metric.apply_many(radial, pts)
               - from_volume.apply_many(radial, pts)).max()
 gap2 = np.abs(from_affine.apply_many(radial, pts)

@@ -20,7 +20,7 @@ print("verdict:", result.verdict)
 for name, value in result.residuals.items():
     print(f"  {name} residual {value:.3e}")
 
-pts = np.asarray(sample_points(box, 6, seed=42))
+pts = sample_points(box, 6, seed=42)
 truth = np.exp(pts[:, 0] ** 2 - pts[:, 1])
 rebuilt = result.volume.density.many(pts)
 print("rebuilt density vs exp(x^2 - y):")

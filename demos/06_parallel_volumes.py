@@ -6,8 +6,6 @@ happens exactly when the affine divergence equals the volume divergence.
 Both directions of the equivalence are shown numerically.
 """
 
-import numpy as np
-
 from divkit import (
     Chart,
     Metric,
@@ -23,7 +21,7 @@ from divkit import (
 polar = Chart(("r", "th"), ((1.0, 2.5), (0.0, 1.5)))
 metric = Metric.from_strings(polar, [["1", "0"], ["0", "r^2"]])
 lc = levi_civita(metric)
-pts = np.asarray(sample_points(polar, 60, seed=3))
+pts = sample_points(polar, 60, seed=3)
 arrays = polar.arrays(pts)
 
 

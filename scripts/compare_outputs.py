@@ -14,7 +14,9 @@ node-by-node evaluation path to identity as the other two hold the
 level-by-level one.  The child prints the repr of every report entry (max
 residual, argmax point, samples, skipped), of every classification field
 (verdict, residuals, periods, witness, restricted box) and of the integral's
-value, one line each; both passes are compared with the parent's.
+value, one line each; both passes are compared with the parent's.  Each
+golden ``cli-specs`` case, a fresh process, runs once per seed; its exit
+code and every line of its stdout are compared, noise digits included.
 
 Standard library only.  Exits 0 when both sides print the same lines and 1
 otherwise, after naming every line that differs and their count.
@@ -34,6 +36,8 @@ from bench_pairs import ROOT, parent_checkout, side_env
 WORKLOADS = ("axiom-sweep", "classify-verdicts", "dense-eval")
 # Every operation runs once per pass, on the same operators and batteries.
 PASSES = (1, 2)
+# Fresh processes share nothing between passes, so they run once.
+CLI_WORKLOAD = "cli-specs"
 
 
 def parse_args(argv):
@@ -55,6 +59,9 @@ def parse_args(argv):
 
 def output_lines(result) -> list[str]:
     """What one operation's result says, one repr per line."""
+    if hasattr(result, "stdout"):  # a CLI process
+        return [f"exit {result.code}"] + [f"stdout {line}" for line in
+                                          result.stdout.splitlines()]
     if hasattr(result, "entries"):
         return [f"entry {i} {entry!r}" for i, entry in enumerate(result.entries)]
     if not hasattr(result, "verdict"):  # the integral's value
@@ -81,6 +88,9 @@ def child(seeds: str) -> int:
             for workload, op in ops:
                 for line in output_lines(op.run(None)):
                     print(f"{workload} seed {seed} pass {run} {op.label}: {line}")
+        for op in workloads.build(CLI_WORKLOAD, int(seed)):
+            for line in output_lines(op.run(None)):
+                print(f"{CLI_WORKLOAD} seed {seed} {op.label}: {line}")
     return 0
 
 

@@ -12,18 +12,20 @@ comes from one ``eval_roots`` call.  An opaque operator's images come from
 one ``apply_fields`` call, and X(D(Y)) from central differences along each
 field's direction, every field evaluated at the probes in one call per
 block of rows.  One combination then fills the rows.  The single-point
-residuals are one-point sweeps, and ``classify``'s tensoriality residual
-is the Leibniz-only sweep of D - D0 at weight 0.  A sweep returns one
-(residuals x points) array; ``_maxima`` takes each residual's worst sample
-in one pass.  ``_probes`` places every finite-difference probe,
-``classify``'s too.
+residuals are one-point sweeps.  ``classify``'s tensoriality residual is
+the Leibniz-only sweep of D - D0 at weight 0, and its closedness residual
+the cocycle-only sweep over the chart's unit fields, ``_units``.  A sweep
+returns one (residuals x points) array; ``_maxima`` takes each residual's
+worst sample in one pass.  ``_probes`` places every finite-difference
+probe, ``classify``'s too.
 
 A battery, ``_Battery``, holds the fields and scalars with the trees the
 sweep derives from them alone: each bracket [X, Y], field fX and
 derivative X(f), built on first use.  A generated battery depends only on
 the chart, the seed and the two counts, never on the operator, so
 ``_generated`` keeps the last few and every ``check_axioms`` and
-``classify`` with an equal chart and sizes reuses one.  With the images
+``classify`` with an equal chart and sizes reuses one, as each closedness
+sweep on an equal chart reuses its unit battery.  With the images
 an operator keeps, a second sweep builds no tree and ``eval_roots``
 reuses the plans of the first.
 """
@@ -273,6 +275,12 @@ def _generated(chart: Chart, seed: int, n_fields: int, n_scalars: int) -> _Batte
     """The drawn battery of a sweep configuration, shared by every sweep
     with an equal chart, seed and sizes."""
     return _drawn(chart, seed, n_fields, n_scalars)
+
+
+@functools.lru_cache(maxsize=_BATTERY_CACHE)
+def _units(chart: Chart) -> _Battery:
+    """The chart's unit fields, the battery of its closedness sweeps."""
+    return _Battery(chart, _library(chart)[:chart.dim], [])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +555,7 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
         battery = _drawn(chart, config.seed, config.n_fields, config.n_scalars,
                          fields, scalars)
     fields, scalars = battery.fields, battery.scalars
-    pts = np.asarray(sample_points(chart, config.n_points, config.seed), dtype=float)
+    pts = sample_points(chart, config.n_points, config.seed)
     tol = config.tol if config.tol is not None else (1e-9 if op.is_symbolic else 1e-6)
     h0 = config.fd_step_scale * chart.min_side
 

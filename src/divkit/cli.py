@@ -185,7 +185,7 @@ def run_divergence(spec, args) -> int:
     if args.point:
         pts = np.asarray([_parse_point(t, op.chart.dim) for t in args.point])
     else:
-        pts = np.asarray(sample_points(op.chart, points, seed))
+        pts = sample_points(op.chart, points, seed)
     expr = op.symbolic(field)
     if expr is not None:
         print(f"EXPRESSION {expr}")
@@ -201,7 +201,7 @@ def run_verify_kn(spec, args) -> int:
     seed, tol, points = _settings(spec, args)
     tol = tol if tol is not None else 1e-8
     chart = volume.chart
-    pts = np.asarray(sample_points(chart, points, seed))
+    pts = sample_points(chart, points, seed)
     arrays = chart.arrays(pts)
     residual_form = parallel_residual(connection, volume)
     parallel_max = float(np.max([np.abs(comp.eval_many(arrays)).max()

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ChartMismatch, DomainError, ValidationError
-from .expr import FUNCTIONS, Expr, _IDENT_RE, const, parse_expr
+from .expr import FUNCTIONS, EvalDomainError, Expr, _IDENT_RE, const, parse_expr
 from .quadrature import QuadratureRule, default_rule
 
 __all__ = [
@@ -143,9 +143,9 @@ class Chart:
 
 
 def sample_points(chart: Chart, count: int = STANDARD_SAMPLE_COUNT,
-                  seed: int = STANDARD_SEED) -> list[tuple[float, ...]]:
-    """Deterministic interior samples, kept ``chart.margin`` away from the
-    box boundary and from every disk."""
+                  seed: int = STANDARD_SEED) -> np.ndarray:
+    """Deterministic interior samples as a (count, dim) array, kept
+    ``chart.margin`` away from the box boundary and from every disk."""
     if count < 1:
         raise ValidationError("sample count must be positive")
     rng = np.random.default_rng(seed)
@@ -154,19 +154,13 @@ def sample_points(chart: Chart, count: int = STANDARD_SAMPLE_COUNT,
     highs = np.array([b - margin for _, b in chart.box])
     if np.any(lows >= highs):
         raise ValidationError("chart is too thin to sample at the standard margin")
-    out: list[tuple[float, ...]] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200:
-            raise ValidationError("rejection sampling failed; disks crowd the chart")
+    kept = []
+    for _ in range(200):
         draw = rng.uniform(lows, highs, size=(max(count, 64), chart.dim))
-        mask = chart.contains_mask(chart.arrays(draw), margin=margin)
-        for row in draw[mask]:
-            out.append(tuple(row))
-            if len(out) == count:
-                break
-    return out
+        kept.append(draw[chart.contains_mask(chart.arrays(draw), margin=margin)])
+        if sum(map(len, kept)) >= count:
+            return np.concatenate(kept)[:count]
+    raise ValidationError("rejection sampling failed; disks crowd the chart")
 
 
 def _require_coords(chart: Chart, e: Expr, what: str):
@@ -199,8 +193,12 @@ class _Components:
         return cls(chart, tuple(parse_expr(t, chart.coords) for t in texts))
 
     def values_at(self, point: Sequence[float]) -> tuple[float, ...]:
-        env = self.chart.env(point)
-        return tuple(c.eval(env) for c in self.components)
+        """The one-row view of ``values_matrix``; EvalDomainError where a
+        component is not finite."""
+        values = self.values_matrix(np.asarray([point], dtype=float))[0]
+        if not np.all(np.isfinite(values)):
+            raise EvalDomainError(f"a component is not finite at {tuple(point)}")
+        return tuple(values.tolist())
 
     def values_many(self, arrays: dict) -> list[np.ndarray]:
         return [c.eval_many(arrays) for c in self.components]
@@ -247,7 +245,7 @@ class VolumeForm:
             raise ValidationError("density must be an expression")
         _require_coords(self.chart, self.density, "density")
         if validate:
-            pts = np.asarray(sample_points(self.chart), dtype=float)
+            pts = sample_points(self.chart)
             vals = self.density.eval_many(self.chart.arrays(pts))
             if not np.all(np.isfinite(vals)) or not np.all(vals > 0.0):
                 raise ValidationError("density must be positive on the chart")

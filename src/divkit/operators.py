@@ -120,7 +120,7 @@ class Metric:
                     raise ValidationError(
                         f"metric is not symmetric at entry ({i}, {j})")
         object.__setattr__(self, "components", simplified)
-        pts = np.asarray(sample_points(self.chart), dtype=float)
+        pts = sample_points(self.chart)
         arrays = self.chart.arrays(pts)
         for k in range(1, n + 1):
             lead = _det([row[:k] for row in simplified[:k]], k)
@@ -409,11 +409,24 @@ def difference(op: DivOperator, base: DivOperator) -> DivOperator:
     return diff
 
 
-def perturbed_operator(base: DivOperator, shift: OneForm) -> DivOperator:
-    """Base operator plus the pairing of a one-form with the field: the
-    weight-0 operator whose theta is the shift."""
-    pairing = DivOperator(shift.chart, "pairing", weight=0.0, theta=shift)
-    return _combined("perturbed", base, pairing, operator.add)
+def _pairing(form) -> DivOperator:
+    """The weight-0 operator X -> sum_i E_i X^i of a one-form E: symbolic for
+    a ``OneForm``, a blackbox for a form held only by ``values_matrix``."""
+    if isinstance(form, OneForm):
+        return DivOperator(form.chart, "pairing", weight=0.0, theta=form)
+
+    def fn_fields(fields, pts):
+        values = form.values_matrix(pts)
+        return [np.einsum("mn,mn->m", values, x.values_matrix(pts))
+                for x in fields]
+
+    return DivOperator(form.chart, "pairing", weight=0.0, fn_fields=fn_fields)
+
+
+def perturbed_operator(base: DivOperator, shift) -> DivOperator:
+    """Base operator plus the pairing of the one-form ``shift`` with the
+    field: symbolic when both are."""
+    return _combined("perturbed", base, _pairing(shift), operator.add)
 
 
 def as_batch(fn: Callable | None, fn_many: Callable | None) -> Callable:

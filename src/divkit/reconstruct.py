@@ -5,10 +5,12 @@ works on the difference E = D - D0.  E pairs fields pointwise with a
 one-form exactly when its Leibniz residual at weight 0 vanishes, i.e. when
 D satisfies the product rule at the reference weight; that residual is
 sampled by the Leibniz-only case of the axiom checker's sweep.  D satisfies
-the bracket axiom exactly when that one-form is closed.  On a chart
-star-shaped about its basepoint a closed form integrates to a potential
-along straight segments, and exp(potential) times the reference density
-rebuilds a volume whose divergence is D.  On charts with excluded disks a
+the bracket axiom exactly when that one-form is closed, sampled by the
+cocycle-only case over the unit fields e_i: as [e_i, e_j] = 0 and
+E(e_j) = E_j, its rows are |d_i E_j - d_j E_i|.  On a chart star-shaped
+about its basepoint a closed form integrates to a potential along straight
+segments, and exp(potential) times the reference density rebuilds a
+volume whose divergence is D.  On charts with excluded disks a
 nonzero loop integral certifies that no single volume works globally;
 otherwise the decision is rerun on a disk-free slab.  One helper verifies
 E against the potential's gradient, E(X) = X(P), on the chart's fields at
@@ -19,6 +21,7 @@ P stay accurate where those of exp(P) rho0 grow with the box.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,21 +29,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .axioms import (_Battery, _generated, _maxima, _partials,
-                     _require_step, _residuals, leibniz_residual,
+                     _require_step, _residuals, _units, leibniz_residual,
                      library_fields)
 from .errors import ChartMismatch, DomainError, ValidationError
 from .expr import Expr
 from .geometry import (
     Chart,
-    OneForm,
     Path,
     VectorField,
     VolumeForm,
-    d_oneform,
     line_integral,
     sample_points,
 )
-from .operators import DivOperator, as_batch, difference
+from .operators import DivOperator, _pairing, as_batch, difference
 from .quadrature import QuadratureRule, default_rule
 
 __all__ = [
@@ -76,8 +77,9 @@ INCONSISTENT = "inconsistent"
 
 class PointwiseOneForm:
     """One-form known only through evaluation: ``fn_many`` maps an (m, n)
-    array of points to the (m, n) matrix of components.  A pointwise
-    ``fn(point) -> components`` alone is lifted to it row by row."""
+    array of points to the (m, n) matrix of components, each row from that
+    row alone.  A pointwise ``fn(point) -> components`` alone is lifted to
+    it row by row."""
 
     def __init__(self, chart: Chart, fn: Callable | None,
                  fn_many: Callable | None = None):
@@ -174,44 +176,29 @@ def extract_oneform(op: DivOperator, base: DivOperator):
     diff = difference(op, base)
     if diff.is_symbolic:
         return diff.theta
-    chart = diff.chart
-    units = [u for _, u in library_fields(chart)[:chart.dim]]
-
-    def fn_many(pts):
-        return np.stack(diff.apply_fields(units, pts), axis=1)
-
-    return PointwiseOneForm(chart, None, fn_many)
+    units = [u for _, u in _units(diff.chart).fields]
+    return PointwiseOneForm(diff.chart, None, lambda pts: np.stack(
+        diff.apply_fields(units, pts), axis=1))
 
 
-def _closedness_details(form, pts: np.ndarray, h0: float):
-    """Max |d_i E_j - d_j E_i| with its index pair and point; a form held
-    as a batch callable is differentiated with base step h0."""
-    chart = form.chart
-    n = chart.dim
-    if n < 2:
-        return 0.0, None, None
-    if isinstance(form, OneForm):
-        matrix = d_oneform(form)
-        arrays = chart.arrays(pts)
-
-        def pair_values(i, j):
-            return matrix[i][j].eval_many(arrays)
-    else:
-        # [point, axis, component]
-        partials = _partials(chart, form.values_matrix, pts, h0)
-
-        def pair_values(i, j):
-            return partials[:, i, j] - partials[:, j, i]
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    maxima = _maxima(np.abs(np.stack([pair_values(i, j) for i, j in pairs])))
-    worst, pair, where = 0.0, None, None
-    for (i, j), (local, k, _) in zip(pairs, maxima):
-        if k is None:
-            return math.inf, (i, j), None
+def _worst(labels, values: np.ndarray, pts: np.ndarray):
+    """The largest residual of a sweep's (residuals x points) array with its
+    row's label and point, the first such row winning; a row with no finite
+    value counts as inf with no point.  (0.0, None, None) when all are 0."""
+    worst, label, where = 0.0, None, None
+    for lab, (local, k, _) in zip(labels, _maxima(values)):
         if local > worst:
-            worst, pair, where = local, (i, j), tuple(pts[k])
-    return worst, pair, where
+            worst, label, where = local, lab, None if k is None else tuple(pts[k])
+    return worst, label, where
+
+
+def _closedness_details(op: DivOperator, pts: np.ndarray, h0: float):
+    """Max |d_i E_j - d_j E_i| with its index pair and point, for the
+    one-form E that pairs fields with the operator: the cocycle rows of the
+    sweep over the chart's unit fields e_i, where [e_i, e_j] = 0 and
+    op(e_j) = E_j.  A blackbox is differentiated with base step h0."""
+    pairs = list(itertools.combinations(range(op.chart.dim), 2))
+    return _worst(pairs, _residuals(op, _units(op.chart), 0.0, pts, h0), pts)
 
 
 def closedness_residual(form, points, fd_step_scale: float = 1e-5) -> float:
@@ -227,8 +214,8 @@ def closedness_residual(form, points, fd_step_scale: float = 1e-5) -> float:
     pts = np.asarray(points, dtype=float)
     if not np.all(chart.contains_mask(chart.arrays(pts))):
         raise DomainError("a point lies outside the chart domain")
-    worst, _, _ = _closedness_details(form, pts, fd_step_scale * chart.min_side)
-    return worst
+    return _closedness_details(_pairing(form), pts,
+                               fd_step_scale * chart.min_side)[0]
 
 
 def integrate_potential(form, chart: Chart | None = None,
@@ -325,16 +312,11 @@ def _tensoriality_stage(diff: DivOperator, battery: _Battery, pts):
     """Worst Leibniz residual of E = D - D0 at weight 0 over the battery,
     with its witness: the Leibniz-only case of the axiom sweep
     ``axioms._residuals``."""
-    labels = [(fname, xname) for fname, _ in battery.scalars
+    labels = [{"scalar": fname, "field": xname} for fname, _ in battery.scalars
               for xname, _ in battery.fields]
-    maxima = _maxima(_residuals(diff, battery, 0.0, pts))
-    worst, witness = 0.0, None
-    for (fname, xname), (local, k, _) in zip(labels, maxima):
-        if local > worst:
-            worst = local
-            witness = {"scalar": fname, "field": xname, "residual": local,
-                       "point": None if k is None else tuple(pts[k])}
-    return worst, witness
+    worst, label, where = _worst(labels, _residuals(diff, battery, 0.0, pts), pts)
+    return worst, None if label is None else {**label, "residual": worst,
+                                              "point": where}
 
 
 def tensoriality_residual(op: DivOperator, base: DivOperator, f: Expr,
@@ -374,8 +356,7 @@ def classify(op: DivOperator, base: DivOperator,
     config = config or ClassifyConfig()
     chart = op.chart
     battery = _generated(chart, config.seed, config.n_fields, config.n_scalars)
-    pts = np.asarray(sample_points(chart, config.n_points, config.seed),
-                     dtype=float)
+    pts = sample_points(chart, config.n_points, config.seed)
     residuals: dict = {}
 
     tens, witness = _tensoriality_stage(diff, battery, pts)
@@ -385,7 +366,7 @@ def classify(op: DivOperator, base: DivOperator,
         return Classification(NOT_TENSORIAL, form, residuals, witness=witness)
 
     closed, pair, where = _closedness_details(
-        form, pts, config.fd_step_scale * chart.min_side)
+        diff, pts, config.fd_step_scale * chart.min_side)
     residuals["closedness"] = closed
     if closed > config.tol:
         return Classification(NOT_COCYCLE, form, residuals,
@@ -413,9 +394,7 @@ def classify(op: DivOperator, base: DivOperator,
     volume = None if base.density is None else rebuild_volume(
         potential, VolumeForm(base.chart, base.density, validate=False))
     # slab points lie inside the chart, so its own fields and E serve
-    verify_pts = np.asarray(
-        sample_points(work_chart, min(config.n_points, 50), config.seed),
-        dtype=float)
+    verify_pts = sample_points(work_chart, min(config.n_points, 50), config.seed)
     verify = _verification(diff, potential,
                            [x for _, x in library_fields(chart)], verify_pts,
                            config.fd_step_scale * work_chart.min_side)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from divkit.errors import ChartMismatch, DomainError, ValidationError
-from divkit.expr import Expr, const, parse_expr, var
+from divkit.expr import EvalDomainError, Expr, const, parse_expr, var
 from divkit.geometry import (
     Chart,
     OneForm,
@@ -101,8 +101,9 @@ def test_one_containment_rule_at_the_disk_edge(point, inside):
 
 def test_sample_points_deterministic_and_inside():
     pts = sample_points(ANNULUS, count=200, seed=7)
-    assert pts == sample_points(ANNULUS, count=200, seed=7)
-    assert pts != sample_points(ANNULUS, count=200, seed=8)
+    assert pts.shape == (200, 2)
+    assert np.array_equal(pts, sample_points(ANNULUS, count=200, seed=7))
+    assert not np.array_equal(pts, sample_points(ANNULUS, count=200, seed=8))
     margin = ANNULUS.margin
     assert margin == pytest.approx(0.1)
     for p in pts:
@@ -152,6 +153,20 @@ def test_values_at_and_many():
         assert matrix.shape == (2, 2)
         assert tuple(matrix[0]) == f.values_at((0.5, 0.25))
         assert matrix[1, 0] == -0.25
+
+
+@pytest.mark.parametrize("cls", [VectorField, OneForm])
+def test_values_at_is_the_one_row_view(cls):
+    # a point with a third coordinate used to be cut to two and evaluated,
+    # one with a single coordinate to end in a raw KeyError: 'y'
+    obj = cls.from_strings(BOX, ("x*y", "log(y)"))
+    assert obj.values_at((0.5, 0.25)) == tuple(obj.values_matrix(
+        np.array([[0.5, 0.25]]))[0].tolist())
+    for point in ((0.1, 0.2, 0.3), (0.1,)):
+        with pytest.raises(DomainError):
+            obj.values_at(point)
+    with pytest.raises(EvalDomainError):
+        obj.values_at((0.5, -0.25))
 
 
 # ---------------------------------------------------------------------------

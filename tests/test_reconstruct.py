@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from divkit.axioms import (
     _Battery,
+    _maxima,
+    _partials,
     check_axioms,
     library_fields,
     random_fields,
@@ -27,6 +29,7 @@ from divkit.geometry import (
     VolumeForm,
     apply_field,
     d_function,
+    d_oneform,
     sample_points,
 )
 from divkit.operators import (
@@ -360,6 +363,80 @@ def test_closedness_residual_one_dimensional_chart():
     line = Chart(("x",), ((-1.0, 1.0),))
     form = OneForm.from_strings(line, ["exp(x)"])
     assert closedness_residual(form, box_points(line)) == 0.0
+
+
+def _reference_closedness(form, pts, h0):
+    """The closedness stage as it was before it joined the axiom sweep: the
+    exact d of a symbolic form pair by pair, central differences of a
+    pointwise one along each axis."""
+    chart = form.chart
+    n = chart.dim
+    if n < 2:
+        return 0.0, None, None
+    if isinstance(form, OneForm):
+        matrix = d_oneform(form)
+        arrays = chart.arrays(pts)
+
+        def pair_values(i, j):
+            return matrix[i][j].eval_many(arrays)
+    else:
+        partials = _partials(chart, form.values_matrix, pts, h0)
+
+        def pair_values(i, j):
+            return partials[:, i, j] - partials[:, j, i]
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    maxima = _maxima(np.abs(np.stack([pair_values(i, j) for i, j in pairs])))
+    worst, pair, where = 0.0, None, None
+    for (i, j), (local, k, _) in zip(pairs, maxima):
+        if k is None:
+            return math.inf, (i, j), None
+        if local > worst:
+            worst, pair, where = local, (i, j), tuple(pts[k])
+    return worst, pair, where
+
+
+LINE = Chart(("x",), ((-1.0, 1.0),))
+CUBE = Chart(("x", "y", "z"), ((-1.0, 1.0), (-0.5, 1.5), (0.0, 2.0)))
+# (chart, components, closed)
+CLOSEDNESS_FORMS = [
+    (LINE, ("exp(x)",), True),
+    (BOX, ("2*x*y^3", "3*x^2*y^2"), True),
+    (BOX, ("x*y", "sin(x)*y^2"), False),
+    (ANNULUS, ("-y/(x^2+y^2)", "x/(x^2+y^2)"), True),
+    (CUBE, ("2*x*y*z^2 + cos(x)", "x^2*z^2 + exp(y)", "2*x^2*y*z"), True),
+    (CUBE, ("sin(y*z)", "cos(x) + z", "x*y*z"), False),
+]
+
+
+@pytest.mark.parametrize("chart,texts,closed", CLOSEDNESS_FORMS)
+def test_closedness_sweep_matches_the_per_pair_reference(chart, texts, closed):
+    # closedness is the cocycle rows of the sweep over the unit fields; it
+    # reads every bit the per-pair route did, for the residual and for
+    # classify's witness, however the form and the operators are held.  At
+    # step 10 every probe leaves the box, so a pointwise residual is inf
+    form = one_form(chart, *texts)
+    pointwise = PointwiseOneForm(chart, None, form.values_matrix)
+    base = flat_op(chart)
+    op = perturbed_operator(base, form)
+    pts = box_points(chart)
+    for step in (1e-5, 0.3, 10.0):
+        h0 = step * chart.min_side
+        for f in (form, pointwise):
+            want, _, _ = _reference_closedness(f, pts, h0)
+            assert closedness_residual(f, pts, fd_step_scale=step) == want
+        assert (want == math.inf) == (step == 10.0 and chart.dim > 1)
+        config = ClassifyConfig(n_points=len(pts), seed=3, fd_step_scale=step)
+        for d in (op, op.as_blackbox()):
+            result = classify(d, base, config=config)
+            want, pair, where = _reference_closedness(
+                extract_oneform(d, base), pts, h0)
+            assert result.residuals["closedness"] == want
+            if not closed or want == math.inf:
+                assert result.verdict == NOT_COCYCLE
+            if result.verdict == NOT_COCYCLE:
+                assert result.witness == {"residual": want, "indices": pair,
+                                          "point": where}
 
 
 # ---------------------------------------------------------------------------
