@@ -17,6 +17,9 @@ residual, argmax point, samples, skipped), of every classification field
 value, one line each; both passes are compared with the parent's.  Each
 golden ``cli-specs`` case, a fresh process, runs once per seed; its exit
 code and every line of its stdout are compared, noise digits included.
+Per seed the child also prints ``integral_vanishing_check`` on a 1-D and a
+3-D chart, grid shapes ``dense-eval`` never reaches: the whole axis in one
+call, and one ``(1, n1, n2)`` slab per call.
 
 Standard library only.  Exits 0 when both sides print the same lines and 1
 otherwise, after naming every line that differs and their count.
@@ -72,6 +75,25 @@ def output_lines(result) -> list[str]:
             f"restricted {box!r}"]
 
 
+def chart_integrals(seed: int):
+    """(label, value) of the vanishing integral of a seeded bump field on a
+    1-D and on a 3-D chart; in 3-D a slab of 96^2 points fills a call."""
+    import numpy as np
+    from divkit import geometry, quadrature
+
+    rng = np.random.default_rng(seed)
+    cases = [("1d", ("u",), "exp(u^2)", 64),
+             ("3d", ("x", "y", "z"), "exp(x^2 - y*z)", 6)]
+    for label, coords, density, resolution in cases:
+        chart = geometry.Chart(coords, ((-1.0, 1.0),) * len(coords))
+        center = rng.uniform(-0.3, 0.3, size=len(coords))
+        field = quadrature.bump_field(chart, center, 0.6,
+                                      int(rng.integers(len(coords))))
+        volume = geometry.VolumeForm.from_string(chart, density)
+        yield label, quadrature.integral_vanishing_check(
+            volume, field, resolution=resolution)
+
+
 def child(seeds: str) -> int:
     """Print every output of the checkout in the current directory."""
     root = Path.cwd().resolve()
@@ -91,6 +113,8 @@ def child(seeds: str) -> int:
         for op in workloads.build(CLI_WORKLOAD, int(seed)):
             for line in output_lines(op.run(None)):
                 print(f"{CLI_WORKLOAD} seed {seed} {op.label}: {line}")
+        for label, value in chart_integrals(int(seed)):
+            print(f"integral-{label} seed {seed}: value {value!r}")
     return 0
 
 

@@ -436,6 +436,8 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
     pairs = [] if h0 is None else list(itertools.combinations(range(n), 2))
     derived = [battery.bracket(a, b) for a, b in pairs] \
         + [battery.scaled(k, i) for k in range(n_s) for i in range(n)]
+    if not derived:  # no rows, as in a 1-D chart's closedness sweep
+        return np.empty((0, m))
     # values in the order used: f, X(f) per scalar and field unless the
     # weight is 0, the exact partials' inputs, then D(X) per field, then D
     # at each bracket and fX

@@ -79,20 +79,36 @@ def _axis_rules(chart, resolution: int, rule: QuadratureRule):
     return [rule.mapped(a, b, segments=resolution) for a, b in chart.box]
 
 
-_GRID_POINTS = 8192  # per call of fn, so each array stays within 64 KB
+_GRID_POINTS = 8192  # block points per call of fn; a full-block array is 64 KB
+
+
+def _block_values(fn, arrays: dict, shape: tuple) -> np.ndarray:
+    """``fn``'s values on one block, written out C-contiguous in its shape:
+    a dot product sums a broadcast row of stride 0 in another order."""
+    vals = np.asarray(fn(arrays), dtype=float)
+    try:
+        return np.ascontiguousarray(np.broadcast_to(vals, shape))
+    except ValueError:
+        raise ValidationError(f"an integrand must return values that broadcast "
+                              f"to the block shape {shape}, not {vals.shape}") from None
 
 
 def grid_integral(fn, chart, resolution: int = 64,
                   rule: QuadratureRule | None = None) -> float:
     """Tensor-product integral of ``fn`` over the chart box.
 
-    ``fn`` receives a ``{coord: array}`` mapping and returns an array of
-    values.  ``resolution`` counts quadrature segments per axis, so the node
-    count per axis is ``order * resolution``; cost grows like its n-th
-    power.  Charts with excluded disks are rejected: the box integral would
-    cross the holes.  From 2-D up, each call gets as many whole slabs (one
-    first-axis node each) as fit in ``_GRID_POINTS`` points, or one larger
-    slab; each slab is summed on its own, in order, so no bit changes.
+    ``fn`` receives a ``{coord: array}`` mapping of arrays that broadcast
+    against each other to a block of grid points, and must act on them
+    elementwise; its return must broadcast to the block (a scalar will do),
+    or ValidationError is raised.  ``resolution`` counts quadrature segments
+    per axis, so the node count per axis is ``order * resolution``; cost
+    grows like its n-th power.  Charts with excluded disks are rejected: the
+    box integral would cross the holes.  In 1-D the block is the whole axis.
+    From 2-D up, each call gets as many whole slabs (one first-axis node
+    each) as fit in ``_GRID_POINTS`` points, or one larger slab, its
+    coordinates shaped by ``np.ix_``, so a subtree of one coordinate costs
+    one value per node of its axis.  Each slab is summed on its own, in
+    order, so no bit changes.
     """
     rule = rule or default_rule()
     if chart.disks:
@@ -101,14 +117,12 @@ def grid_integral(fn, chart, resolution: int = 64,
     names = chart.coords
     first_nodes, first_weights = per_axis[0]
     if len(per_axis) == 1:
-        vals = np.asarray(fn({names[0]: first_nodes}), dtype=float)
+        vals = _block_values(fn, {names[0]: first_nodes}, first_nodes.shape)
         return float(first_weights @ vals)
 
     rest = per_axis[1:]
-    rest_grids = np.meshgrid(*[n for n, _ in rest], indexing="ij")
-    rest_cols = [g.ravel() for g in rest_grids]
     rest_w = np.meshgrid(*[w for _, w in rest], indexing="ij")
-    rest_weights = np.ones_like(rest_cols[0])
+    rest_weights = np.ones(rest_w[0].size)
     for w in rest_w:
         rest_weights = rest_weights * w.ravel()
 
@@ -116,11 +130,9 @@ def grid_integral(fn, chart, resolution: int = 64,
     per_call = max(1, _GRID_POINTS // rest_weights.size)
     for lo in range(0, first_nodes.size, per_call):
         x0 = first_nodes[lo:lo + per_call]
-        arrays = {names[0]: np.repeat(x0, rest_weights.size)}
-        for nm, col in zip(names[1:], rest_cols):
-            arrays[nm] = np.tile(col, x0.size)
-        vals = np.asarray(fn(arrays), dtype=float).reshape(x0.size, -1)
-        for w0, row in zip(first_weights[lo:lo + per_call], vals):
+        arrays = dict(zip(names, np.ix_(x0, *(nodes for nodes, _ in rest))))
+        vals = _block_values(fn, arrays, (x0.size,) + rest_w[0].shape)
+        for w0, row in zip(first_weights[lo:lo + per_call], vals.reshape(x0.size, -1)):
             total += w0 * float(rest_weights @ row)
     return float(total)
 

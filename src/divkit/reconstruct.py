@@ -90,6 +90,7 @@ class PointwiseOneForm:
         return tuple(self.values_matrix(np.asarray([point], dtype=float))[0].tolist())
 
     def values_matrix(self, pts: np.ndarray) -> np.ndarray:
+        self.chart.arrays(pts)  # DomainError unless an (m, n) point array
         if len(pts) == 0:  # a lifted fn would give shape (0,) here
             return np.zeros(pts.shape)
         values = np.asarray(self.fn_many(pts), dtype=float)

@@ -195,11 +195,11 @@ _KINDS = ("add", "sub", "mul", "div", "pow", "neg", "sin", "cos", "exp",
 
 
 @st.composite
-def shared_forests(draw):
-    """Roots over x and y whose subtrees are shared by identity: each new
+def shared_forests(draw, coords=XY):
+    """Roots over ``coords`` whose subtrees are shared by identity: each new
     node takes its arguments from the nodes built so far, and roots are
     drawn from all of them, so leaves, constant trees and repeats occur."""
-    pool = [var("x"), var("y"), const(draw(st.sampled_from([0.0, -0.0, 0.5, 2.0])))]
+    pool = [*map(var, coords), const(draw(st.sampled_from([0.0, -0.0, 0.5, 2.0])))]
     for _ in range(draw(st.integers(min_value=1, max_value=30))):
         kind = draw(st.sampled_from(_KINDS))
         arity = 2 if kind in ("add", "sub", "mul", "div", "pow") else 1

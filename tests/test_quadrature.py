@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
+from divkit import quadrature
 from divkit.errors import ChartMismatch, SupportError, ValidationError
-from divkit.expr import parse_expr
+from divkit.expr import eval_roots, parse_expr
 from divkit.geometry import Chart, VectorField, VolumeForm, lie_derivative_top
 from divkit.quadrature import (
     QuadratureRule,
@@ -15,6 +18,7 @@ from divkit.quadrature import (
     grid_integral,
     integral_vanishing_check,
 )
+from test_expr import shared_forests
 
 BOX2 = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
 
@@ -117,8 +121,15 @@ def _slab_by_slab(fn, chart, resolution):
 
 
 def _recording(e, calls):
+    """``e.eval_many`` that records each call's block size, the points of
+    the broadcast shape of its arrays, and checks that each coordinate's
+    array spans its own axis only."""
     def fn(arrays):
-        calls.append(next(iter(arrays.values())).size)
+        shapes = [np.shape(a) for a in arrays.values()]
+        for axis, shape in enumerate(shapes):
+            assert len(shape) == len(shapes)
+            assert all(d == 1 for i, d in enumerate(shape) if i != axis)
+        calls.append(math.prod(np.broadcast_shapes(*shapes)))
         return e.eval_many(arrays)
     return fn
 
@@ -142,6 +153,62 @@ def test_grid_integral_blocks_match_slab_by_slab(coords, resolution, sizes):
     got = grid_integral(_recording(e, calls), chart, resolution=resolution)
     assert got == _slab_by_slab(e.eval_many, chart, resolution)
     assert calls == sizes
+
+
+XYZ = ("x", "y", "z")
+_SIDES = [(-1.0, 1.5), (0.25, 2.0), (-2.0, -0.5)]
+
+
+@st.composite
+def grid_cases(draw):
+    """Roots over the coordinates of a 2-D or 3-D chart, with the chart and
+    a resolution."""
+    n = draw(st.sampled_from([2, 3]))
+    roots = draw(shared_forests(XYZ[:n]))
+    box = tuple(draw(st.sampled_from(_SIDES)) for _ in range(n))
+    return roots, Chart(XYZ[:n], box), draw(st.sampled_from([1, 2] if n == 2 else [1]))
+
+
+_GRID_ROOTS = [parse_expr(text, XYZ) for text in (
+    "bump((y - 0.5)/0.75)*(1 - ((z - 1)/0.75)^2)^2", "2", "z", "log(x)",
+    "exp(x)*sin(3*y) + sqrt(z)/x")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases(), st.sampled_from([1, 100, quadrature._GRID_POINTS]))
+@example((_GRID_ROOTS, Chart(XYZ, (_SIDES[0], _SIDES[1], _SIDES[1])), 1), 100)
+def test_broadcast_grid_matches_slab_by_slab(case, grid_points):
+    # random trees of every kind, constant and one-coordinate trees among
+    # them, through eval_roots as integral_vanishing_check calls it; a block
+    # holds one slab, several, or every slab.  Their values may be inf or
+    # nan, whose sums numpy would warn about, and two nan integrals are equal
+    roots, chart, resolution = case
+    original = quadrature._GRID_POINTS
+    quadrature._GRID_POINTS = grid_points
+    try:
+        with np.errstate(all="ignore"):
+            for root in roots:
+                got = grid_integral(lambda a: next(eval_roots((root,), a)),
+                                    chart, resolution=resolution)
+                want = _slab_by_slab(root.eval_many, chart, resolution)
+                assert got == want or (math.isnan(got) and math.isnan(want)), str(root)
+    finally:
+        quadrature._GRID_POINTS = original
+
+
+def test_grid_integral_broadcasts_the_return():
+    # a scalar return, or one that spans the first axis only, stands for
+    # its value at every point of the block
+    for chart in (Chart(("x",), ((0.0, 2.0),)), BOX2,
+                  Chart(XYZ, ((0.0, 1.0), (-1.0, 1.0), (0.0, 3.0)))):
+        volume = math.prod(b - a for a, b in chart.box)
+        scalar = grid_integral(lambda a: 1.0, chart, resolution=2)
+        assert scalar == pytest.approx(volume, rel=1e-14)
+        assert grid_integral(lambda a: np.ones_like(a["x"]), chart,
+                             resolution=2) == scalar
+        for wrong in (np.ones(7), np.ones((2, 1, 1, 1))):
+            with pytest.raises(ValidationError, match="broadcast"):
+                grid_integral(lambda a: wrong, chart, resolution=2)
 
 
 def test_vanishing_integral_matches_slab_by_slab():

@@ -53,6 +53,7 @@ from divkit.reconstruct import (
     ClassifyConfig,
     NumericScalarField,
     PointwiseOneForm,
+    _closedness_details,
     _tensoriality_stage,
     classify,
     closedness_residual,
@@ -363,6 +364,45 @@ def test_closedness_residual_one_dimensional_chart():
     line = Chart(("x",), ((-1.0, 1.0),))
     form = OneForm.from_strings(line, ["exp(x)"])
     assert closedness_residual(form, box_points(line)) == 0.0
+
+
+def test_one_dimensional_closedness_evaluates_nothing(monkeypatch):
+    # a 1-D chart has no index pair, so its closedness sweep has no row: it
+    # used to call a blackbox E once at the samples and build a plan for a
+    # symbolic E's one image, only to return 0
+    line = Chart(("x",), ((-1.0, 1.0),))
+    symbolic = perturbed_operator(flat_op(line), one_form(line, "exp(x)"))
+    calls = []
+
+    def fn_fields(fields, pts):
+        calls.append(len(pts))
+        return symbolic.apply_fields(fields, pts)
+
+    blackbox = DivOperator(line, "blackbox", fn_fields=fn_fields)
+    built = []
+    program, counts = expr_module._Program, expr_module._parent_counts
+    monkeypatch.setattr(expr_module, "_Program",
+                        lambda roots: built.append(roots) or program(roots))
+    monkeypatch.setattr(expr_module, "_parent_counts",
+                        lambda roots: built.append(roots) or counts(roots))
+    pts = box_points(line)
+    for op in (symbolic, blackbox):
+        assert _closedness_details(op, pts, 1e-5) == (0.0, None, None)
+    assert calls == [] and built == []
+
+
+def test_pointwise_form_checks_its_points_before_calling():
+    # a point of the wrong length used to reach the callable and end in a
+    # ValidationError about its return
+    calls = []
+    form = PointwiseOneForm(BOX, lambda p: calls.append(p) or (p[1], -p[0]))
+    for bad in ([[0.1, 0.2, 0.3]], [0.1, 0.2], [[[0.1, 0.2]]]):
+        with pytest.raises(DomainError):
+            form.values_matrix(np.asarray(bad))
+    with pytest.raises(DomainError):
+        form.values_at((0.1, 0.2, 0.3))
+    assert calls == []
+    assert form.values_at((0.1, 0.2)) == (0.2, -0.1)
 
 
 def _reference_closedness(form, pts, h0):
