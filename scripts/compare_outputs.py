@@ -22,13 +22,17 @@ Per seed the child also prints ``integral_vanishing_check`` on a 1-D and a
 call, and one ``(1, n1, n2)`` slab per call.
 
 Standard library only.  Exits 0 when both sides print the same lines and 1
-otherwise, after naming every line that differs and their count.
+otherwise, after naming every line that differs, their count, and one count
+per (workload, operation label, entry axiom) group, so that an intended
+change reads as a few group lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
+import re
 import subprocess
 import sys
 import tempfile
@@ -118,6 +122,17 @@ def child(seeds: str) -> int:
     return 0
 
 
+def group(line: str) -> str:
+    """An output line's workload, its operation's label ("-" for an integral
+    line) and the axiom of a report entry, or the kind of any other line
+    (verdict, residuals, exit, stdout, value ...)."""
+    head, _, what = line.partition(": ")
+    words = head.split()  # workload seed S [pass P] [label]
+    label = words[-1] if len(words) > 3 else "-"
+    axiom = re.match(r"entry \d+ AxiomEntry\(axiom='(\w+)'", what)
+    return f"{words[0]} {label} {axiom.group(1) if axiom else what.split(' ')[0]}"
+
+
 def side_lines(checkout: Path, env: dict, seeds: str) -> list[str]:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child",
@@ -140,15 +155,17 @@ def main(argv=None) -> int:
                                 args.seeds)
         change = side_lines(ROOT, side_env(tmp / "change-pycache"), args.seeds)
     pairs = itertools.zip_longest(parent, change, fillvalue="(no line)")
-    differing = 0
+    groups = collections.Counter()
     for k, (old, new) in enumerate(pairs):
         if old != new:
-            differing += 1
+            groups[group(new if new != "(no line)" else old)] += 1
             print(f"line {k + 1} differs\n  parent: {old}\n  change: {new}",
                   file=sys.stderr)
-    if differing:
-        print(f"{differing} of {max(len(parent), len(change))} output lines "
-              f"differ", file=sys.stderr)
+    if groups:
+        for key, count in sorted(groups.items()):
+            print(f"{count} differing lines in {key}", file=sys.stderr)
+        print(f"{sum(groups.values())} of {max(len(parent), len(change))} "
+              f"output lines differ", file=sys.stderr)
         return 1
     print(f"{len(change)} output lines identical", file=sys.stderr)
     return 0

@@ -6,18 +6,22 @@ D(fX) = f D(X) + X(f) (with the scalar term weighted for the s-density
 variants).  The checker samples both residuals over a battery of fields and
 scalars, all through one sweep, ``_residuals``.  Both routes combine the
 same values: D at the samples of each field, bracket [X, Y] and field fX,
-with f and X(f).  Only X(D(Y)) depends on how D is held.  A symbolic
-operator's images are differentiated exactly, and every value it needs
-comes from one ``eval_roots`` call.  An opaque operator's images come from
-one ``apply_fields`` call, and X(D(Y)) from central differences along each
-field's direction, every field evaluated at the probes in one call per
-block of rows.  One combination then fills the rows.  The single-point
-residuals are one-point sweeps.  ``classify``'s tensoriality residual is
-the Leibniz-only sweep of D - D0 at weight 0, and its closedness residual
-the cocycle-only sweep over the chart's unit fields, ``_units``.  A sweep
-returns one (residuals x points) array; ``_maxima`` takes each residual's
-worst sample in one pass.  ``_probes`` places every finite-difference
-probe, ``classify``'s too.
+f and X(f), and each field's components with the partials of its image
+along the coordinate axes, since X(D(Y)) = x_1 d_1 D(Y) + ... + x_n d_n D(Y).
+Only the partials depend on how D is held.  A symbolic operator's images
+are differentiated exactly, and every value it needs comes from one
+``eval_roots`` call.  An opaque operator's images come from one
+``apply_fields`` call, and their partials from central differences along
+each axis, every field evaluated at the 2n probe sets of the n axes in one
+call per block of rows.  One combination then fills the rows.  The
+single-point residuals are one-point sweeps.  ``classify``'s tensoriality
+residual is the Leibniz-only sweep of D - D0 at weight 0, and its
+closedness residual the cocycle-only sweep over the chart's unit fields,
+``_units``.  A sweep returns one (residuals x points) array; ``_maxima``
+takes each residual's worst sample in one pass.  Every finite difference
+in the package is along a coordinate axis, ``classify``'s too, with the
+probes of ``_axis_probes``.  A sample where a probe of any axis leaves the
+chart even after the one shrink is skipped in every cocycle row.
 
 A battery, ``_Battery``, holds the fields and scalars with the trees the
 sweep derives from them alone: each bracket [X, Y], field fX and
@@ -286,10 +290,8 @@ def _units(chart: Chart) -> _Battery:
 # ---------------------------------------------------------------------------
 # residual machinery
 
-_TINY = 1e-300
-
-# Rows per opaque-operator call in a finite-difference sweep, for every
-# field: the samples, then each field's up and down probes, packed in order
+# Rows per opaque-operator call over the probes of a finite-difference
+# sweep, for every field: each axis's up and down probes, packed in order
 # across sets.  Blocks bound the evaluation memo at large sample counts.
 BATCH_ROWS = 4096
 
@@ -311,58 +313,49 @@ def _maxima(values: np.ndarray) -> list[tuple[float, int | None, int]]:
 
 @dataclass(frozen=True)
 class _Probes:
-    """Central-difference geometry along one direction per sample point."""
+    """Central-difference geometry along one coordinate axis per sample."""
 
-    norms: np.ndarray  # |X| at each sample
-    h: np.ndarray  # step along X/|X|, after the one shrink
-    usable: np.ndarray  # X moves and both probes lie inside the chart
-    up: np.ndarray  # pts + h X/|X| at the usable samples
-    dn: np.ndarray  # pts - h X/|X| at the usable samples
+    h: np.ndarray  # step after the one shrink
+    usable: np.ndarray  # both probes lie inside the chart
+    up: np.ndarray  # pts + h e_i at the usable samples
+    dn: np.ndarray  # pts - h e_i at the usable samples
 
 
-def _probes(chart: Chart, directions: np.ndarray, pts: np.ndarray,
-            h0: float) -> _Probes:
-    """Probe points for differentiating along an (m, n) array of directions
-    X, one per sample, with base step h0 shrunk by 10 once where a probe
-    leaves the chart.  Every finite difference in the package starts here."""
-    norms = np.linalg.norm(directions, axis=1)
-    moving = norms > _TINY
-    unit = np.zeros_like(directions)
-    unit[moving] = directions[moving] / norms[moving, None]
-    h = np.full(pts.shape[0], h0)
+def _axis_probes(chart: Chart, pts: np.ndarray, h0: float) -> list[_Probes]:
+    """The probes of each coordinate axis e_i at every sample, with base
+    step h0 shrunk by 10 once where a probe leaves the chart.  Every finite
+    difference in the package starts here."""
 
-    def shifted(step):
-        up = pts + step[:, None] * unit
-        dn = pts - step[:, None] * unit
+    def shifted(axis, h):
+        up, dn = pts + h[:, None] * axis, pts - h[:, None] * axis
         ok = chart.contains_mask(chart.arrays(up)) & chart.contains_mask(chart.arrays(dn))
         return up, dn, ok
 
-    up, dn, ok = shifted(h)
-    retry = moving & ~ok
-    if np.any(retry):  # one shrink near the boundary, then give up
-        h = np.where(retry, h / 10.0, h)
-        up, dn, ok = shifted(h)
-    usable = moving & ok
-    return _Probes(norms, h, usable, up[usable], dn[usable])
+    out = []
+    for axis in np.eye(pts.shape[1]):
+        h = np.full(len(pts), h0)
+        up, dn, ok = shifted(axis, h)
+        if not np.all(ok):  # one shrink near the boundary, then give up
+            h = np.where(ok, h, h / 10.0)
+            up, dn, ok = shifted(axis, h)
+        out.append(_Probes(h, ok, up[ok], dn[ok]))
+    return out
 
 
 def _fd_quotient(probes: _Probes, g_up: np.ndarray, g_dn: np.ndarray) -> np.ndarray:
-    """Derivative along X from a function's values at its probes, one row
-    (a value or an array) per sample: 0 where X vanishes, nan where X moves
-    but no probe fits."""
-    values = np.zeros(probes.h.shape + g_up.shape[1:])
-    values[probes.norms > _TINY] = np.nan
+    """Derivative along the axis from a function's values at its probes, one
+    row (a value or an array) per sample: nan where no probe fits."""
+    values = np.full(probes.h.shape + g_up.shape[1:], np.nan)
     usable = probes.usable
-    values[usable] = ((g_up - g_dn).T / (2.0 * probes.h[usable]) * probes.norms[usable]).T
+    values[usable] = ((g_up - g_dn).T / (2.0 * probes.h[usable])).T
     return values
 
 
 def _partials(chart: Chart, fn, pts: np.ndarray, h0: float) -> np.ndarray:
     """Central differences of a batch function along each coordinate axis:
     entry [:, i] (or [:, i, ...] for array values) is the i-th partial."""
-    probes = [_probes(chart, np.tile(axis, (len(pts), 1)), pts, h0)
-              for axis in np.eye(pts.shape[1])]
-    return np.stack([_fd_quotient(p, fn(p.up), fn(p.dn)) for p in probes], axis=1)
+    return np.stack([_fd_quotient(p, fn(p.up), fn(p.dn))
+                     for p in _axis_probes(chart, pts, h0)], axis=1)
 
 
 def _set_values(op, fields: Sequence[VectorField], sets):
@@ -383,24 +376,17 @@ def _set_values(op, fields: Sequence[VectorField], sets):
             done = done[sizes.pop(0):]
 
 
-def _fd_derivatives(op, fields: Sequence[VectorField], pts: np.ndarray,
+def _image_partials(op, fields: Sequence[VectorField], pts: np.ndarray,
                     h0: float) -> np.ndarray:
-    """X(D(Y)) - Y(D(X)) for an opaque operator by central differences,
-    one row for each pair of fields X = X_a, Y = X_b with a < b, in the
-    sweep's order; nan where a field moves but no probe fits.  Every field
-    is evaluated at each field's probes, and each set's quotients are
-    dropped once they are in the rows.  This relies on the operator
-    computing each row from that row alone."""
-    n = len(fields)
-    probes = [_probes(op.chart, x.values_matrix(pts), pts, h0) for x in fields]
+    """The (fields x axes x points) array of central-difference partials
+    d_i D(X) of an opaque operator's image of each field; nan where no probe
+    of an axis fits.  Every field is evaluated over the 2n probe sets of the
+    n axes, which relies on the operator computing each row from that row
+    alone."""
+    probes = _axis_probes(op.chart, pts, h0)
     values = _set_values(op, fields, (np.concatenate([p.up, p.dn]) for p in probes))
-    starts = np.cumsum([0] + [n - 1 - a for a in range(n)])  # X_a's first row
-    out = np.empty((starts[-1], len(pts)))
-    for a, (p, vals) in enumerate(zip(probes, values)):
-        along = _fd_quotient(p, vals[:len(p.up)], vals[len(p.up):]).T  # X_a(D(X_b))
-        out[starts[a]:starts[a + 1]] = along[a + 1:]
-        out[starts[:a] + np.arange(a - 1, -1, -1)] -= along[:a]
-    return out
+    return np.stack([_fd_quotient(p, vals[:len(p.up)], vals[len(p.up):]).T
+                     for p, vals in zip(probes, values)], axis=1)
 
 
 def _fill(block: np.ndarray, values) -> np.ndarray:
@@ -421,61 +407,59 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
     bracket, fX and X(f) comes from the battery.
 
     Both routes combine the same values, D at the samples of every field,
-    bracket and fX, and f and X(f); only the terms X(D(Y)) differ.  A
-    symbolic operator evaluates them all in one ``eval_roots`` call, with
-    each field's components and the partials of its image D(X), so a
-    subtree an image shares with its partials is computed once.  An opaque
-    one takes its images from one ``apply_fields`` call, f and X(f) from
-    one ``eval_roots`` call, and X(D(Y)) - Y(D(X)) from
-    ``_fd_derivatives``.  The rows are filled as the values arrive and
-    combined slice by slice: the pairs of each field X_a with every X_b,
-    b > a, then the terms of each scalar with every field."""
+    bracket and fX, f and X(f), each field's components and the partials
+    of its image D(X) along every axis; only the partials depend on how D
+    is held.  A symbolic operator evaluates them all in one ``eval_roots``
+    call, the partials taken exactly, so a subtree an image shares with its
+    partials is computed once.  An opaque one takes its images from one
+    ``apply_fields`` call, the other values from one ``eval_roots`` call,
+    and the partials from ``_image_partials``.  The rows are filled as the
+    values arrive and combined slice by slice: the pairs of each field X_a
+    with every X_b, b > a, then the terms of each scalar with every field."""
     fields = [x for _, x in battery.fields]
     scalars = [f for _, f in battery.scalars]
-    n, n_s, m, coords = len(fields), len(scalars), len(pts), op.chart.coords
+    n, n_s, m, d = len(fields), len(scalars), len(pts), op.chart.dim
     pairs = [] if h0 is None else list(itertools.combinations(range(n), 2))
     derived = [battery.bracket(a, b) for a, b in pairs] \
         + [battery.scaled(k, i) for k in range(n_s) for i in range(n)]
     if not derived:  # no rows, as in a 1-D chart's closedness sweep
         return np.empty((0, m))
     # values in the order used: f, X(f) per scalar and field unless the
-    # weight is 0, the exact partials' inputs, then D(X) per field, then D
-    # at each bracket and fX
+    # weight is 0, with pairs each field's components and a symbolic
+    # image's exact partials, then D(X) per field, then D at each bracket
+    # and fX
     roots = list(scalars)
     if weight:
         roots += [battery.along(i, k) for k in range(n_s) for i in range(n)]
+    at = len(roots)
+    if pairs:
+        roots += [c for x in fields for c in x.components]
     arrays = op.chart.arrays(pts)
-    exact = op.is_symbolic and bool(pairs)
     if op.is_symbolic:
         images = [op.symbolic(x) for x in fields + derived]
-        if exact:  # each field's components, then its image's partials
-            roots += [c for x in fields for c in x.components]
-            roots += [image.diff(nm) for image in images[:n] for nm in coords]
+        if pairs:
+            roots += [image.diff(nm) for image in images[:n] for nm in op.chart.coords]
         values = eval_roots(roots + images, arrays)
     else:
         values = itertools.chain(eval_roots(roots, arrays),
                                  op.apply_fields(fields + derived, pts))
-        if pairs:
-            cross = _fd_derivatives(op, fields, pts, h0)
     first = _fill(np.empty((len(roots) + n, m)), values)
     f_vals, xf, dx = first[:n_s], first[n_s:n_s + n_s * n], first[len(roots):]
-    if exact:
-        comps, partials = first[len(roots) - 2 * n * len(coords):len(roots)] \
-            .reshape(2, n, len(coords), m)
+    if pairs:
+        comps = first[at:at + n * d].reshape(n, d, m)
+        partials = first[at + n * d:len(roots)].reshape(n, d, m) if op.is_symbolic \
+            else _image_partials(op, fields, pts, h0)
     out = np.empty((len(derived), m))
     start = 0
     for a in range(n - 1 if pairs else 0):
-        # D([X,Y]) for X = X_a and each Y = X_b, b > a
-        rows = slice(start, start + n - 1 - a)
-        block = _fill(out[rows], values)
-        start = rows.stop
-        if exact:  # D([X,Y]) - x_1 d_1 D(Y) - ... + y_1 d_1 D(X) + ...
-            for i in range(len(coords)):
-                block -= comps[a, i] * partials[a + 1:, i]
-            for i in range(len(coords)):
-                block += comps[a + 1:, i] * partials[a, i]
-        else:  # D([X,Y]) - (X(D(Y)) - Y(D(X)))
-            block -= cross[rows]
+        # D([X,Y]) - x_1 d_1 D(Y) - ... + y_1 d_1 D(X) + ... for X = X_a and
+        # each Y = X_b, b > a
+        block = _fill(out[start:start + n - 1 - a], values)
+        start += n - 1 - a
+        for i in range(d):
+            block -= comps[a, i] * partials[a + 1:, i]
+        for i in range(d):
+            block += comps[a + 1:, i] * partials[a, i]
     for k in range(n_s):  # D(fX) - f D(X) - weight X(f), every X
         block = _fill(out[start:start + n], values)
         start += n

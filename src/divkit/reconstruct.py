@@ -114,6 +114,7 @@ class NumericScalarField:
 
     def many(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
+        self.chart.arrays(pts)  # DomainError unless an (m, n) point array
         values = np.asarray(self.fn_many(pts), dtype=float)
         if values.shape != pts.shape[:1]:
             raise ValidationError(f"a scalar callable must return an array "

@@ -291,44 +291,33 @@ def test_check_config_validation():
 # ---------------------------------------------------------------------------
 # the batched finite-difference sweep
 #
-# check_axioms evaluates each field of an opaque operator once, over the
-# sample points and every partner's probes.  The reference below is the plain
-# per-pair sweep: central differences computed twice per pair and D(X)
-# evaluated for every Leibniz term.  Both must give identical entries.
+# check_axioms evaluates each field of an opaque operator once at the sample
+# points and once over the probes of every coordinate axis, and takes
+# X(D(Y)) as x_1 d_1 D(Y) + ... + x_n d_n D(Y).  The reference below is the
+# plain per-pair sweep: the axis partials of D(X) and D(Y) computed afresh
+# for every pair and D(X) evaluated for every Leibniz term.  Both must give
+# identical entries.
 
 
-def _ref_directional_fd(op, along, of, pts, h0):
+def _ref_axis_partials(op, of, pts, h0):
+    """(m, n) central differences of D(of) along each axis, the step shrunk
+    by 10 once where a probe leaves the chart; nan where it still does."""
     chart = op.chart
-    comps = along.values_matrix(pts)
-    norms = np.linalg.norm(comps, axis=1)
-    m = pts.shape[0]
-    values = np.zeros(m)
-    valid = np.ones(m, dtype=bool)
-    moving = norms > 1e-300
-    if not np.any(moving):
-        return values, valid
-    unit = np.zeros_like(comps)
-    unit[moving] = comps[moving] / norms[moving, None]
-    h = np.full(m, h0)
-
-    def shifted(step):
-        up = pts + step[:, None] * unit
-        dn = pts - step[:, None] * unit
-        ok = chart.contains_mask(chart.arrays(up)) & chart.contains_mask(chart.arrays(dn))
-        return up, dn, ok
-
-    up, dn, ok = shifted(h)
-    retry = moving & ~ok
-    if np.any(retry):
-        h = np.where(retry, h / 10.0, h)
-        up, dn, ok = shifted(h)
-    usable = moving & ok
-    valid = ~moving | usable
-    if np.any(usable):
-        g_up = op.apply_many(of, up[usable])
-        g_dn = op.apply_many(of, dn[usable])
-        values[usable] = (g_up - g_dn) / (2.0 * h[usable]) * norms[usable]
-    return values, valid
+    out = np.full(pts.shape, np.nan)
+    for i in range(chart.dim):
+        h = np.full(len(pts), h0)
+        for _ in range(2):
+            up, dn = pts.copy(), pts.copy()
+            up[:, i] += h
+            dn[:, i] -= h
+            ok = chart.contains_mask(chart.arrays(up)) & chart.contains_mask(chart.arrays(dn))
+            if ok.all():
+                break
+            h = np.where(ok, h, h / 10.0)
+        if ok.any():
+            out[ok, i] = (op.apply_many(of, up[ok]) - op.apply_many(of, dn[ok])) \
+                / (2.0 * h[ok])
+    return out
 
 
 def _ref_entries(op, config, fields=None, scalars=None):
@@ -343,25 +332,27 @@ def _ref_entries(op, config, fields=None, scalars=None):
     h0 = config.fd_step_scale * chart.min_side
     entries = []
 
-    def finish(axiom, label, vals, valid):
-        finite = np.isfinite(np.where(valid, vals, np.nan))
+    def finish(axiom, label, vals):
+        finite = np.isfinite(vals)
         if np.any(finite):
             k = int(np.argmax(np.where(finite, vals, -1.0)))
             worst, where = float(vals[k]), tuple(pts[k])
         else:
             worst, where = math.inf, None
         entries.append(AxiomEntry(axiom, label, worst, where, int(vals.size),
-                                  int(vals.size - valid.sum())))
+                                  int(vals.size - finite.sum())))
 
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
             (name_x, x), (name_y, y) = fields[a], fields[b]
-            term = op.apply_many(bracket(x, y), pts)
-            dxy, ok_x = _ref_directional_fd(op, x, y, pts, h0)
-            dyx, ok_y = _ref_directional_fd(op, y, x, pts, h0)
-            vals = np.abs(term - (dxy - dyx))
-            finish("cocycle", f"cocycle({name_x},{name_y})", vals,
-                   ok_x & ok_y & np.isfinite(vals))
+            vals = op.apply_many(bracket(x, y), pts)
+            dx, dy = (_ref_axis_partials(op, z, pts, h0) for z in (x, y))
+            xs, ys = x.values_matrix(pts), y.values_matrix(pts)
+            for i in range(chart.dim):
+                vals = vals - xs[:, i] * dy[:, i]
+            for i in range(chart.dim):
+                vals = vals + ys[:, i] * dx[:, i]
+            finish("cocycle", f"cocycle({name_x},{name_y})", np.abs(vals))
     for fname, f in scalars:
         for name_x, x in fields:
             fx = VectorField(chart, tuple((f * c).simplify() for c in x.components))
@@ -369,7 +360,7 @@ def _ref_entries(op, config, fields=None, scalars=None):
             vals = np.abs(op.apply_many(fx, pts)
                           - f.eval_many(arrays) * op.apply_many(x, pts)
                           - op.weight * xf.eval_many(arrays))
-            finish("leibniz", f"leibniz({fname},{name_x})", vals, np.isfinite(vals))
+            finish("leibniz", f"leibniz({fname},{name_x})", vals)
     return tuple(entries)
 
 
@@ -386,25 +377,28 @@ def test_batched_sweep_matches_reference_box():
 
 
 def test_batched_sweep_matches_reference_where_probes_shrink():
-    # a step of 1.6 leaves the chart from every sample; the shrunk step 0.16
-    # fits from most, so some samples shrink and the rest are skipped
+    # a step of 1.6 leaves the chart from every sample along x; the shrunk
+    # step 0.16 fits from most, so some samples shrink and the rest are
+    # skipped in every cocycle row
     annulus = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)),
                     disks=(((0.0, 0.0), 0.2),), basepoint=(0.6, 0.0))
     op = div_volume(VolumeForm.from_string(annulus, "exp(x+0.5*y)")).as_blackbox()
     config = CheckConfig(seed=3, n_points=40, n_fields=2, n_scalars=1,
                          fd_step_scale=0.8)
     report = _assert_matches_reference(op, config)
-    assert any(e.skipped > 0 for e in report.entries)
+    cocycle = [e.skipped for e in report.entries if e.axiom == "cocycle"]
+    assert cocycle[0] > 0 and len(set(cocycle)) == 1
+    assert all(e.skipped == 0 for e in report.entries if e.axiom == "leibniz")
     pts = np.asarray(sample_points(annulus, 40, 3))
-    swirl = dict(library_fields(annulus))["swirl"]
-    probes = axioms._probes(annulus, swirl.values_matrix(pts), pts, 1.6)
-    assert np.any(probes.usable & (probes.h < 1.6))
-    assert np.any(~probes.usable)
+    along_x, _ = axioms._axis_probes(annulus, pts, 1.6)
+    assert np.all(along_x.h < 1.6)
+    assert np.any(along_x.usable) and np.any(~along_x.usable)
 
 
 def test_batched_sweep_matches_reference_zero_field():
-    # the zero field's probe set is empty; placed last at 2,049 points it
-    # follows probe sets larger than a block
+    # an all-zero field, first and last; at 2,049 points each axis's probe
+    # set spans two blocks.  Its cocycle rows are exactly 0 wherever the
+    # probes fit, which is everywhere on these samples
     zero = [("zero", VectorField(BOX, (const(0.0), const(0.0))))]
     scalars = [("f", ex("x*y - 0.5"))]
     for fields, n_points in [(zero + library_fields(BOX)[:3], 25),
@@ -413,9 +407,8 @@ def test_batched_sweep_matches_reference_zero_field():
                                            CheckConfig(n_points=n_points),
                                            fields, scalars)
         assert report.skipped == 0
-        pts = np.asarray(sample_points(BOX, n_points))
-        values = zero[0][1].values_matrix(pts)
-        assert axioms._probes(BOX, values, pts, 2e-5).up.shape == (0, 2)
+        assert all(e.max_residual == 0.0 for e in report.entries
+                   if e.axiom == "cocycle" and "zero" in e.label)
 
 
 def test_batched_sweep_matches_reference_nan_blackbox():
@@ -440,19 +433,71 @@ def _counting(op):
 
 
 def test_batched_sweep_crosses_block_boundary():
-    # at 2,049 points each field's 4,098 probe rows are packed into blocks
-    # of 4,096 rows, so probe sets span two blocks
+    # at 2,049 points the 2 axes' 8,196 probe rows are packed into blocks of
+    # 4,096 rows, so each axis's probe set spans two blocks
     op, rows = _counting(FLAT_OP)
     config = CheckConfig(n_points=2_049)
     check_axioms(op, config)
     # the lifted fn_many is called once per field, bracket and fX at the
     # samples, then once per field and block of probes
     n = 8 + len(library_fields(BOX))
-    full, rest = divmod(n * 2 * 2_049, axioms.BATCH_ROWS)
-    assert (full, rest) == (13, 26)
+    full, rest = divmod(2 * 2 * 2_049, axioms.BATCH_ROWS)
+    assert (full, rest) == (2, 4)
     assert rows == [2_049] * (n + n * (n - 1) // 2 + 4 * n) \
         + [axioms.BATCH_ROWS] * n * full + [rest] * n
     _assert_matches_reference(op, config)
+
+
+def test_sample_whose_axis_probe_leaves_the_chart_is_skipped_in_every_cocycle_row():
+    # within h0/10 of the face x = 1 the probes along x leave the box, and
+    # just above the disk the downward probe along y enters it; the sample
+    # is then skipped in every cocycle row, even for fields with no x or y
+    # component, and counts in every Leibniz row
+    annulus = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)),
+                    disks=(((0.0, 0.0), 0.2),), basepoint=(0.6, 0.0))
+    op = div_volume(VolumeForm.from_string(annulus, "exp(x+0.5*y)")).as_blackbox()
+    named = dict(library_fields(annulus))
+    zero = VectorField(annulus, (const(0.0), const(0.0)))
+    fields = [("unit_y", named["unit_y"]), ("zero", zero), ("swirl", named["swirl"])]
+    battery = axioms._Battery(annulus, fields, [("f", ex("x*y - 0.5", annulus))])
+    h0 = 1e-5 * annulus.min_side
+    pts = np.array([[0.5, 0.5], [1.0 - 1e-9, 0.3], [0.0, 0.2 + 1e-9]])
+    cocycle, leibniz = np.split(axioms._residuals(op, battery, op.weight, pts, h0), [3])
+    assert np.all(np.isfinite(cocycle[:, 0])) and cocycle[:, 0].max() < 1e-6
+    assert np.all(np.isnan(cocycle[:, 1:]))
+    assert np.all(np.isfinite(leibniz))
+    # the all-zero field's rows are exactly 0 where the probes fit
+    assert cocycle[0, 0] == cocycle[2, 0] == 0.0
+    for point in pts[1:]:
+        with pytest.raises(DomainError):
+            cocycle_residual(op, named["unit_y"], zero, point)
+    assert cocycle_residual(op, named["unit_y"], zero, pts[0]) == 0.0
+
+
+@pytest.mark.parametrize("name", ["flat", "weighted", "polar-metric",
+                                  "levi-civita", "s-half", "perturbed-closed"])
+def test_blackbox_cocycle_rows_agree_with_the_symbolic_rows(name):
+    # the central-difference rows approximate the exact ones sample by
+    # sample, within the blackbox tolerance
+    op = _criterion_one_operators()[name]
+    chart = op.chart
+    battery = axioms._generated(chart, 0, 8, 4)
+    pts = sample_points(chart, 100, 0)
+    h0 = 1e-5 * chart.min_side
+    pairs = 13 * 12 // 2
+    exact = axioms._residuals(op, battery, op.weight, pts, h0)[:pairs]
+    fd = axioms._residuals(op.as_blackbox(), battery, op.weight, pts, h0)[:pairs]
+    assert np.all(np.isfinite(fd))
+    assert np.abs(fd - exact).max() <= 1e-6
+
+
+def test_swirl_perturbation_fails_on_both_routes():
+    bad = perturbed_operator(FLAT_OP, OneForm.from_strings(BOX, ("-1e-4*y", "1e-4*x")))
+    for op in (bad, bad.as_blackbox()):
+        report = check_axioms(op)
+        assert not report.passed
+        assert report.argmax.axiom == "cocycle"
+        assert report.max_residual > 1e-3
 
 
 @pytest.mark.parametrize("sizes", [
@@ -480,14 +525,14 @@ def test_blackbox_sweep_makes_one_call_per_field():
     fields, scalars = 8 + len(library_fields(BOX)), 4
     pairs = fields * (fields - 1) // 2
     # each field, bracket and fX at the samples, then each field over the
-    # one block of probes
+    # one block of the 2 axes' probes
     assert len(rows) == fields + pairs + scalars * fields + fields == 156
-    assert rows == [100] * 143 + [2_600] * 13
+    assert rows == [100] * 143 + [400] * 13
 
 
 def test_blackbox_sweep_batches_the_hidden_operator():
     # one call of every field, bracket and fX over the samples (13 + 78 + 52
-    # fields), then one of the 13 fields over every probe set (2,600 rows,
+    # fields), then one of the 13 fields over both axes' probes (400 rows,
     # one block)
     hidden = div_volume(VolumeForm.from_string(BOX, "exp(x+0.5*y)"))
     apply_fields = hidden.apply_fields
@@ -677,6 +722,8 @@ def _count_builds(monkeypatch):
 def test_equal_configs_reuse_one_battery(monkeypatch):
     config = CheckConfig(seed=11, n_points=30, n_fields=3, n_scalars=2)
     first = check_axioms(WEIGHTED_OP.as_blackbox(), config)
+    # builds the unit battery's brackets, whichever tests ran before
+    classify(WEIGHTED_OP, FLAT_OP, config=ClassifyConfig(seed=11, n_points=5))
     battery = axioms._generated(BOX, 11, 3, 2)
     trees = dict(battery._trees)
     # brackets, fX and X(f) of 3 random and 5 library fields, 2 scalars

@@ -405,6 +405,20 @@ def test_pointwise_form_checks_its_points_before_calling():
     assert form.values_at((0.1, 0.2)) == (0.2, -0.1)
 
 
+def test_numeric_scalar_checks_its_points_before_calling():
+    # a point of the wrong length used to reach the callable: (0.1, 0.2,
+    # 0.3) gave 0.30000000000000004 on the 2-D box
+    calls = []
+    scalar = NumericScalarField(BOX, lambda p: calls.append(p) or p[0] + p[1])
+    for bad in ([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]], [0.1, 0.2], [[[0.1, 0.2]]]):
+        with pytest.raises(DomainError):
+            scalar.many(bad)
+    with pytest.raises(DomainError):
+        scalar((0.1, 0.2, 0.3))
+    assert calls == []
+    assert scalar((0.1, 0.2)) == pytest.approx(0.3)
+
+
 def _reference_closedness(form, pts, h0):
     """The closedness stage as it was before it joined the axiom sweep: the
     exact d of a symbolic form pair by pair, central differences of a
