@@ -24,7 +24,8 @@ call, and one ``(1, n1, n2)`` slab per call.
 Standard library only.  Exits 0 when both sides print the same lines and 1
 otherwise, after naming every line that differs, their count, and one count
 per (workload, operation label, entry axiom) group, so that an intended
-change reads as a few group lines.
+change reads as a few group lines.  A group of ``residuals`` lines or of
+CLI ``RESIDUAL`` lines also names the residuals whose values moved.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ WORKLOADS = ("axiom-sweep", "classify-verdicts", "dense-eval")
 PASSES = (1, 2)
 # Fresh processes share nothing between passes, so they run once.
 CLI_WORKLOAD = "cli-specs"
+# The filler of the shorter side's missing lines.
+MISSING = "(no line)"
+# One name: value item of a classification's residuals dict.
+RESIDUAL_ITEM = re.compile(r"'(\w+)': ([^,}]+)")
 
 
 def parse_args(argv):
@@ -122,15 +127,26 @@ def child(seeds: str) -> int:
     return 0
 
 
-def group(line: str) -> str:
-    """An output line's workload, its operation's label ("-" for an integral
-    line) and the axiom of a report entry, or the kind of any other line
-    (verdict, residuals, exit, stdout, value ...)."""
-    head, _, what = line.partition(": ")
+def group(old: str, new: str) -> str:
+    """A differing line's workload, its operation's label ("-" for an
+    integral line) and the axiom of a report entry, or the kind of any other
+    line (verdict, residuals, exit, stdout, value ...).  A ``residuals``
+    line and a CLI ``RESIDUAL`` line also name the residuals that moved."""
+    head, _, what = (new if new != MISSING else old).partition(": ")
     words = head.split()  # workload seed S [pass P] [label]
     label = words[-1] if len(words) > 3 else "-"
     axiom = re.match(r"entry \d+ AxiomEntry\(axiom='(\w+)'", what)
-    return f"{words[0]} {label} {axiom.group(1) if axiom else what.split(' ')[0]}"
+    kind = axiom.group(1) if axiom else what.split(" ")[0]
+    sides = [line.partition(": ")[2] for line in (old, new)]
+    if kind == "residuals":
+        before, after = (dict(RESIDUAL_ITEM.findall(side)) for side in sides)
+        kind = " ".join([kind] + [name for name in {**before, **after}
+                                  if before.get(name) != after.get(name)])
+    elif what.startswith("stdout RESIDUAL "):
+        kind = " ".join(["stdout RESIDUAL"] + list(dict.fromkeys(
+            side.split(" ")[2] for side in sides
+            if side.startswith("stdout RESIDUAL "))))
+    return f"{words[0]} {label} {kind}"
 
 
 def side_lines(checkout: Path, env: dict, seeds: str) -> list[str]:
@@ -154,11 +170,11 @@ def main(argv=None) -> int:
             parent = side_lines(parent_dir, side_env(tmp / "parent-pycache"),
                                 args.seeds)
         change = side_lines(ROOT, side_env(tmp / "change-pycache"), args.seeds)
-    pairs = itertools.zip_longest(parent, change, fillvalue="(no line)")
+    pairs = itertools.zip_longest(parent, change, fillvalue=MISSING)
     groups = collections.Counter()
     for k, (old, new) in enumerate(pairs):
         if old != new:
-            groups[group(new if new != "(no line)" else old)] += 1
+            groups[group(old, new)] += 1
             print(f"line {k + 1} differs\n  parent: {old}\n  change: {new}",
                   file=sys.stderr)
     if groups:

@@ -13,14 +13,14 @@ are differentiated exactly, and every value it needs comes from one
 ``eval_roots`` call.  An opaque operator's images come from one
 ``apply_fields`` call, and their partials from central differences along
 each axis, every field evaluated at the 2n probe sets of the n axes in one
-call per block of rows.  One combination then fills the rows.  The
+more call.  One combination then fills the rows.  The
 single-point residuals are one-point sweeps.  ``classify``'s tensoriality
 residual is the Leibniz-only sweep of D - D0 at weight 0, and its
 closedness residual the cocycle-only sweep over the chart's unit fields,
 ``_units``.  A sweep returns one (residuals x points) array; ``_maxima``
 takes each residual's worst sample in one pass.  Every finite difference
-in the package is along a coordinate axis, ``classify``'s too, with the
-probes of ``_axis_probes``.  A sample where a probe of any axis leaves the
+in the package, ``classify``'s too, comes from one routine, ``_partials``,
+along the coordinate axes.  A sample where a probe of any axis leaves the
 chart even after the one shrink is skipped in every cocycle row.
 
 A battery, ``_Battery``, holds the fields and scalars with the trees the
@@ -290,11 +290,6 @@ def _units(chart: Chart) -> _Battery:
 # ---------------------------------------------------------------------------
 # residual machinery
 
-# Rows per opaque-operator call over the probes of a finite-difference
-# sweep, for every field: each axis's up and down probes, packed in order
-# across sets.  Blocks bound the evaluation memo at large sample counts.
-BATCH_ROWS = 4096
-
 
 def _maxima(values: np.ndarray) -> list[tuple[float, int | None, int]]:
     """For each row of a (residuals x points) array of |residual|, which it
@@ -311,82 +306,37 @@ def _maxima(values: np.ndarray) -> list[tuple[float, int | None, int]]:
             for w, k, s in zip(worst.tolist(), cols.tolist(), skipped.tolist())]
 
 
-@dataclass(frozen=True)
-class _Probes:
-    """Central-difference geometry along one coordinate axis per sample."""
+def _partials(chart: Chart, fn, pts: np.ndarray, fd_step_scale: float) -> np.ndarray:
+    """Central differences of a batch function along each coordinate axis,
+    the package's one finite-difference rule.  ``fn`` maps a (rows x n)
+    point array to values with one column per row, shape (..., rows).  It is
+    called once, over the up probes pts + h e_i of every axis in axis order
+    and then the down probes, and never with zero rows, so it must compute
+    each row from that row alone.  The base step is ``fd_step_scale`` times
+    the chart's shortest side, shrunk by 10 once where a probe leaves the
+    chart.  Entry [..., i, k] is the i-th partial at sample k, nan where no
+    probe of axis i fits; where none fits at all, ``fn`` is not called and
+    the (n x points) array of nan broadcasts over its leading axes."""
+    m, n = pts.shape
 
-    h: np.ndarray  # step after the one shrink
-    usable: np.ndarray  # both probes lie inside the chart
-    up: np.ndarray  # pts + h e_i at the usable samples
-    dn: np.ndarray  # pts - h e_i at the usable samples
+    def probes(h):  # (axes x points x n) up and down probes, where both fit
+        step = np.eye(n)[:, None, :] * h[:, :, None]
+        up, dn = pts + step, pts - step
+        ok = [chart.contains_mask(chart.arrays(q.reshape(-1, n))).reshape(n, m)
+              for q in (up, dn)]
+        return up, dn, ok[0] & ok[1]
 
-
-def _axis_probes(chart: Chart, pts: np.ndarray, h0: float) -> list[_Probes]:
-    """The probes of each coordinate axis e_i at every sample, with base
-    step h0 shrunk by 10 once where a probe leaves the chart.  Every finite
-    difference in the package starts here."""
-
-    def shifted(axis, h):
-        up, dn = pts + h[:, None] * axis, pts - h[:, None] * axis
-        ok = chart.contains_mask(chart.arrays(up)) & chart.contains_mask(chart.arrays(dn))
-        return up, dn, ok
-
-    out = []
-    for axis in np.eye(pts.shape[1]):
-        h = np.full(len(pts), h0)
-        up, dn, ok = shifted(axis, h)
-        if not np.all(ok):  # one shrink near the boundary, then give up
-            h = np.where(ok, h, h / 10.0)
-            up, dn, ok = shifted(axis, h)
-        out.append(_Probes(h, ok, up[ok], dn[ok]))
+    h = np.full((n, m), fd_step_scale * chart.min_side)
+    up, dn, ok = probes(h)
+    if not np.all(ok):  # one shrink near the boundary, then give up
+        h = np.where(ok, h, h / 10.0)
+        up, dn, ok = probes(h)
+    if not np.any(ok):
+        return np.full((n, m), np.nan)
+    g_up, g_dn = np.split(fn(np.concatenate([up[ok], dn[ok]])), 2, axis=-1)
+    out = np.full(g_up.shape[:-1] + (n, m), np.nan)
+    out[..., ok] = (g_up - g_dn) / (2.0 * h[ok])
     return out
-
-
-def _fd_quotient(probes: _Probes, g_up: np.ndarray, g_dn: np.ndarray) -> np.ndarray:
-    """Derivative along the axis from a function's values at its probes, one
-    row (a value or an array) per sample: nan where no probe fits."""
-    values = np.full(probes.h.shape + g_up.shape[1:], np.nan)
-    usable = probes.usable
-    values[usable] = ((g_up - g_dn).T / (2.0 * probes.h[usable])).T
-    return values
-
-
-def _partials(chart: Chart, fn, pts: np.ndarray, h0: float) -> np.ndarray:
-    """Central differences of a batch function along each coordinate axis:
-    entry [:, i] (or [:, i, ...] for array values) is the i-th partial."""
-    return np.stack([_fd_quotient(p, fn(p.up), fn(p.dn))
-                     for p in _axis_probes(chart, pts, h0)], axis=1)
-
-
-def _set_values(op, fields: Sequence[VectorField], sets):
-    """Yield the (rows x fields) values of each point set in turn, from one
-    ``apply_fields`` call per block of ``BATCH_ROWS`` rows packed across sets."""
-    sizes, todo = [], np.empty((0, op.chart.dim))  # rows to yield, to evaluate
-    done = np.empty((0, len(fields)))  # values evaluated and not yet yielded
-    for rows in itertools.chain(sets, [None]):  # None: evaluate what is left
-        if rows is not None:
-            sizes.append(len(rows))
-            todo = np.concatenate([todo, rows])
-        while len(todo) >= BATCH_ROWS or (rows is None and len(todo)):
-            block, todo = todo[:BATCH_ROWS], todo[BATCH_ROWS:]
-            done = np.concatenate(  # no name keeps the stacked block alive
-                [done, np.stack(op.apply_fields(fields, block), axis=1)])
-        while sizes and sizes[0] <= len(done):
-            yield done[:sizes[0]]
-            done = done[sizes.pop(0):]
-
-
-def _image_partials(op, fields: Sequence[VectorField], pts: np.ndarray,
-                    h0: float) -> np.ndarray:
-    """The (fields x axes x points) array of central-difference partials
-    d_i D(X) of an opaque operator's image of each field; nan where no probe
-    of an axis fits.  Every field is evaluated over the 2n probe sets of the
-    n axes, which relies on the operator computing each row from that row
-    alone."""
-    probes = _axis_probes(op.chart, pts, h0)
-    values = _set_values(op, fields, (np.concatenate([p.up, p.dn]) for p in probes))
-    return np.stack([_fd_quotient(p, vals[:len(p.up)], vals[len(p.up):]).T
-                     for p, vals in zip(probes, values)], axis=1)
 
 
 def _fill(block: np.ndarray, values) -> np.ndarray:
@@ -397,12 +347,12 @@ def _fill(block: np.ndarray, values) -> np.ndarray:
 
 
 def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
-               h0: float | None = None) -> np.ndarray:
+               fd_step_scale: float | None = None) -> np.ndarray:
     """The (residuals x points) array of |residual| (nan or inf where it
     could not be evaluated): one row for the cocycle residual of each pair
     of the battery's fields X_a, X_b with a < b, then one for the Leibniz
     residual at ``weight`` of each scalar and field.  The cocycle terms are
-    swept only when a base central-difference step ``h0`` is given; a
+    swept only when a finite-difference ``fd_step_scale`` is given; a
     symbolic operator differentiates exactly and does not use it.  Every
     bracket, fX and X(f) comes from the battery.
 
@@ -412,14 +362,18 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
     is held.  A symbolic operator evaluates them all in one ``eval_roots``
     call, the partials taken exactly, so a subtree an image shares with its
     partials is computed once.  An opaque one takes its images from one
-    ``apply_fields`` call, the other values from one ``eval_roots`` call,
-    and the partials from ``_image_partials``.  The rows are filled as the
-    values arrive and combined slice by slice: the pairs of each field X_a
-    with every X_b, b > a, then the terms of each scalar with every field."""
+    ``apply_fields`` call at the samples, the other values from one
+    ``eval_roots`` call, and the partials from ``_partials`` through one
+    more ``apply_fields`` call, of every field over every probe, laid out
+    as (fields x axes x points) rows like the exact ones.  The rows are
+    filled as the values arrive and combined slice by slice: the pairs of
+    each field X_a with every X_b, b > a, then the terms of each scalar
+    with every field."""
     fields = [x for _, x in battery.fields]
     scalars = [f for _, f in battery.scalars]
     n, n_s, m, d = len(fields), len(scalars), len(pts), op.chart.dim
-    pairs = [] if h0 is None else list(itertools.combinations(range(n), 2))
+    pairs = [] if fd_step_scale is None \
+        else list(itertools.combinations(range(n), 2))
     derived = [battery.bracket(a, b) for a, b in pairs] \
         + [battery.scaled(k, i) for k in range(n_s) for i in range(n)]
     if not derived:  # no rows, as in a 1-D chart's closedness sweep
@@ -448,7 +402,9 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
     if pairs:
         comps = first[at:at + n * d].reshape(n, d, m)
         partials = first[at + n * d:len(roots)].reshape(n, d, m) if op.is_symbolic \
-            else _image_partials(op, fields, pts, h0)
+            else np.broadcast_to(_partials(
+                op.chart, lambda rows: np.stack(op.apply_fields(fields, rows)),
+                pts, fd_step_scale), (n, d, m))
     out = np.empty((len(derived), m))
     start = 0
     for a in range(n - 1 if pairs else 0):
@@ -480,8 +436,7 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
     _require_step(fd_step_scale)
     op.chart.require_inside(point)
     vals, = _residuals(op, _Battery(op.chart, [("X", x), ("Y", y)], []),
-                       op.weight, np.asarray([point], dtype=float),
-                       fd_step_scale * op.chart.min_side)
+                       op.weight, np.asarray([point], dtype=float), fd_step_scale)
     if not math.isfinite(vals[0]):
         raise DomainError("residual could not be evaluated at this point")
     return float(vals[0])
@@ -543,13 +498,12 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
     fields, scalars = battery.fields, battery.scalars
     pts = sample_points(chart, config.n_points, config.seed)
     tol = config.tol if config.tol is not None else (1e-9 if op.is_symbolic else 1e-6)
-    h0 = config.fd_step_scale * chart.min_side
 
     labels = [("cocycle", f"cocycle({nx},{ny})")
               for (nx, _), (ny, _) in itertools.combinations(fields, 2)]
     labels += [("leibniz", f"leibniz({fname},{name_x})")
                for fname, _ in scalars for name_x, _ in fields]
-    maxima = _maxima(_residuals(op, battery, op.weight, pts, h0))
+    maxima = _maxima(_residuals(op, battery, op.weight, pts, config.fd_step_scale))
     entries = [AxiomEntry(axiom, label, worst, None if k is None else tuple(pts[k]),
                           len(pts), skipped)
                for (axiom, label), (worst, k, skipped) in zip(labels, maxima)]
@@ -563,7 +517,7 @@ def check_axioms(op: DivOperator, config: CheckConfig | None = None,
         "scalars": [nm for nm, _ in scalars],
         "generator_version": GENERATOR_VERSION,
         "mode": "symbolic" if op.is_symbolic else "finite-difference",
-        "fd_step": None if op.is_symbolic else h0,
+        "fd_step": None if op.is_symbolic else config.fd_step_scale * chart.min_side,
         "tolerance": tol,
     }
     return ResidualReport(tolerance=tol, entries=tuple(entries), manifest=manifest)

@@ -120,6 +120,20 @@ def _settings(spec, args):
     return seed, tol, points
 
 
+def _sweep_settings(spec, args) -> dict:
+    """Keyword arguments of a CheckConfig or ClassifyConfig: seed and points,
+    plus the tolerance and the battery sizes where a flag or the file's
+    [config] sets them, so the configs own every other default."""
+    seed, tol, points = _settings(spec, args)
+    kwargs = {"seed": seed, "n_points": points}
+    if tol is not None:
+        kwargs["tol"] = tol
+    for key in ("fields", "scalars"):
+        if key in spec.config:
+            kwargs[f"n_{key}"] = spec.config[key]
+    return kwargs
+
+
 def _parse_point(text: str, dim: int) -> tuple[float, ...]:
     try:
         point = tuple(float(v) for v in text.split(","))
@@ -132,11 +146,7 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
 
 def run_check_axioms(spec, args) -> int:
     op = spec.operator(args.operator)
-    seed, tol, points = _settings(spec, args)
-    config = CheckConfig(seed=seed, n_points=points,
-                         n_fields=spec.config.get("fields", 8),
-                         n_scalars=spec.config.get("scalars", 4), tol=tol)
-    report = check_axioms(op, config)
+    report = check_axioms(op, CheckConfig(**_sweep_settings(spec, args)))
     manifest = report.manifest
     print(f"operator {args.operator}: mode={manifest['mode']} "
           f"points={manifest['n_points']} fields={manifest['n_fields']} "
@@ -155,11 +165,7 @@ def run_check_axioms(spec, args) -> int:
 def run_classify(spec, args) -> int:
     candidate = spec.operator(args.candidate)
     base = spec.operator(args.base)
-    seed, tol, points = _settings(spec, args)
-    config = ClassifyConfig(seed=seed, n_points=points,
-                            n_fields=spec.config.get("fields", 8),
-                            n_scalars=spec.config.get("scalars", 4),
-                            tol=tol if tol is not None else 1e-6,
+    config = ClassifyConfig(**_sweep_settings(spec, args),
                             loops=tuple(spec.loops.items()))
     result = classify(candidate, base, config=config)
     print(f"candidate {args.candidate} against base {args.base}")

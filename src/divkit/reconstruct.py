@@ -87,9 +87,10 @@ class PointwiseOneForm:
         self.fn_many = as_batch(fn, fn_many)
 
     def values_at(self, point: Sequence[float]) -> tuple[float, ...]:
-        return tuple(self.values_matrix(np.asarray([point], dtype=float))[0].tolist())
+        return tuple(self.values_matrix([point])[0].tolist())
 
-    def values_matrix(self, pts: np.ndarray) -> np.ndarray:
+    def values_matrix(self, pts) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
         self.chart.arrays(pts)  # DomainError unless an (m, n) point array
         if len(pts) == 0:  # a lifted fn would give shape (0,) here
             return np.zeros(pts.shape)
@@ -194,13 +195,14 @@ def _worst(labels, values: np.ndarray, pts: np.ndarray):
     return worst, label, where
 
 
-def _closedness_details(op: DivOperator, pts: np.ndarray, h0: float):
+def _closedness_details(op: DivOperator, pts: np.ndarray, fd_step_scale: float):
     """Max |d_i E_j - d_j E_i| with its index pair and point, for the
     one-form E that pairs fields with the operator: the cocycle rows of the
     sweep over the chart's unit fields e_i, where [e_i, e_j] = 0 and
-    op(e_j) = E_j.  A blackbox is differentiated with base step h0."""
+    op(e_j) = E_j.  A blackbox is differentiated with ``fd_step_scale``."""
     pairs = list(itertools.combinations(range(op.chart.dim), 2))
-    return _worst(pairs, _residuals(op, _units(op.chart), 0.0, pts, h0), pts)
+    return _worst(pairs, _residuals(op, _units(op.chart), 0.0, pts,
+                                    fd_step_scale), pts)
 
 
 def closedness_residual(form, points, fd_step_scale: float = 1e-5) -> float:
@@ -216,8 +218,7 @@ def closedness_residual(form, points, fd_step_scale: float = 1e-5) -> float:
     pts = np.asarray(points, dtype=float)
     if not np.all(chart.contains_mask(chart.arrays(pts))):
         raise DomainError("a point lies outside the chart domain")
-    return _closedness_details(_pairing(form), pts,
-                               fd_step_scale * chart.min_side)[0]
+    return _closedness_details(_pairing(form), pts, fd_step_scale)[0]
 
 
 def integrate_potential(form, chart: Chart | None = None,
@@ -332,13 +333,13 @@ def tensoriality_residual(op: DivOperator, base: DivOperator, f: Expr,
 
 
 def _verification(diff: DivOperator, potential: NumericScalarField, fields,
-                  pts: np.ndarray, h: float) -> float:
+                  pts: np.ndarray, fd_step_scale: float) -> float:
     """Max over the fields of |(D - D0)(X) - X(P)| for the potential P,
-    whose gradient is taken by central differences with base step h."""
+    whose gradient is taken by central differences, ``axioms._partials``."""
     chart = potential.chart
     arrays = chart.arrays(pts)
-    grad = _partials(chart, potential.many, pts, h)
-    gaps = [image - sum(grad[:, i] * c.eval_many(arrays)
+    grad = _partials(chart, potential.many, pts, fd_step_scale)
+    gaps = [image - sum(grad[i] * c.eval_many(arrays)
                         for i, c in enumerate(x.components))
             for x, image in zip(fields, diff.apply_fields(fields, pts))]
     return max([0.0] + [local for local, _, _ in _maxima(np.abs(np.stack(gaps)))])
@@ -367,8 +368,7 @@ def classify(op: DivOperator, base: DivOperator,
     if tens > config.tol:
         return Classification(NOT_TENSORIAL, form, residuals, witness=witness)
 
-    closed, pair, where = _closedness_details(
-        diff, pts, config.fd_step_scale * chart.min_side)
+    closed, pair, where = _closedness_details(diff, pts, config.fd_step_scale)
     residuals["closedness"] = closed
     if closed > config.tol:
         return Classification(NOT_COCYCLE, form, residuals,
@@ -397,9 +397,8 @@ def classify(op: DivOperator, base: DivOperator,
         potential, VolumeForm(base.chart, base.density, validate=False))
     # slab points lie inside the chart, so its own fields and E serve
     verify_pts = sample_points(work_chart, min(config.n_points, 50), config.seed)
-    verify = _verification(diff, potential,
-                           [x for _, x in library_fields(chart)], verify_pts,
-                           config.fd_step_scale * work_chart.min_side)
+    verify = _verification(diff, potential, [x for _, x in library_fields(chart)],
+                           verify_pts, config.fd_step_scale)
     residuals["verification"] = verify
     restricted_to = work_chart if work_chart is not chart else None
     if verify > config.tol:

@@ -47,7 +47,7 @@ from divkit.operators import (
     div_affine,
     perturbed_operator,
 )
-from divkit.reconstruct import DIVERGENCE, ClassifyConfig, classify
+from divkit.reconstruct import DIVERGENCE, NOT_COCYCLE, ClassifyConfig, classify
 
 BOX = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
 POLAR = Chart(("r", "th"), ((1.0, 2.5), (0.0, 1.5)))
@@ -389,15 +389,18 @@ def test_batched_sweep_matches_reference_where_probes_shrink():
     cocycle = [e.skipped for e in report.entries if e.axiom == "cocycle"]
     assert cocycle[0] > 0 and len(set(cocycle)) == 1
     assert all(e.skipped == 0 for e in report.entries if e.axiom == "leibniz")
+    # no probe fits at 1.6; along x the partial of x is 1 wherever the
+    # shrunk probes fit and nan elsewhere
     pts = np.asarray(sample_points(annulus, 40, 3))
-    along_x, _ = axioms._axis_probes(annulus, pts, 1.6)
-    assert np.all(along_x.h < 1.6)
-    assert np.any(along_x.usable) and np.any(~along_x.usable)
+    along_x = axioms._partials(annulus, lambda rows: rows[:, 0], pts, 0.8)[0]
+    usable = np.isfinite(along_x)
+    assert np.any(usable) and np.any(~usable)
+    assert np.allclose(along_x[usable], 1.0)
 
 
 def test_batched_sweep_matches_reference_zero_field():
-    # an all-zero field, first and last; at 2,049 points each axis's probe
-    # set spans two blocks.  Its cocycle rows are exactly 0 wherever the
+    # an all-zero field, first and last, at 25 and at 2,049 points.  Its
+    # cocycle rows are exactly 0 wherever the
     # probes fit, which is everywhere on these samples
     zero = [("zero", VectorField(BOX, (const(0.0), const(0.0))))]
     scalars = [("f", ex("x*y - 0.5"))]
@@ -421,6 +424,31 @@ def test_batched_sweep_matches_reference_nan_blackbox():
                               CheckConfig(n_points=20, n_fields=1, n_scalars=1))
 
 
+@pytest.mark.parametrize("chart", [
+    Chart(("u",), ((-1.0, 1.0),)),
+    BOX,
+    Chart(("x", "y", "z"), ((-1.0, 1.0), (-0.5, 1.5), (0.0, 2.0))),
+], ids=["1d", "2d", "3d"])
+def test_partials_make_one_call_over_every_probe(chart):
+    # the up probes of every axis in axis order, then the down probes, in
+    # one call; values with leading axes keep them, ahead of (axes, points)
+    pts = sample_points(chart, 7, 0)
+    calls = []
+
+    def fn(rows):
+        calls.append(rows)
+        return np.stack([rows.sum(axis=1), (rows ** 2).sum(axis=1)])
+
+    got = axioms._partials(chart, fn, pts, 1e-5)
+    steps = 1e-5 * chart.min_side * np.eye(chart.dim)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.concatenate(
+        [pts + e for e in steps] + [pts - e for e in steps]))
+    assert got.shape == (2, chart.dim, 7)
+    np.testing.assert_allclose(got[0], 1.0, rtol=1e-9)
+    np.testing.assert_allclose(got[1], 2.0 * pts.T, atol=1e-9)
+
+
 def _counting(op):
     """Blackbox view of the operator that records the row count of each call."""
     rows = []
@@ -433,19 +461,32 @@ def _counting(op):
 
 
 def test_batched_sweep_crosses_block_boundary():
-    # at 2,049 points the 2 axes' 8,196 probe rows are packed into blocks of
-    # 4,096 rows, so each axis's probe set spans two blocks
+    # at 2,049 points the 2 axes' 8,196 probe rows, more than one block of
+    # 4,096, go to one call
     op, rows = _counting(FLAT_OP)
     config = CheckConfig(n_points=2_049)
     check_axioms(op, config)
     # the lifted fn_many is called once per field, bracket and fX at the
-    # samples, then once per field and block of probes
+    # samples, then once per field over every probe
     n = 8 + len(library_fields(BOX))
-    full, rest = divmod(2 * 2 * 2_049, axioms.BATCH_ROWS)
-    assert (full, rest) == (2, 4)
-    assert rows == [2_049] * (n + n * (n - 1) // 2 + 4 * n) \
-        + [axioms.BATCH_ROWS] * n * full + [rest] * n
+    assert rows == [2_049] * (n + n * (n - 1) // 2 + 4 * n) + [2 * 2 * 2_049] * n
+    assert len(rows) == 156
     _assert_matches_reference(op, config)
+
+
+def test_no_probe_fits_makes_no_empty_call():
+    # at step 10 every probe leaves the box, so the sweeps evaluate no probe
+    # and call the user's fn_many with no empty point array; every cocycle
+    # row and the closedness residual are then inf
+    op, rows = _counting(FLAT_OP)
+    report = check_axioms(op, CheckConfig(fd_step_scale=10.0))
+    assert rows == [100] * 143
+    assert all(e.max_residual == math.inf for e in report.entries
+               if e.axiom == "cocycle")
+    result = classify(op, FLAT_OP, ClassifyConfig(fd_step_scale=10.0))
+    assert result.verdict == NOT_COCYCLE
+    assert result.residuals["closedness"] == math.inf
+    assert rows and 0 not in rows
 
 
 def test_sample_whose_axis_probe_leaves_the_chart_is_skipped_in_every_cocycle_row():
@@ -460,9 +501,9 @@ def test_sample_whose_axis_probe_leaves_the_chart_is_skipped_in_every_cocycle_ro
     zero = VectorField(annulus, (const(0.0), const(0.0)))
     fields = [("unit_y", named["unit_y"]), ("zero", zero), ("swirl", named["swirl"])]
     battery = axioms._Battery(annulus, fields, [("f", ex("x*y - 0.5", annulus))])
-    h0 = 1e-5 * annulus.min_side
     pts = np.array([[0.5, 0.5], [1.0 - 1e-9, 0.3], [0.0, 0.2 + 1e-9]])
-    cocycle, leibniz = np.split(axioms._residuals(op, battery, op.weight, pts, h0), [3])
+    cocycle, leibniz = np.split(axioms._residuals(op, battery, op.weight, pts, 1e-5),
+                                [3])
     assert np.all(np.isfinite(cocycle[:, 0])) and cocycle[:, 0].max() < 1e-6
     assert np.all(np.isnan(cocycle[:, 1:]))
     assert np.all(np.isfinite(leibniz))
@@ -483,10 +524,9 @@ def test_blackbox_cocycle_rows_agree_with_the_symbolic_rows(name):
     chart = op.chart
     battery = axioms._generated(chart, 0, 8, 4)
     pts = sample_points(chart, 100, 0)
-    h0 = 1e-5 * chart.min_side
     pairs = 13 * 12 // 2
-    exact = axioms._residuals(op, battery, op.weight, pts, h0)[:pairs]
-    fd = axioms._residuals(op.as_blackbox(), battery, op.weight, pts, h0)[:pairs]
+    exact = axioms._residuals(op, battery, op.weight, pts, 1e-5)[:pairs]
+    fd = axioms._residuals(op.as_blackbox(), battery, op.weight, pts, 1e-5)[:pairs]
     assert np.all(np.isfinite(fd))
     assert np.abs(fd - exact).max() <= 1e-6
 
@@ -498,25 +538,6 @@ def test_swirl_perturbation_fails_on_both_routes():
         assert not report.passed
         assert report.argmax.axiom == "cocycle"
         assert report.max_residual > 1e-3
-
-
-@pytest.mark.parametrize("sizes", [
-    [0, 3_000, 0, 5_000, 1, 0], [4_096, 0], [0, 0], [5, 7]])
-def test_set_values_packs_rows_across_sets(sizes):
-    # full blocks of BATCH_ROWS rows, whatever the set boundaries, then the
-    # rest; each set gets the values of its own rows, empty sets included
-    op, rows = _counting(WEIGHTED_OP)
-    fields = [x for _, x in library_fields(BOX)[:3]]
-    rng = np.random.default_rng(0)
-    sets = [rng.uniform(-1.0, 1.0, (k, 2)) for k in sizes]
-    values = list(axioms._set_values(op, fields, iter(sets)))
-    full, rest = divmod(sum(sizes), axioms.BATCH_ROWS)
-    blocks = [axioms.BATCH_ROWS] * full + [rest] * (rest > 0)
-    assert rows == [k for k in blocks for _ in fields]
-    assert [v.shape for v in values] == [(k, 3) for k in sizes]
-    for pts, vals in zip(sets, values):
-        for b, x in enumerate(fields):
-            assert np.array_equal(vals[:, b], WEIGHTED_OP.apply_many(x, pts))
 
 
 def test_blackbox_sweep_makes_one_call_per_field():
@@ -591,7 +612,7 @@ def test_one_point_sweep_matches_single_point_residuals(op, blackbox):
     assert want[0] > 1e-3 if cocycle_broken else max(want) < 1e-6
     # one row per residual, one column for the point
     battery = axioms._Battery(BOX, [("X", x), ("Y", y)], [("f", f)])
-    assert axioms._residuals(op, battery, op.weight, np.asarray([p]), 2e-5).shape \
+    assert axioms._residuals(op, battery, op.weight, np.asarray([p]), 1e-5).shape \
         == (3, 1)
 
 
@@ -931,8 +952,7 @@ def test_sweep_residuals_match_the_normal_form(case):
                                 config.n_scalars)
     pts = np.asarray(sample_points(chart, config.n_points, config.seed))
     arrays = chart.arrays(pts)
-    swept = list(axioms._residuals(op, battery, w, pts,
-                                   config.fd_step_scale * chart.min_side))
+    swept = list(axioms._residuals(op, battery, w, pts, config.fd_step_scale))
     fields = [x for _, x in battery.fields]
     d_theta = d_oneform(op.theta)
     memo = {}

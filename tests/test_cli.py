@@ -506,6 +506,25 @@ def test_tol_flag_changes_verdict(capsys):
     assert code_loose == 0 and code_tight == 1
 
 
+def test_sweeps_get_only_the_settings_given(capsys, tmp_path, monkeypatch):
+    # check-axioms and classify pass the tolerance and the battery sizes
+    # only where a flag or [config] sets them; the configs own the defaults
+    import divkit.cli as cli
+
+    given = []
+    for name in ("CheckConfig", "ClassifyConfig"):
+        monkeypatch.setattr(cli, name, lambda cls=getattr(cli, name), **kw:
+                            given.append(sorted(kw)) or cls(**kw))
+    sized = tmp_path / "sized.dvk"
+    sized.write_text(pathlib.Path(BOX).read_text()
+                     .replace("[config]\n", "[config]\nfields = 2\nscalars = 1\n"))
+    run(capsys, "check-axioms", "--spec", ANNULUS, "D_exact")
+    run(capsys, "classify", "--spec", ANNULUS, "D_exact", "D0", "--tol", "1e-5")
+    run(capsys, "check-axioms", "--spec", str(sized), "D")
+    assert given == [["n_points", "seed"], ["loops", "n_points", "seed", "tol"],
+                     ["n_fields", "n_points", "n_scalars", "seed", "tol"]]
+
+
 @pytest.mark.parametrize("argv", [
     # tolerances that would print a wrong verdict with exit 0 or 1
     ["verify-kn", "--spec", POLAR, "area", "lc", "--tol=nan"],

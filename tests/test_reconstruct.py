@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from divkit.axioms import (
     _Battery,
     _maxima,
-    _partials,
     check_axioms,
     library_fields,
     random_fields,
@@ -405,6 +404,17 @@ def test_pointwise_form_checks_its_points_before_calling():
     assert form.values_at((0.1, 0.2)) == (0.2, -0.1)
 
 
+def test_pointwise_form_takes_a_list_of_points():
+    # a list of points once reached the shape check as a list and raised
+    # AttributeError; VectorField, OneForm and NumericScalarField take lists
+    form = PointwiseOneForm(BOX, lambda p: (p[1], -p[0]))
+    np.testing.assert_array_equal(form.values_matrix([[0.1, 0.2]]), [[0.2, -0.1]])
+    box_form = extract_oneform(weighted_op().as_blackbox(), flat_op())
+    np.testing.assert_array_equal(box_form.values_matrix([[0.1, 0.2], [0.3, 0.4]]),
+                                  box_form.values_matrix(np.array([[0.1, 0.2],
+                                                                   [0.3, 0.4]])))
+
+
 def test_numeric_scalar_checks_its_points_before_calling():
     # a point of the wrong length used to reach the callable: (0.1, 0.2,
     # 0.3) gave 0.30000000000000004 on the 2-D box
@@ -417,6 +427,29 @@ def test_numeric_scalar_checks_its_points_before_calling():
         scalar((0.1, 0.2, 0.3))
     assert calls == []
     assert scalar((0.1, 0.2)) == pytest.approx(0.3)
+
+
+def _ref_form_partials(form, pts, h0):
+    """(m, n, n) central differences of a pointwise form's components,
+    entry [:, i, j] = d_i E_j: along each axis in turn, the up and the down
+    probes evaluated separately, the step shrunk by 10 once where a probe
+    leaves the chart; nan where it still does."""
+    chart = form.chart
+    out = np.full(pts.shape + (chart.dim,), np.nan)
+    for i in range(chart.dim):
+        h = np.full(len(pts), h0)
+        for _ in range(2):
+            up, dn = pts.copy(), pts.copy()
+            up[:, i] += h
+            dn[:, i] -= h
+            ok = chart.contains_mask(chart.arrays(up)) & chart.contains_mask(chart.arrays(dn))
+            if ok.all():
+                break
+            h = np.where(ok, h, h / 10.0)
+        if ok.any():
+            out[ok, i] = (form.values_matrix(up[ok]) - form.values_matrix(dn[ok])) \
+                / (2.0 * h[ok])[:, None]
+    return out
 
 
 def _reference_closedness(form, pts, h0):
@@ -434,7 +467,7 @@ def _reference_closedness(form, pts, h0):
         def pair_values(i, j):
             return matrix[i][j].eval_many(arrays)
     else:
-        partials = _partials(chart, form.values_matrix, pts, h0)
+        partials = _ref_form_partials(form, pts, h0)
 
         def pair_values(i, j):
             return partials[:, i, j] - partials[:, j, i]
