@@ -17,9 +17,11 @@ residual, argmax point, samples, skipped), of every classification field
 value, one line each; both passes are compared with the parent's.  Each
 golden ``cli-specs`` case, a fresh process, runs once per seed; its exit
 code and every line of its stdout are compared, noise digits included.
-Per seed the child also prints ``integral_vanishing_check`` on a 1-D and a
-3-D chart, grid shapes ``dense-eval`` never reaches: the whole axis in one
-call, and one ``(1, n1, n2)`` slab per call.
+Per seed the child also prints ``integral_vanishing_check`` on a 1-D and
+two 3-D charts, grid shapes ``dense-eval`` never reaches: the whole axis in
+one call, one ``(1, n1, n2)`` slab per call, and two slabs per call, so
+that a first-axis subtree's values are sliced at offsets other than the
+slab index.
 
 Standard library only.  Exits 0 when both sides print the same lines and 1
 otherwise, after naming every line that differs, their count, and one count
@@ -86,13 +88,15 @@ def output_lines(result) -> list[str]:
 
 def chart_integrals(seed: int):
     """(label, value) of the vanishing integral of a seeded bump field on a
-    1-D and on a 3-D chart; in 3-D a slab of 96^2 points fills a call."""
+    1-D and on two 3-D charts.  In 3-D at resolution 6 a slab of 96^2
+    points fills a call; at resolution 4 a call holds two slabs of 64^2."""
     import numpy as np
     from divkit import geometry, quadrature
 
     rng = np.random.default_rng(seed)
     cases = [("1d", ("u",), "exp(u^2)", 64),
-             ("3d", ("x", "y", "z"), "exp(x^2 - y*z)", 6)]
+             ("3d", ("x", "y", "z"), "exp(x^2 - y*z)", 6),
+             ("3d-two-slabs", ("x", "y", "z"), "exp(x*y - z^2)", 4)]
     for label, coords, density, resolution in cases:
         chart = geometry.Chart(coords, ((-1.0, 1.0),) * len(coords))
         center = rng.uniform(-0.3, 0.3, size=len(coords))

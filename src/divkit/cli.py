@@ -20,10 +20,10 @@ import numpy as np
 
 from .axioms import CheckConfig, check_axioms, library_fields
 from .errors import DomainError, SpecError, ValidationError
-from .expr import EvalDomainError, ParseError, eval_roots
+from .expr import EvalDomainError, ParseError
 from .geometry import sample_points
 from .operators import difference, div_affine, div_volume, parallel_residual
-from .quadrature import bump_field, grid_integral
+from .quadrature import _expr_integral, bump_field
 from .reconstruct import CLOSED_NOT_EXACT, DIVERGENCE, ClassifyConfig, classify
 from .specfile import lookup, parse_specfile
 
@@ -258,8 +258,7 @@ def run_integrate_vanish(spec, args) -> int:
         else spec.config.get("resolution", 64)
     field = bump_field(chart, center, radius, args.direction)
     integrand = (op.symbolic(field) * op.density).simplify()
-    value = grid_integral(lambda arrays: next(eval_roots((integrand,), arrays)),
-                          chart, resolution=resolution)
+    value = _expr_integral(integrand, chart, resolution)
     if not math.isfinite(value):
         raise DomainError("the integral is not finite")
     print(f"bump center={_point_str(center)} radius={_fmt(radius)} "

@@ -10,12 +10,13 @@ integrates to zero against a volume density.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ChartMismatch, SupportError, ValidationError
-from .expr import eval_roots
+from .expr import Expr, const, eval_roots, var
 
 __all__ = [
     "QuadratureRule",
@@ -24,6 +25,15 @@ __all__ = [
     "bump_field",
     "integral_vanishing_check",
 ]
+
+
+def _count(value, what: str, least: int) -> int:
+    """``value`` as an int; ValidationError unless it is an integer, numpy's
+    included, of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{what} must be an integer of at least {least}, "
+                              f"not {value!r}")
+    return int(value)
 
 
 class QuadratureRule:
@@ -35,12 +45,8 @@ class QuadratureRule:
     """
 
     def __init__(self, order: int = 16, segments_per_unit: int = 8):
-        if order < 2:
-            raise ValidationError("quadrature order must be at least 2")
-        if segments_per_unit < 1:
-            raise ValidationError("segments_per_unit must be at least 1")
-        self.order = int(order)
-        self.segments_per_unit = int(segments_per_unit)
+        self.order = _count(order, "quadrature order", 2)
+        self.segments_per_unit = _count(segments_per_unit, "segments_per_unit", 1)
         nodes, weights = np.polynomial.legendre.leggauss(self.order)
         self.nodes = nodes
         self.weights = weights
@@ -74,8 +80,7 @@ def default_rule() -> QuadratureRule:
 
 
 def _axis_rules(chart, resolution: int, rule: QuadratureRule):
-    if resolution < 1:
-        raise ValidationError("grid resolution must be at least 1")
+    resolution = _count(resolution, "grid resolution", 1)
     return [rule.mapped(a, b, segments=resolution) for a, b in chart.box]
 
 
@@ -107,8 +112,10 @@ def grid_integral(fn, chart, resolution: int = 64,
     From 2-D up, each call gets as many whole slabs (one first-axis node
     each) as fit in ``_GRID_POINTS`` points, or one larger slab, its
     coordinates shaped by ``np.ix_``, so a subtree of one coordinate costs
-    one value per node of its axis.  Each slab is summed on its own, in
-    order, so no bit changes.
+    one value per node of its axis in each call; the calls follow the first
+    axis in order.  Each slab is summed on its own, in order, so no bit
+    changes.  ``_expr_integral`` integrates an ``Expr`` with each such
+    subtree evaluated once per integral.
     """
     rule = rule or default_rule()
     if chart.disks:
@@ -137,6 +144,70 @@ def grid_integral(fn, chart, resolution: int = 64,
     return float(total)
 
 
+def _expr_integral(expr: Expr, chart, resolution: int,
+                   rule: QuadratureRule | None = None) -> float:
+    """``grid_integral`` of the values of ``expr``, its tree split once.
+
+    Each maximal subtree of the first coordinate alone becomes a leaf whose
+    values are computed once over the whole first axis and sliced per
+    block; each maximal subtree of the other coordinates alone becomes a
+    leaf computed once over their ``np.ix_`` shapes.  Each block evaluates
+    only the nodes that mix the first coordinate with another, through
+    ``eval_roots``.  Every value is the one the block would have computed,
+    so no bit changes.
+    """
+    first = chart.coords[0]
+    used: dict[int, frozenset] = {}
+    split: dict[int, Expr] = {}
+    along: dict[str, Expr] = {}  # leaf name: subtree of the first coordinate
+    across: dict[str, Expr] = {}  # leaf name: subtree of the other ones
+
+    def coords(e: Expr) -> frozenset:
+        out = used.get(id(e))
+        if out is None:
+            out = frozenset((e.name,)) if e.kind == "var" \
+                else frozenset().union(*map(coords, e.args))
+            used[id(e)] = out
+        return out
+
+    def rebuild(e: Expr) -> Expr:
+        out = split.get(id(e))
+        if out is None:
+            names = coords(e)
+            if e.kind == "var" or not names:
+                out = e
+            elif first in names and len(names) > 1:
+                out = Expr(e.kind, tuple(map(rebuild, e.args)), e.value, e.name)
+            else:
+                leaf = f"#{len(along) + len(across)}"  # no coordinate's name
+                (along if first in names else across)[leaf] = e
+                out = var(leaf)
+            split[id(e)] = out
+        return out
+
+    root = rebuild(expr)
+    leaves: dict[str, np.ndarray] = {}
+    offset = 0  # first-axis nodes of the blocks before this one
+
+    def fn(arrays):
+        nonlocal offset
+        if not offset:  # grid_integral has checked the chart and resolution
+            nodes, _ = (rule or default_rule()).mapped(*chart.box[0],
+                                                       segments=resolution)
+            axis = {first: nodes.reshape((-1,) + (1,) * (chart.dim - 1))}
+            leaves.update(zip(along, eval_roots(along.values(), axis)))
+            rest = {nm: arrays[nm] for nm in chart.coords[1:]}
+            leaves.update(zip(across, eval_roots(across.values(), rest)))
+        size = len(arrays[first])
+        block = {**arrays, **leaves}
+        for leaf in along:
+            block[leaf] = leaves[leaf][offset:offset + size]
+        offset += size
+        return next(eval_roots((root,), block))
+
+    return grid_integral(fn, chart, resolution=resolution, rule=rule)
+
+
 def bump_field(chart, center: Sequence[float], radius: float, direction: int):
     """Vector field with one component, a product of bumps centred at
     ``center`` with half-width ``radius`` per axis.
@@ -144,7 +215,6 @@ def bump_field(chart, center: Sequence[float], radius: float, direction: int):
     The closed support box must sit strictly inside the chart box and stay
     clear of every excluded disk; otherwise SupportError.
     """
-    from .expr import Expr, const, var
     from .geometry import VectorField
 
     center = tuple(float(c) for c in center)
@@ -202,7 +272,10 @@ def integral_vanishing_check(volume, field, resolution: int = 64,
     For a field that vanishes near the chart boundary this is an integral of
     an exact top-form over the box, so it should be numerically zero; the
     signed value is returned for the caller to judge.  Fields that are not
-    zero on the boundary are rejected.
+    zero on the boundary are rejected.  The integrand is evaluated by
+    ``_expr_integral``, so each subtree of one coordinate, such as a bump
+    factor and its derivatives, costs one value per node of its axis per
+    integral.
     """
     from .geometry import lie_derivative_top
 
@@ -214,7 +287,5 @@ def integral_vanishing_check(volume, field, resolution: int = 64,
             vals = comp.eval_many(arrays)
             if not np.all(np.abs(vals) <= 1e-12):
                 raise SupportError("field does not vanish on the chart boundary")
-    coeff = lie_derivative_top(field, volume)
-    # eval_roots keeps only the values of shared nodes, unlike eval_many
-    return grid_integral(lambda arrays: next(eval_roots((coeff,), arrays)),
-                         chart, resolution=resolution, rule=rule)
+    return _expr_integral(lie_derivative_top(field, volume), chart,
+                          resolution, rule)

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from divkit import quadrature
 from divkit.errors import ChartMismatch, SupportError, ValidationError
-from divkit.expr import eval_roots, parse_expr
+from divkit.expr import FUNCTIONS, parse_expr
 from divkit.geometry import Chart, VectorField, VolumeForm, lie_derivative_top
 from divkit.quadrature import (
     QuadratureRule,
@@ -46,6 +46,15 @@ def test_rule_validation():
         QuadratureRule(order=1)
     with pytest.raises(ValidationError):
         QuadratureRule(segments_per_unit=0)
+    # a count that is not an integer is rejected, not rounded or crashed on
+    for bad in (2.5, math.nan, math.inf, "16", None):
+        with pytest.raises(ValidationError, match="integer"):
+            QuadratureRule(order=bad)
+        with pytest.raises(ValidationError, match="integer"):
+            QuadratureRule(segments_per_unit=bad)
+    rule = QuadratureRule(order=np.int64(3), segments_per_unit=np.int32(2))
+    assert (rule.order, rule.segments_per_unit) == (3, 2)
+    assert type(rule.order) is int and type(rule.segments_per_unit) is int
 
 
 def test_segment_count_scales_with_length():
@@ -179,17 +188,17 @@ _GRID_ROOTS = [parse_expr(text, XYZ) for text in (
 @example((_GRID_ROOTS, Chart(XYZ, (_SIDES[0], _SIDES[1], _SIDES[1])), 1), 100)
 def test_broadcast_grid_matches_slab_by_slab(case, grid_points):
     # random trees of every kind, constant and one-coordinate trees among
-    # them, through eval_roots as integral_vanishing_check calls it; a block
-    # holds one slab, several, or every slab.  Their values may be inf or
-    # nan, whose sums numpy would warn about, and two nan integrals are equal
+    # them, through _expr_integral as integral_vanishing_check and the CLI
+    # call it: its one-axis leaves are sliced per block, and a block holds
+    # one slab, several, or every slab.  Their values may be inf or nan,
+    # whose sums numpy would warn about, and two nan integrals are equal
     roots, chart, resolution = case
     original = quadrature._GRID_POINTS
     quadrature._GRID_POINTS = grid_points
     try:
         with np.errstate(all="ignore"):
             for root in roots:
-                got = grid_integral(lambda a: next(eval_roots((root,), a)),
-                                    chart, resolution=resolution)
+                got = quadrature._expr_integral(root, chart, resolution)
                 want = _slab_by_slab(root.eval_many, chart, resolution)
                 assert got == want or (math.isnan(got) and math.isnan(want)), str(root)
     finally:
@@ -227,6 +236,11 @@ def test_grid_integral_rejects_disks_and_bad_resolution():
         grid_integral(lambda a: np.ones_like(a["x"]), holed)
     with pytest.raises(ValidationError):
         grid_integral(lambda a: np.ones_like(a["x"]), BOX2, resolution=0)
+    for bad in (2.5, math.nan, math.inf, 2.0):
+        with pytest.raises(ValidationError, match="integer"):
+            grid_integral(lambda a: np.ones_like(a["x"]), BOX2, resolution=bad)
+    assert grid_integral(lambda a: np.ones_like(a["x"]), BOX2,
+                         resolution=np.int64(2)) == pytest.approx(4.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +289,32 @@ def test_vanishing_integral_flat_and_weighted():
         f = bump_field(BOX2, (0.1, -0.2), 0.55, direction)
         assert abs(integral_vanishing_check(flat, f, resolution=32)) <= 1e-9
         assert abs(integral_vanishing_check(weighted, f, resolution=32)) <= 1e-9
+
+
+def test_vanishing_integral_evaluates_each_bump_factor_once(monkeypatch):
+    # every one-axis subtree of the integrand, such as a bump factor and
+    # its derivatives, is evaluated once per integral, not once per block:
+    # the count is the same at resolution 16 (8 blocks) and 128 (512
+    # blocks), and no call is longer than one axis of 16 * resolution
+    # nodes.  The boundary-face check takes 8 of the calls: the field's two
+    # bump factors on each of the four faces
+    weighted = VolumeForm.from_string(BOX2, "exp(x+0.5*y)")
+    f = bump_field(BOX2, (0.1, -0.2), 0.55, 1)
+    bump = FUNCTIONS["bump"]
+    calls = []
+
+    def counted(t):
+        calls.append(np.size(t))
+        return bump(t)
+
+    monkeypatch.setitem(FUNCTIONS, "bump", counted)
+    counts = []
+    for resolution in (16, 128):
+        calls.clear()
+        integral_vanishing_check(weighted, f, resolution=resolution)
+        counts.append(len(calls))
+        assert max(calls) <= 16 * resolution, calls
+    assert counts[0] == counts[1] < 16, counts
 
 
 def test_vanishing_integral_rejects_nonvanishing_boundary():
