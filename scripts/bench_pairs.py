@@ -15,7 +15,11 @@ directory of their own (``PYTHONPYCACHEPREFIX``, written even under
 pair, so a ``__pycache__`` left in one checkout cannot make that side's
 start-up look faster.  The output file holds every run's metrics and, for each
 workload and end-to-end metric, each side's median and quartiles, the number
-of pairs in which the working tree was lower, and the median change.
+of pairs in which the working tree was lower, and the median change.  Each
+run's minor page faults sit next to its metrics, summed the same way: the
+``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the ``perfbench/run.py``
+child, which counts every process that child waited for too (its setup
+probes and, in ``cli-specs``, its CLI processes).
 
 Standard library only.  Exits 1 when a run fails or reports a wrong output.
 """
@@ -26,6 +30,7 @@ import argparse
 import contextlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -100,11 +105,14 @@ def side_env(pycache: Path) -> dict:
 
 
 def run_once(checkout: Path, env: dict, workload: str, seed: int, args) -> dict:
-    """One ``perfbench/run.py`` result: its last stdout line, plus ENV."""
+    """One ``perfbench/run.py`` result: its last stdout line, plus ENV and
+    the minor page faults of the child and the processes it waited for."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd + (["--tiny"] if args.tiny else []),
                           cwd=checkout, env=env, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {workload} seed {seed} exited "
@@ -115,7 +123,7 @@ def run_once(checkout: Path, env: dict, workload: str, seed: int, args) -> dict:
         failed = [l for l in lines if l.startswith("FAILED ")]
         raise SystemExit(f"{checkout}: {workload} seed {seed}: {failed}")
     return {"env": env, "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "minor_faults": faults,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -127,22 +135,23 @@ def spread(runs: list[float]) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def summarise(seeds: list[int], runs: dict) -> dict:
-    """Per-metric figures of one workload from its runs on each side."""
-    metrics = {}
-    for name in runs["parent"][0]["metrics"]:
-        side = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
-        p_med = statistics.median(side["parent"])
-        c_med = statistics.median(side["change"])
-        metrics[name] = {
-            "parent": spread(side["parent"]),
-            "change": spread(side["change"]),
-            "change_lower_in_pairs": sum(
-                c < p for p, c in zip(side["parent"], side["change"])),
+def compare(parent: list[float], change: list[float]) -> dict:
+    """One figure's runs on each side, paired in order."""
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return {"parent": spread(parent), "change": spread(change),
+            "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
             "median_change_pct": round(100.0 * (c_med - p_med) / p_med, 1)
-            if p_med else None,
-        }
+            if p_med else None}
+
+
+def summarise(seeds: list[int], runs: dict) -> dict:
+    """Per-metric figures of one workload from its runs on each side, and
+    the minor page faults of each run."""
+    metrics = {name: compare(*([r["metrics"][name] for r in runs[s]] for s in SIDES))
+               for name in runs["parent"][0]["metrics"]}
+    faults = compare(*([r["minor_faults"] for r in runs[s]] for s in SIDES))
     return {"seeds": seeds, "pairs": len(seeds), "metrics": metrics,
+            "minor_faults": faults,
             "failed_of_attempted": {
                 s: [sum(r["failed"] for r in runs[s]),
                     sum(r["attempted"] for r in runs[s])] for s in SIDES}}
@@ -167,7 +176,9 @@ def bench(args, parent_dir: Path, pycache: Path) -> dict:
     out = {
         "what": "divkit benchmark, parent against the working tree: every "
                 "run, with each side's median and quartiles per workload and "
-                "end-to-end metric",
+                "end-to-end metric, and each run's minor page faults (the "
+                "RUSAGE_CHILDREN ru_minflt delta around perfbench/run.py, its "
+                "setup probes and CLI processes included)",
         "command": "python3 perfbench/run.py --workload <w> --seed <s> "
                    f"--seconds {args.seconds:g} --trace 0"
                    + (" --tiny" if args.tiny else ""),
@@ -187,7 +198,9 @@ def bench(args, parent_dir: Path, pycache: Path) -> dict:
                 runs[side].append(run_once(checkouts[side], envs[side],
                                            workload, seed, args))
                 print(f"{workload} seed {seed} {side}: "
-                      f"{runs[side][-1]['metrics']}", file=sys.stderr)
+                      f"{runs[side][-1]['metrics']}, "
+                      f"{runs[side][-1]['minor_faults']} minor faults",
+                      file=sys.stderr)
         workloads[workload] = summarise(args.seeds, runs)
     env = runs["change"][0]["env"]
     out.update({k: env.get(k) for k in ("python", "numpy", "cpu")},

@@ -270,10 +270,12 @@ def eval_roots(roots: Sequence[Expr],
     Two paths give bit-identical values.  When every array is one-dimensional
     with the same length m, 0 < m <= ``_BATCH_POINTS``, the trees are
     evaluated level by level (``_Program``), and every root is computed
-    before the first one is yielded.  Otherwise each root is computed when
-    it is requested, node by node: across roots only the values of nodes
-    with more than one parent are kept (a root counts as one parent), and
-    each is dropped after its last use.  The plans of the last
+    before the first one is yielded; their buffer is allocated once per
+    call and each column chunk is a contiguous view of it, so no chunk
+    allocates or faults in pages again.  Otherwise each root is computed
+    when it is requested, node by node: across roots only the values of
+    nodes with more than one parent are kept (a root counts as one
+    parent), and each is dropped after its last use.  The plans of the last
     ``_PLAN_CACHE`` root sets are kept, so a root set evaluated again is not
     walked again.
     """
@@ -492,15 +494,21 @@ class _Program:
     def run(self, arrays: Mapping[str, np.ndarray], m: int) -> list[np.ndarray]:
         """Every root's value at the m points, each a row of one new
         (roots x m) array.  The points are taken in chunks of columns, so
-        the buffer holds at most about ``_BUFFER_BYTES``."""
+        the buffer holds at most about ``_BUFFER_BYTES``.  The buffer is
+        allocated once per run, not per chunk: glibc gives a freed buffer
+        of this size back to the kernel, and each new one faults its pages
+        in again.  Each chunk is a C-contiguous (rows x chunk) view of its
+        front; a column slice of a wider array would give strided rows,
+        which may send a function to another numpy loop and change bits."""
         n_rows = self.n_rows
         width = max(1, min(m, _BUFFER_BYTES // (8 * n_rows)))
         scalar = np.float64
         out = np.empty((len(self.root_rows), m))
+        flat = np.empty(n_rows * width)
         with np.errstate(all="ignore"):
             for lo in range(0, m, width):
                 hi = min(lo + width, m)
-                buf = np.empty((n_rows, hi - lo))
+                buf = flat[:n_rows * (hi - lo)].reshape(n_rows, hi - lo)
                 for r, nm in enumerate(self.coords):
                     buf[r] = arrays[nm][lo:hi]
                 buf[n_rows - len(self.consts):] = self.consts[:, None]

@@ -152,9 +152,10 @@ def _expr_integral(expr: Expr, chart, resolution: int,
     values are computed once over the whole first axis and sliced per
     block; each maximal subtree of the other coordinates alone becomes a
     leaf computed once over their ``np.ix_`` shapes.  Each block evaluates
-    only the nodes that mix the first coordinate with another, through
-    ``eval_roots``.  Every value is the one the block would have computed,
-    so no bit changes.
+    only the nodes that mix the first coordinate with another, by
+    ``eval_many``: one root needs no plan, so repeating an integral of a
+    fresh tree adds no entry to ``eval_roots``' plans.  Every value is the
+    one the block would have computed, so no bit changes.
     """
     first = chart.coords[0]
     used: dict[int, frozenset] = {}
@@ -203,7 +204,7 @@ def _expr_integral(expr: Expr, chart, resolution: int,
         for leaf in along:
             block[leaf] = leaves[leaf][offset:offset + size]
         offset += size
-        return next(eval_roots((root,), block))
+        return root.eval_many(block)  # one root needs no plan
 
     return grid_integral(fn, chart, resolution=resolution, rule=rule)
 

@@ -317,10 +317,10 @@ def test_eval_roots_holds_only_multi_parent_values(roots):
     assert between[-1] == 0
 
 
-def test_eval_roots_level_by_level_buffer_is_bounded():
-    # about 4,000 distinct inner nodes at the largest level-by-level point
-    # count would need an 8 MB buffer in one piece; the columns are taken in
-    # chunks, so numpy's allocations stay within a few buffer bounds
+def _wide_program():
+    """Four roots over about 4,000 distinct inner nodes, with coordinate
+    arrays of the largest level-by-level point count: one piece of their
+    buffer would take 8 MB, so a run takes its columns in several chunks."""
     x, y = var("x"), var("y")
     roots = [Expr("mul", (x if k % 2 else y, const(k + 0.5))) for k in range(2048)]
     while len(roots) > 4:  # pairwise sums, 12 levels deep
@@ -328,7 +328,14 @@ def test_eval_roots_level_by_level_buffer_is_bounded():
                  for k in range(0, len(roots), 2)]
     m = expr_module._BATCH_POINTS
     arrays = {"x": np.linspace(-1.0, 1.0, m), "y": np.linspace(0.5, 2.0, m)}
-    list(eval_roots(roots, arrays))  # the plan is built outside the trace
+    list(eval_roots(roots, arrays))  # builds the plan
+    return roots, arrays
+
+
+def test_eval_roots_level_by_level_buffer_is_bounded():
+    # the columns are taken in chunks, so numpy's allocations stay within a
+    # few buffer bounds
+    roots, arrays = _wide_program()
     tracemalloc.start()
     try:
         got = list(eval_roots(roots, arrays))
@@ -336,6 +343,27 @@ def test_eval_roots_level_by_level_buffer_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * expr_module._BUFFER_BYTES
+    assert all(np.array_equal(a, r.eval_many(arrays)) for a, r in zip(got, roots))
+
+
+def test_eval_roots_allocates_one_buffer_per_run(monkeypatch):
+    # a run of several chunks allocates its buffer once, and each chunk is
+    # a view of it: glibc gives a freed buffer of this size back to the
+    # kernel, so a buffer per chunk faults its pages in again each time
+    roots, arrays = _wide_program()
+    program = expr_module._plans[tuple(map(id, roots))].program
+    width = expr_module._BUFFER_BYTES // (8 * program.n_rows)
+    assert width < expr_module._BATCH_POINTS  # several chunks
+    empty, sizes = np.empty, []
+
+    def counted(shape, *args, **kwargs):
+        sizes.append(8 * math.prod(np.atleast_1d(shape)))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", counted)
+    got = list(eval_roots(roots, arrays))
+    monkeypatch.undo()
+    assert sum(n >= expr_module._BUFFER_BYTES // 2 for n in sizes) == 1, sizes
     assert all(np.array_equal(a, r.eval_many(arrays)) for a, r in zip(got, roots))
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from divkit import expr as expr_module
 from divkit import quadrature
 from divkit.errors import ChartMismatch, SupportError, ValidationError
 from divkit.expr import FUNCTIONS, parse_expr
@@ -315,6 +316,20 @@ def test_vanishing_integral_evaluates_each_bump_factor_once(monkeypatch):
         counts.append(len(calls))
         assert max(calls) <= 16 * resolution, calls
     assert counts[0] == counts[1] < 16, counts
+
+
+def test_repeated_vanishing_integral_adds_no_plan(monkeypatch):
+    # each check builds a fresh integrand tree; its one mixed root is
+    # evaluated per block without a plan, so five identical checks keep as
+    # many eval_roots plans as one
+    monkeypatch.setattr(expr_module, "_plans", {})
+    weighted = VolumeForm.from_string(BOX2, "exp(x+0.5*y)")
+    f = bump_field(BOX2, (0.1, -0.2), 0.55, 1)
+    counts = []
+    for _ in range(5):
+        integral_vanishing_check(weighted, f, resolution=16)
+        counts.append(len(expr_module._plans))
+    assert counts == [counts[0]] * 5, counts
 
 
 def test_vanishing_integral_rejects_nonvanishing_boundary():
