@@ -19,9 +19,10 @@ residual is the Leibniz-only sweep of D - D0 at weight 0, and its
 closedness residual the cocycle-only sweep over the chart's unit fields,
 ``_units``.  A sweep returns one (residuals x points) array; ``_maxima``
 takes each residual's worst sample in one pass.  Every finite difference
-in the package, ``classify``'s too, comes from one routine, ``_partials``,
-along the coordinate axes.  A sample where a probe of any axis leaves the
-chart even after the one shrink is skipped in every cocycle row.
+in the package comes from one routine, ``_partials``, along the coordinate
+axes; ``classify`` takes one only in its closedness sweep of a blackbox.
+A sample where a probe of any axis leaves the chart even after the one
+shrink is skipped in every cocycle row.
 
 A battery, ``_Battery``, holds the fields and scalars with the trees the
 sweep derives from them alone: each bracket [X, Y], field fX and
@@ -58,6 +59,7 @@ from .geometry import (
     sample_points,
 )
 from .operators import DivOperator
+from .quadrature import _count
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -89,8 +91,9 @@ class CheckConfig:
     fd_step_scale: float = 1e-5
 
     def __post_init__(self):
-        if self.n_points < 1 or self.n_fields < 0 or self.n_scalars < 0:
-            raise ValidationError("check sizes must be positive")
+        for name, least in (("seed", 0), ("n_points", 1), ("n_fields", 0),
+                            ("n_scalars", 0)):
+            _count(getattr(self, name), name, least)
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("tolerance must be finite and positive")
         _require_step(self.fd_step_scale)

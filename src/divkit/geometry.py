@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ChartMismatch, DomainError, ValidationError
 from .expr import FUNCTIONS, EvalDomainError, Expr, _IDENT_RE, const, parse_expr
-from .quadrature import QuadratureRule, default_rule
+from .quadrature import QuadratureRule, _count, default_rule
 
 __all__ = [
     "Chart",
@@ -146,9 +146,8 @@ def sample_points(chart: Chart, count: int = STANDARD_SAMPLE_COUNT,
                   seed: int = STANDARD_SEED) -> np.ndarray:
     """Deterministic interior samples as a (count, dim) array, kept
     ``chart.margin`` away from the box boundary and from every disk."""
-    if count < 1:
-        raise ValidationError("sample count must be positive")
-    rng = np.random.default_rng(seed)
+    count = _count(count, "sample count", 1)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     margin = chart.margin
     lows = np.array([a + margin for a, _ in chart.box])
     highs = np.array([b - margin for _, b in chart.box])
@@ -277,8 +276,9 @@ class Path:
             if extra:
                 raise ValidationError(f"path components may only use t, found {sorted(extra)}")
         object.__setattr__(self, "components", comps)
-        if self.segments is not None and self.segments < 1:
-            raise ValidationError("segment count must be positive")
+        if self.segments is not None:
+            object.__setattr__(self, "segments",
+                               _count(self.segments, "segment count", 1))
 
     @classmethod
     def from_strings(cls, chart: Chart, texts: Iterable[str],

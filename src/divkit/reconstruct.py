@@ -12,11 +12,14 @@ about its basepoint a closed form integrates to a potential along straight
 segments, and exp(potential) times the reference density rebuilds a
 volume whose divergence is D.  On charts with excluded disks a
 nonzero loop integral certifies that no single volume works globally;
-otherwise the decision is rerun on a disk-free slab.  One helper verifies
-E against the potential's gradient, E(X) = X(P), on the chart's fields at
-slab points, however D and D0 are held.  When D0 is the divergence of
-rho0, that says D is the divergence of exp(P) rho0; central differences of
-P stay accurate where those of exp(P) rho0 grow with the box.
+otherwise the decision is rerun on a disk-free slab.  The potential and
+its check are one segment quadrature, ``_segment_integrals``: between
+consecutive slab points a, b, P(b) - P(a) must equal the integral of E's
+one-form along the chord [a, b], however D and D0 are held.  By Stokes
+each gap is the closedness defect integrated over the triangle (basepoint,
+a, b), so the check takes no finite difference and covers areas, not
+points.  When D0 is the divergence of rho0, that says D is the divergence
+of exp(P) rho0.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .axioms import (_Battery, _generated, _maxima, _partials,
-                     _require_step, _residuals, _units, leibniz_residual,
-                     library_fields)
+from .axioms import (_Battery, _generated, _maxima, _require_step,
+                     _residuals, _units, leibniz_residual)
 from .errors import ChartMismatch, DomainError, ValidationError
 from .expr import Expr
 from .geometry import (
@@ -38,11 +40,12 @@ from .geometry import (
     Path,
     VectorField,
     VolumeForm,
+    _Components,
     line_integral,
     sample_points,
 )
 from .operators import DivOperator, _pairing, as_batch, difference
-from .quadrature import QuadratureRule, default_rule
+from .quadrature import QuadratureRule, _count, default_rule
 
 __all__ = [
     "DIVERGENCE",
@@ -69,8 +72,8 @@ DIVERGENCE = "divergence"
 CLOSED_NOT_EXACT = "closed_not_exact"
 NOT_TENSORIAL = "not_tensorial"
 NOT_COCYCLE = "not_cocycle"
-# Defensive extra verdict: the sampled stages passed but the rebuilt volume
-# fails pointwise verification.  Unreachable for operators built by this
+# Defensive extra verdict: the sampled stages passed but the potential fails
+# its verification along chords.  Unreachable for operators built by this
 # package; an adversarial blackbox can land here.
 INCONSISTENT = "inconsistent"
 
@@ -86,8 +89,7 @@ class PointwiseOneForm:
         self.chart = chart
         self.fn_many = as_batch(fn, fn_many)
 
-    def values_at(self, point: Sequence[float]) -> tuple[float, ...]:
-        return tuple(self.values_matrix([point])[0].tolist())
+    values_at = _Components.values_at  # EvalDomainError where not finite
 
     def values_matrix(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -148,8 +150,9 @@ class ClassifyConfig:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("tolerance must be positive")
         _require_step(self.fd_step_scale)
-        if min(self.n_points, self.n_fields) < 1 or self.n_scalars < 1:
-            raise ValidationError("sample counts must be positive")
+        for name, least in (("seed", 0), ("n_points", 1), ("n_fields", 1),
+                            ("n_scalars", 1)):
+            _count(getattr(self, name), name, least)
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,21 @@ def closedness_residual(form, points, fd_step_scale: float = 1e-5) -> float:
     return _closedness_details(_pairing(form), pts, fd_step_scale)[0]
 
 
+def _segment_integrals(form, a: np.ndarray, b: np.ndarray,
+                       rule: QuadratureRule | None = None) -> np.ndarray:
+    """Integral of the form along each straight segment a[k] -> b[k] of two
+    (m, n) point arrays, by the rule on [0, 1] split as for unit length;
+    every node's value comes from one ``values_matrix`` call."""
+    rule = rule or default_rule()
+    t_nodes, t_weights = rule.mapped(0.0, 1.0, segments=rule.segment_count(1.0))
+    m, n = b.shape
+    deltas = b - a
+    seg = a[:, None, :] + t_nodes[None, :, None] * deltas[:, None, :]
+    vals = form.values_matrix(seg.reshape(m * len(t_nodes), n))
+    integrand = np.einsum("mkn,mn->mk", vals.reshape(m, len(t_nodes), n), deltas)
+    return integrand @ t_weights
+
+
 def integrate_potential(form, chart: Chart | None = None,
                         rule: QuadratureRule | None = None) -> NumericScalarField:
     """Potential of a closed form, integrated along the straight segment from
@@ -237,21 +255,9 @@ def integrate_potential(form, chart: Chart | None = None,
         raise ChartMismatch("potential chart must lie inside the form's chart")
     if chart.disks:
         raise ValidationError("potential integration needs a disk-free chart")
-    rule = rule or default_rule()
-    t_nodes, t_weights = rule.mapped(0.0, 1.0, segments=rule.segment_count(1.0))
     base = np.asarray(chart.basepoint, dtype=float)
-
-    def fn_many(pts):
-        pts = np.asarray(pts, dtype=float)
-        m, n = pts.shape
-        deltas = pts - base[None, :]
-        seg = base[None, None, :] + t_nodes[None, :, None] * deltas[:, None, :]
-        vals = form.values_matrix(seg.reshape(m * len(t_nodes), n))
-        vals = vals.reshape(m, len(t_nodes), n)
-        integrand = np.einsum("mkn,mn->mk", vals, deltas)
-        return integrand @ t_weights
-
-    return NumericScalarField(chart, None, fn_many)
+    return NumericScalarField(chart, None, lambda pts: _segment_integrals(
+        form, np.broadcast_to(base, pts.shape), pts, rule))
 
 
 def monodromy_period(form, loop: Path,
@@ -332,17 +338,14 @@ def tensoriality_residual(op: DivOperator, base: DivOperator, f: Expr,
     return leibniz_residual(difference(op, base), f, field, point, weight=0.0)
 
 
-def _verification(diff: DivOperator, potential: NumericScalarField, fields,
-                  pts: np.ndarray, fd_step_scale: float) -> float:
-    """Max over the fields of |(D - D0)(X) - X(P)| for the potential P,
-    whose gradient is taken by central differences, ``axioms._partials``."""
-    chart = potential.chart
-    arrays = chart.arrays(pts)
-    grad = _partials(chart, potential.many, pts, fd_step_scale)
-    gaps = [image - sum(grad[i] * c.eval_many(arrays)
-                        for i, c in enumerate(x.components))
-            for x, image in zip(fields, diff.apply_fields(fields, pts))]
-    return max([0.0] + [local for local, _, _ in _maxima(np.abs(np.stack(gaps)))])
+def _verification(form, potential: NumericScalarField, pts: np.ndarray) -> float:
+    """Max over consecutive points a, b of |P(b) - P(a) - int_a^b form| for
+    the potential P.  By Stokes each gap is the integral of the form's
+    closedness defect over the triangle (basepoint, a, b), plus quadrature
+    error; no finite difference is taken."""
+    values = potential.many(pts)
+    gaps = values[1:] - values[:-1] - _segment_integrals(form, pts[:-1], pts[1:])
+    return _maxima(np.abs(gaps)[None, :])[0][0]
 
 
 def classify(op: DivOperator, base: DivOperator,
@@ -350,10 +353,10 @@ def classify(op: DivOperator, base: DivOperator,
     """Decide how the candidate operator relates to the reference divergence.
 
     Stages, each on the difference E = D - D0: sampled tensoriality of E,
-    closedness of its one-form, then either potential integration and
-    pointwise verification of E(X) = X(P) (disk-free chart) or loop periods
-    followed by the same on a disk-free slab (holed chart).  When D0
-    carries a density rho0, the volume exp(P) rho0 is rebuilt too.
+    closedness of its one-form, then either potential integration and its
+    verification along chords, P(b) - P(a) = int_a^b E (disk-free chart),
+    or loop periods followed by the same on a disk-free slab (holed chart).
+    When D0 carries a density rho0, the volume exp(P) rho0 is rebuilt too.
     """
     diff = difference(op, base)
     config = config or ClassifyConfig()
@@ -395,10 +398,10 @@ def classify(op: DivOperator, base: DivOperator,
     potential = integrate_potential(form, work_chart)
     volume = None if base.density is None else rebuild_volume(
         potential, VolumeForm(base.chart, base.density, validate=False))
-    # slab points lie inside the chart, so its own fields and E serve
-    verify_pts = sample_points(work_chart, min(config.n_points, 50), config.seed)
-    verify = _verification(diff, potential, [x for _, x in library_fields(chart)],
-                           verify_pts, config.fd_step_scale)
+    # at least one chord, and the slab is convex, so every chord lies in it
+    verify_pts = sample_points(work_chart, min(max(config.n_points, 2), 50),
+                               config.seed)
+    verify = _verification(form, potential, verify_pts)
     residuals["verification"] = verify
     restricted_to = work_chart if work_chart is not chart else None
     if verify > config.tol:

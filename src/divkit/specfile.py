@@ -259,11 +259,7 @@ def _build_operator(section: _Section, spec: SpecFile) -> DivOperator:
 
 def _build_config(section: _Section) -> dict:
     out: dict = {}
-    for line_no, key, value in section.entries:
-        if key not in _CONFIG_KEYS:
-            raise SpecError(f"unknown config key {key!r}", line_no)
-        if key in out:
-            raise SpecError(f"duplicate config key {key!r}", line_no)
+    for key, (line_no, value) in _entry_map(section, _CONFIG_KEYS).items():
         try:
             out[key] = float(value) if key == "tol" else int(value)
         except ValueError:

@@ -277,8 +277,12 @@ def test_report_invariants():
 
 
 def test_check_config_validation():
-    with pytest.raises(ValidationError):
-        CheckConfig(n_points=0)
+    # a fractional count once raised TypeError, a negative seed numpy's
+    # ValueError, both at the first draw
+    for bad in ({"n_points": 0}, {"n_points": 2.5}, {"n_fields": 1.5},
+                {"n_scalars": -1}, {"seed": -1}, {"seed": 0.5}):
+        with pytest.raises(ValidationError):
+            CheckConfig(**bad)
     for tol in (-1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             CheckConfig(tol=tol)

@@ -6,7 +6,6 @@ verdicts and commentary must match exactly, and each printed number is
 compared by its class, within a bound derived from the unit roundoff.
 """
 
-import functools
 import pathlib
 import re
 
@@ -14,12 +13,6 @@ import numpy as np
 import pytest
 
 from divkit.cli import main
-from divkit.reconstruct import (
-    ClassifyConfig,
-    extract_oneform,
-    integrate_potential,
-    star_shaped_subchart,
-)
 from divkit.specfile import parse_specfile
 
 HERE = pathlib.Path(__file__).parent
@@ -66,7 +59,7 @@ CASE_ARGV = {name: argv for name, _, argv in GOLDEN_CASES}
 # ---------------------------------------------------------------------------
 # comparing a transcript with its golden
 #
-# Every printed number falls in one of three classes.  The bounds below come
+# Every printed number falls in one of two classes.  The bounds below come
 # from the unit roundoff u = eps/2 of IEEE doubles.
 
 EPS = np.finfo(float).eps
@@ -79,8 +72,7 @@ EPS = np.finfo(float).eps
 #    check-axioms sweep of box.dvk.  S <= 2**10 and k = 8 give 2**-40, about
 #    9.1e-13: seven times the largest residue printed (7.8e-14).
 RESIDUE_FLOOR = 8 * (EPS / 2) * 2.0 ** 10
-# 2. Finite-difference residuals: see verification_bound.
-# 3. Every other value keeps seven of its nine printed digits.
+# 2. Every other value keeps seven of its nine printed digits.
 RELATIVE_TOL = 1e-7
 
 NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -88,30 +80,6 @@ NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 LONE_NUMBER = re.compile(rf"(?<![\w.]){NUMBER}(?![\w.])")
 PAIR_LINE = re.compile(
     rf"RESIDUAL \w+\(\w+,\w+\) ({NUMBER}) at \(({NUMBER}(?:, {NUMBER})*)\)")
-
-
-@functools.lru_cache(maxsize=None)
-def verification_bound(spec_path, candidate, base):
-    """Allowed drift of the verification residual that `classify` prints.
-
-    The residual is max |E(X) - X(P)| for E = D - D0, with X(P) from
-    central differences with step h on the potential P, which is zero at
-    the basepoint and is a quadrature sum.  Rounding moves only the
-    rounding part of that error.  Values with relative error delta give a
-    rounding part of at most delta / h (Sauer, Numerical Analysis, section
-    5.1), and delta is about u * max|P|.  Two runs thus differ by at most
-    eps * max|P| / h.  Both potentials here are quadratic, so central
-    differences are exact and the printed residual is that rounding part
-    alone: a value moved down, or up by less than the bound, is drift.
-    """
-    spec = parse_specfile(spec_path)
-    op, ref = spec.operator(candidate), spec.operator(base)
-    work = star_shaped_subchart(op.chart)
-    h = ClassifyConfig().fd_step_scale * work.min_side
-    axes = np.meshgrid(*(np.linspace(a, b, 33) for a, b in work.box))
-    grid = np.stack([axis.ravel() for axis in axes], axis=1)
-    potential = integrate_potential(extract_oneform(op, ref), work)
-    return EPS * float(np.abs(potential.many(grid)).max()) / h
 
 
 def _value_index(line, count):
@@ -140,7 +108,7 @@ def _pair_shape_mismatches(g, a):
     return []
 
 
-def _line_mismatches(g, a, fd_bound):
+def _line_mismatches(g, a):
     if g.startswith("EXPRESSION "):
         return [] if a == g else [f"{a!r} is not {g!r}"]
     g_numbers = LONE_NUMBER.findall(g)
@@ -156,8 +124,6 @@ def _line_mismatches(g, a, fd_bound):
         gv, av = float(gt), float(at)
         if k == value_at and residue:
             cls, limit, dev = "rounding residue", RESIDUE_FLOOR, abs(av)
-        elif k == value_at and g.startswith("RESIDUAL verification "):
-            cls, limit, dev = "finite difference", fd_bound, abs(av - gv)
         else:
             cls, limit, dev = "relative", RELATIVE_TOL * abs(gv), abs(av - gv)
         if not dev <= limit:
@@ -168,14 +134,10 @@ def _line_mismatches(g, a, fd_bound):
 
 def compare(name, text):
     """Every way `text` breaks the CLI contract against golden `name`."""
-    golden_text = golden(name)
-    fd_bound = None
-    if "RESIDUAL verification " in golden_text:
-        fd_bound = verification_bound(*CASE_ARGV[name][2:5])
-    expected, got = golden_text.split("\n"), text.split("\n")
+    expected, got = golden(name).split("\n"), text.split("\n")
     problems = [f"{name}.txt line {number}: {p}"
                 for number, (g, a) in enumerate(zip(expected, got), 1)
-                for p in _line_mismatches(g, a, fd_bound)]
+                for p in _line_mismatches(g, a)]
     if len(got) != len(expected):
         problems.insert(0, f"{name}.txt: {len(got)} lines, golden has "
                            f"{len(expected)}")
@@ -287,17 +249,6 @@ def contract_breaks():
                     i, line[:m.start()] + "1e-10" + line[m.end():])
     for kind, name, old, new in NAMED_BREAKS:
         yield kind, name, altered(name, (old, new))
-    # a verification residual raised by twice its bound, or back at what
-    # the rebuilt density's central differences printed; a lower value is
-    # rounding drift (see verification_bound)
-    density_route = {"classify_divergence": 1.09770171e-09,
-                     "classify_restricted": 2.06391348e-10}
-    for name, old_value in density_route.items():
-        value = re.search(r"RESIDUAL verification (\S+)", golden(name))[1]
-        bound = verification_bound(*CASE_ARGV[name][2:5])
-        for new in (float(value) + 2.0 * bound, old_value):
-            yield "verification_scaled", name, altered(
-                name, (value, f"{new:.9g}"))
 
 
 @pytest.mark.parametrize("kind", sorted({k for k, _, _ in contract_breaks()}))

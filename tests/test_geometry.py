@@ -109,6 +109,9 @@ def test_sample_points_deterministic_and_inside():
     for p in pts:
         assert ANNULUS.contains(p, margin=margin * 0.999)
         assert math.dist(p, (0.0, 0.0)) > 0.2 + margin * 0.999
+    for count, seed in ((0, 7), (2.5, 7), (5, -1), (5, 1.5)):
+        with pytest.raises(ValidationError):
+            sample_points(ANNULUS, count=count, seed=seed)
 
 
 def test_sample_points_failure_when_crowded():
@@ -155,11 +158,19 @@ def test_values_at_and_many():
         assert matrix[1, 0] == -0.25
 
 
-@pytest.mark.parametrize("cls", [VectorField, OneForm])
-def test_values_at_is_the_one_row_view(cls):
+def pointwise_form(chart, texts):
+    return PointwiseOneForm(chart, None, OneForm.from_strings(chart, texts)
+                            .values_matrix)
+
+
+@pytest.mark.parametrize("make", [VectorField.from_strings, OneForm.from_strings,
+                                  pointwise_form],
+                         ids=["VectorField", "OneForm", "PointwiseOneForm"])
+def test_values_at_is_the_one_row_view(make):
     # a point with a third coordinate used to be cut to two and evaluated,
-    # one with a single coordinate to end in a raw KeyError: 'y'
-    obj = cls.from_strings(BOX, ("x*y", "log(y)"))
+    # one with a single coordinate to end in a raw KeyError: 'y'; a
+    # PointwiseOneForm returned nan where a symbolic form raised
+    obj = make(BOX, ("x*y", "log(y)"))
     assert obj.values_at((0.5, 0.25)) == tuple(obj.values_matrix(
         np.array([[0.5, 0.25]]))[0].tolist())
     for point in ((0.1, 0.2, 0.3), (0.1,)):
@@ -359,6 +370,12 @@ def test_path_basics():
         Path(BOX, (var("t"), var("x")))
     with pytest.raises(ValidationError):
         Path.from_strings(BOX, ("t",))
+    # a fractional segment count once passed here and raised a TypeError
+    # inside line_integral
+    for segments in (0, 2.5, "4"):
+        with pytest.raises(ValidationError):
+            Path.from_strings(BOX, ("t-0.5", "0"), segments=segments)
+    assert Path.from_strings(BOX, ("t-0.5", "0"), segments=np.int64(4)).segments == 4
 
 
 def test_line_integral_angular_form_period():

@@ -43,6 +43,7 @@ from divkit.operators import (
     div_volume,
     perturbed_operator,
 )
+from divkit.quadrature import default_rule
 from divkit.reconstruct import (
     CLOSED_NOT_EXACT,
     DIVERGENCE,
@@ -818,10 +819,9 @@ def test_classify_blackbox_pair():
     result = classify(weighted_op().as_blackbox(), flat_op().as_blackbox())
     assert result.verdict == DIVERGENCE
     assert result.residuals["verification"] <= 1e-6
-    # a box of side 1e-4 and a coarse step: the closedness and verification
-    # probes shrink instead of leaving the chart, so the blackbox answers as
-    # its symbolic twin does; a step of 0.2 differentiates the quadratic
-    # potential exactly
+    # a box of side 1e-4 and a coarse step: the closedness probes shrink
+    # instead of leaving the chart, so the blackbox answers as its symbolic
+    # twin does; a step of 0.2 differentiates the linear one-form exactly
     tiny = Chart(("x", "y"), ((0.0, 1e-4), (0.0, 1e-4)))
     for chart, config in ((tiny, None), (BOX, ClassifyConfig(fd_step_scale=0.2))):
         op, base = weighted_op(chart), flat_op(chart)
@@ -831,13 +831,15 @@ def test_classify_blackbox_pair():
 
 # True divergences div(rho) against the flat divergence, as (density, half
 # side of the square box, fd_step_scale).  Central differences of the
-# rebuilt density exp(P) * rho0 grow with the box and with the step, and
-# call all but the first and last INCONSISTENT; those of P do not.
+# potential P, or of the rebuilt density exp(P) * rho0, grow with the box
+# and the step and called some of these INCONSISTENT (the [-8, 8] box at
+# 5.0e-6); the chord check takes no step.
 VERIFIED_DIVERGENCES = [
     ("exp(x^2 - y)", 1.0, None),
     ("exp(x^2 - y)", 1.0, 0.2),
     ("exp(x^2 - y)", 4.0, None),
     ("exp(sin(3*x)*y)", 4.0, None),
+    ("exp(sin(3*x)*y)", 8.0, None),
     ("1 + x^2 + y^2", 16.0, None),
 ]
 
@@ -857,22 +859,45 @@ def test_verdict_does_not_depend_on_how_the_operators_are_held(density, half,
     assert [r.volume is None for r in results] == [False, True, False, True]
 
 
-def test_classify_inconsistent_when_only_verification_sees_the_fault():
-    # an adversarial blackbox: a true divergence, except that it adds 1e-3
-    # to every value in a batch of exactly 50 points, the verification's
-    # sample size; the sampled stages never see a batch of that size
-    true = weighted_op()
+def chord_adversary(n_verify):
+    """A true divergence, except that it adds 1e-3 to every value in a
+    batch the size of the nodes on the n_verify - 1 verification chords,
+    with the residual that this leaves: E's one-form moves by 1e-3 in each
+    component there, so the chord [a, b] gains 1e-3 * sum(b - a).  No
+    other stage calls E with a batch of that size, and a shift of every
+    call would be a closed form the check cannot see."""
+    true, shift = weighted_op(), 1e-3
+    rule = default_rule()
+    rows = (n_verify - 1) * rule.order * rule.segment_count(1.0)
 
     def fn_fields(fields, pts):
-        shift = 1e-3 if len(pts) == 50 else 0.0
-        return [v + shift for v in true.apply_fields(fields, pts)]
+        bump = shift if len(pts) == rows else 0.0
+        return [v + bump for v in true.apply_fields(fields, pts)]
 
-    op = DivOperator(BOX, "blackbox", fn_fields=fn_fields)
+    chords = np.diff(sample_points(BOX, n_verify, 0), axis=0)
+    return (DivOperator(BOX, "blackbox", fn_fields=fn_fields),
+            shift * np.abs(chords.sum(axis=1)).max())
+
+
+def test_classify_inconsistent_when_only_verification_sees_the_fault():
+    # the default config verifies along the chords between 50 points
+    op, residual = chord_adversary(50)
     for base in (flat_op(), flat_op().as_blackbox()):
         result = classify(op, base)
         assert result.verdict == INCONSISTENT
-        assert result.residuals["verification"] == pytest.approx(1e-3, rel=1e-6)
+        assert result.residuals["verification"] == pytest.approx(residual,
+                                                                 rel=1e-6)
         assert result.witness == {"residual": result.residuals["verification"]}
+
+
+def test_one_point_classify_still_verifies_a_chord():
+    # one verification point would leave no chord and a check reading 0
+    op, residual = chord_adversary(2)
+    result = classify(op, flat_op(), ClassifyConfig(n_points=1))
+    assert result.verdict == INCONSISTENT
+    assert result.residuals["verification"] == pytest.approx(residual, rel=1e-6)
+    assert classify(weighted_op(), flat_op(),
+                    ClassifyConfig(n_points=1)).verdict == DIVERGENCE
 
 
 def test_second_classify_of_a_pair_reuses_the_difference(monkeypatch):
@@ -948,8 +973,11 @@ def test_classify_rejects_mismatched_charts():
 def test_classify_config_validation():
     with pytest.raises(ValidationError):
         ClassifyConfig(tol=0.0)
-    with pytest.raises(ValidationError):
-        ClassifyConfig(n_points=0)
+    # a fractional point count was accepted
+    for bad in ({"n_points": 0}, {"n_points": 2.5}, {"n_fields": 0},
+                {"n_scalars": 1.5}, {"seed": -1}):
+        with pytest.raises(ValidationError):
+            ClassifyConfig(**bad)
     for step in (0.0, -1e-5, math.inf, -math.inf, math.nan):
         with pytest.raises(ValidationError):
             ClassifyConfig(fd_step_scale=step)

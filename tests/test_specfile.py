@@ -124,7 +124,7 @@ oneform = e
      "[volume v]\ndensity = 2", 6, "duplicate volume"),
     ("[chart]\ncoords = x\nbox = 0, 1\n[volume v]\ndensity = 1\ndensity = 2",
      6, "duplicate key"),
-    ("[chart]\ncoords = x\nbox = 0, 1\n[config]\nshiny = 1", 5, "config key"),
+    ("[chart]\ncoords = x\nbox = 0, 1\n[config]\nshiny = 1", 5, "in [config]"),
     ("[chart]\ncoords = x\nbox = zero, one", 3, "numbers"),
 ], ids=lambda v: repr(v)[:26] if isinstance(v, str) else str(v))
 def test_errors_carry_line_numbers(text, line, fragment):
