@@ -21,7 +21,9 @@ Per seed the child also prints ``integral_vanishing_check`` on a 1-D and
 two 3-D charts, grid shapes ``dense-eval`` never reaches: the whole axis in
 one call, one ``(1, n1, n2)`` slab per call, and two slabs per call, so
 that a first-axis subtree's values are sliced at offsets other than the
-slab index.
+slab index.  It prints the curve integrals no workload reaches too:
+``line_integral`` of a symbolic and of a pointwise one-form around a loop
+with explicit segment counts, and ``integrate_potential`` on a 3-D box.
 
 Standard library only.  Exits 0 when both sides print the same lines and 1
 otherwise, after naming every line that differs, their count, and one count
@@ -107,6 +109,38 @@ def chart_integrals(seed: int):
             volume, field, resolution=resolution)
 
 
+def curve_integrals(seed: int):
+    """(label, value) of curve integrals no workload reaches: a symbolic and
+    a pointwise one-form around a seeded loop with explicit segment counts,
+    and a potential on a 3-D box at a few seeded points."""
+    import numpy as np
+    from divkit import geometry, reconstruct
+
+    rng = np.random.default_rng(seed)
+    annulus = geometry.Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)),
+                             disks=(((0.0, 0.0), 0.2),), basepoint=(0.6, 0.0))
+    symbolic = geometry.OneForm.from_strings(
+        annulus, ("-y/(x^2 + y^2) + x*y", "x/(x^2 + y^2) + sin(x - y)"))
+    pointwise = reconstruct.PointwiseOneForm(annulus, None, lambda pts: np.stack(
+        [np.cos(pts[:, 0] * pts[:, 1]), pts[:, 0] ** 3 - pts[:, 1]], axis=1))
+    cx, cy = rng.uniform(-0.1, 0.1, size=2).tolist()
+    radius = float(rng.uniform(0.4, 0.7))
+    for segments in (3, 17):
+        loop = geometry.Path.from_strings(annulus, (
+            f"{cx!r} + {radius!r}*cos(6.283185307179586*t)",
+            f"{cy!r} + {radius!r}*sin(6.283185307179586*t)"), segments)
+        for label, form in (("symbolic", symbolic), ("pointwise", pointwise)):
+            yield (f"loop-{label}-{segments}",
+                   geometry.line_integral(form, loop))
+    box = geometry.Chart(("x", "y", "z"), ((-1.0, 2.0), (-1.5, 1.0), (0.0, 1.0)))
+    form = geometry.OneForm.from_strings(box, ("exp(x*y) + z", "x*z^2",
+                                               "sin(x + y)"))
+    pts = rng.uniform((-1.0, -1.5, 0.0), (2.0, 1.0, 1.0), size=(4, 3))
+    potential = reconstruct.integrate_potential(form)
+    for k, value in enumerate(potential.many(pts).tolist()):
+        yield f"potential-3d-{k}", value
+
+
 def child(seeds: str) -> int:
     """Print every output of the checkout in the current directory."""
     root = Path.cwd().resolve()
@@ -128,6 +162,8 @@ def child(seeds: str) -> int:
                 print(f"{CLI_WORKLOAD} seed {seed} {op.label}: {line}")
         for label, value in chart_integrals(int(seed)):
             print(f"integral-{label} seed {seed}: value {value!r}")
+        for label, value in curve_integrals(int(seed)):
+            print(f"curve-{label} seed {seed}: value {value!r}")
     return 0
 
 

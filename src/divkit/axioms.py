@@ -17,10 +17,11 @@ more call.  One combination then fills the rows.  The
 single-point residuals are one-point sweeps.  ``classify``'s tensoriality
 residual is the Leibniz-only sweep of D - D0 at weight 0, and its
 closedness residual the cocycle-only sweep over the chart's unit fields,
-``_units``.  A sweep returns one (residuals x points) array; ``_maxima``
-takes each residual's worst sample in one pass.  Every finite difference
-in the package comes from one routine, ``_partials``, along the coordinate
-axes; ``classify`` takes one only in its closedness sweep of a blackbox.
+``_units``.  A sweep returns one (residuals x points) array of signed
+residuals; ``_maxima`` takes each residual's worst magnitude in one pass.
+Every finite difference in the package comes from one routine,
+``_partials``, along the coordinate axes; ``classify`` takes one only in
+its closedness sweep of a blackbox.
 A sample where a probe of any axis leaves the chart even after the one
 shrink is skipped in every cocycle row.
 
@@ -295,11 +296,13 @@ def _units(chart: Chart) -> _Battery:
 
 
 def _maxima(values: np.ndarray) -> list[tuple[float, int | None, int]]:
-    """For each row of a (residuals x points) array of |residual|, which it
-    overwrites where not finite: the largest finite value, its column and
-    the count of values that are not finite; (inf, None, count) if none is."""
+    """For each row of a (residuals x points) array of signed residuals,
+    which it overwrites with their magnitudes and, where not finite, -1: the
+    largest finite magnitude, its column and the count of values that are
+    not finite; (inf, None, count) if none is."""
     if not values.shape[1]:
         return [(math.inf, None, 0)] * len(values)
+    np.abs(values, out=values)
     finite = np.isfinite(values)
     np.copyto(values, -1.0, where=~finite)
     cols = values.argmax(axis=1)
@@ -351,8 +354,8 @@ def _fill(block: np.ndarray, values) -> np.ndarray:
 
 def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
                fd_step_scale: float | None = None) -> np.ndarray:
-    """The (residuals x points) array of |residual| (nan or inf where it
-    could not be evaluated): one row for the cocycle residual of each pair
+    """The (residuals x points) array of signed residuals (nan or inf where
+    it could not be evaluated): one row for the cocycle residual of each pair
     of the battery's fields X_a, X_b with a < b, then one for the Leibniz
     residual at ``weight`` of each scalar and field.  The cocycle terms are
     swept only when a finite-difference ``fd_step_scale`` is given; a
@@ -425,7 +428,7 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
         block -= f_vals[k] * dx
         if weight:
             block -= weight * xf[k * n:(k + 1) * n]
-    return np.abs(out, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +445,7 @@ def cocycle_residual(op: DivOperator, x: VectorField, y: VectorField,
                        op.weight, np.asarray([point], dtype=float), fd_step_scale)
     if not math.isfinite(vals[0]):
         raise DomainError("residual could not be evaluated at this point")
-    return float(vals[0])
+    return abs(float(vals[0]))
 
 
 def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
@@ -457,7 +460,7 @@ def leibniz_residual(op: DivOperator, f: Expr, x: VectorField,
                        np.asarray([point], dtype=float))
     if not math.isfinite(vals[0]):
         raise DomainError("residual could not be evaluated at this point")
-    return float(vals[0])
+    return abs(float(vals[0]))
 
 
 def cartan_identity_residual(x: VectorField, y: VectorField, volume: VolumeForm,

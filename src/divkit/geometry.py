@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ChartMismatch, DomainError, ValidationError
 from .expr import FUNCTIONS, EvalDomainError, Expr, _IDENT_RE, const, parse_expr
-from .quadrature import QuadratureRule, _count, default_rule
+from .quadrature import _count, _curve_integrals
 
 __all__ = [
     "Chart",
@@ -373,8 +373,7 @@ def d_oneform(form: OneForm) -> tuple[tuple[Expr, ...], ...]:
     return tuple(rows)
 
 
-def line_integral(form, path: Path,
-                  rule: QuadratureRule | None = None) -> float:
+def line_integral(form, path: Path) -> float:
     """Integral of a one-form along a path by composite quadrature.
 
     The form is anything with a chart and ``values_matrix`` (a symbolic
@@ -382,18 +381,20 @@ def line_integral(form, path: Path,
     the chart domain and the form must be finite there.
     """
     _require_same_chart(form.chart, path.chart)
-    rule = rule or default_rule()
-    segments = path.segments if path.segments is not None else rule.segment_count(1.0)
-    t_nodes, t_weights = rule.mapped(0.0, 1.0, segments=segments)
-    t_arrays = {"t": t_nodes}
-    pts = np.stack([c.eval_many(t_arrays) for c in path.components], axis=1)
-    mask = path.chart.contains_mask(path.chart.arrays(pts))
-    if not np.all(mask):
-        bad = int(np.argmin(mask))
-        raise DomainError(
-            f"path leaves the chart domain at {tuple(map(float, pts[bad]))}")
-    vels = np.stack([v.eval_many(t_arrays) for v in path.velocity()], axis=1)
-    integrand = np.einsum("mn,mn->m", form.values_matrix(pts), vels)
-    if not np.all(np.isfinite(integrand)):
+
+    def curve(t_nodes):
+        t_arrays = {"t": t_nodes}
+        pts = np.stack([c.eval_many(t_arrays) for c in path.components], axis=1)
+        mask = path.chart.contains_mask(path.chart.arrays(pts))
+        if not np.all(mask):
+            bad = int(np.argmin(mask))
+            raise DomainError(
+                f"path leaves the chart domain at {tuple(map(float, pts[bad]))}")
+        return pts, np.stack([v.eval_many(t_arrays) for v in path.velocity()],
+                             axis=1)
+
+    # the weights are positive, so a value that is not finite spoils the sum
+    total = float(_curve_integrals(form, curve, path.segments))
+    if not math.isfinite(total):
         raise DomainError("one-form is singular along the path")
-    return float(t_weights @ integrand)
+    return total

@@ -1,14 +1,18 @@
 """Gauss-Legendre quadrature on segments and chart boxes.
 
-A composite rule of fixed order is used everywhere: exact for polynomials of
-degree < 2*order on each segment, and in practice far below the package
-tolerances for the smooth integrands that arise here.  The chart-level
-helpers build compactly supported bump fields and check that their divergence
+The only module that picks quadrature nodes.  One composite rule of fixed
+order is used everywhere: exact for polynomials of degree < 2*order on each
+segment, and in practice far below the package tolerances for the smooth
+integrands that arise here.  Loop periods (``geometry.line_integral``) and
+the potential with its chord check (``reconstruct._segment_integrals``)
+share one curve integral, ``_curve_integrals``.  The chart-level helpers
+build compactly supported bump fields and check that their divergence
 integrates to zero against a volume density.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import Sequence
@@ -37,19 +41,18 @@ def _count(value, what: str, least: int) -> int:
 
 
 class QuadratureRule:
-    """Composite Gauss-Legendre rule.
+    """Composite Gauss-Legendre rule, the package's one.
 
     ``order`` is the node count per segment; ``segments_per_unit`` scales the
     default segment count with interval length so accuracy is roughly
     translation invariant.
     """
 
-    def __init__(self, order: int = 16, segments_per_unit: int = 8):
-        self.order = _count(order, "quadrature order", 2)
-        self.segments_per_unit = _count(segments_per_unit, "segments_per_unit", 1)
-        nodes, weights = np.polynomial.legendre.leggauss(self.order)
-        self.nodes = nodes
-        self.weights = weights
+    order = 16
+    segments_per_unit = 8
+
+    def __init__(self):
+        self.nodes, self.weights = np.polynomial.legendre.leggauss(self.order)
 
     def segment_count(self, length: float) -> int:
         return max(1, math.ceil(abs(length) * self.segments_per_unit))
@@ -65,23 +68,31 @@ class QuadratureRule:
         weights = (half[:, None] * self.weights[None, :]).ravel()
         return nodes, weights
 
-    def __repr__(self):
-        return f"QuadratureRule(order={self.order}, segments_per_unit={self.segments_per_unit})"
 
-
-_DEFAULT: QuadratureRule | None = None
-
-
+@functools.cache
 def default_rule() -> QuadratureRule:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = QuadratureRule()
-    return _DEFAULT
+    """The one rule, built on first use."""
+    return QuadratureRule()
 
 
-def _axis_rules(chart, resolution: int, rule: QuadratureRule):
+def _curve_integrals(form, curve, segments: int | None = None) -> np.ndarray:
+    """Integral of a one-form along curves parametrised by [0, 1], the
+    package's one curve quadrature.  ``curve`` maps the rule's nodes t of
+    [0, 1], split into ``segments`` (by default as for unit length), to the
+    points at them, an array of shape (..., len(t), n), and the velocities,
+    which broadcast to it; the integrals have shape (...).  The form is
+    anything with a chart and ``values_matrix`` (a symbolic ``OneForm`` or a
+    ``PointwiseOneForm``), read at every node in one call."""
+    t_nodes, t_weights = default_rule().mapped(0.0, 1.0, segments)
+    pts, vels = curve(t_nodes)
+    vals = form.values_matrix(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
+    return np.einsum("...kn,...kn->...k", vals,
+                     np.broadcast_to(vels, pts.shape)) @ t_weights
+
+
+def _axis_rules(chart, resolution: int):
     resolution = _count(resolution, "grid resolution", 1)
-    return [rule.mapped(a, b, segments=resolution) for a, b in chart.box]
+    return [default_rule().mapped(a, b, segments=resolution) for a, b in chart.box]
 
 
 _GRID_POINTS = 8192  # block points per call of fn; a full-block array is 64 KB
@@ -98,8 +109,7 @@ def _block_values(fn, arrays: dict, shape: tuple) -> np.ndarray:
                               f"to the block shape {shape}, not {vals.shape}") from None
 
 
-def grid_integral(fn, chart, resolution: int = 64,
-                  rule: QuadratureRule | None = None) -> float:
+def grid_integral(fn, chart, resolution: int = 64) -> float:
     """Tensor-product integral of ``fn`` over the chart box.
 
     ``fn`` receives a ``{coord: array}`` mapping of arrays that broadcast
@@ -117,10 +127,9 @@ def grid_integral(fn, chart, resolution: int = 64,
     changes.  ``_expr_integral`` integrates an ``Expr`` with each such
     subtree evaluated once per integral.
     """
-    rule = rule or default_rule()
     if chart.disks:
         raise ValidationError("grid integration requires a chart without excluded disks")
-    per_axis = _axis_rules(chart, resolution, rule)
+    per_axis = _axis_rules(chart, resolution)
     names = chart.coords
     first_nodes, first_weights = per_axis[0]
     if len(per_axis) == 1:
@@ -144,8 +153,7 @@ def grid_integral(fn, chart, resolution: int = 64,
     return float(total)
 
 
-def _expr_integral(expr: Expr, chart, resolution: int,
-                   rule: QuadratureRule | None = None) -> float:
+def _expr_integral(expr: Expr, chart, resolution: int) -> float:
     """``grid_integral`` of the values of ``expr``, its tree split once.
 
     Each maximal subtree of the first coordinate alone becomes a leaf whose
@@ -193,8 +201,7 @@ def _expr_integral(expr: Expr, chart, resolution: int,
     def fn(arrays):
         nonlocal offset
         if not offset:  # grid_integral has checked the chart and resolution
-            nodes, _ = (rule or default_rule()).mapped(*chart.box[0],
-                                                       segments=resolution)
+            nodes, _ = default_rule().mapped(*chart.box[0], segments=resolution)
             axis = {first: nodes.reshape((-1,) + (1,) * (chart.dim - 1))}
             leaves.update(zip(along, eval_roots(along.values(), axis)))
             rest = {nm: arrays[nm] for nm in chart.coords[1:]}
@@ -206,7 +213,7 @@ def _expr_integral(expr: Expr, chart, resolution: int,
         offset += size
         return root.eval_many(block)  # one root needs no plan
 
-    return grid_integral(fn, chart, resolution=resolution, rule=rule)
+    return grid_integral(fn, chart, resolution=resolution)
 
 
 def bump_field(chart, center: Sequence[float], radius: float, direction: int):
@@ -225,7 +232,7 @@ def bump_field(chart, center: Sequence[float], radius: float, direction: int):
         raise ValidationError("bump center has wrong dimension")
     if not (radius > 0.0) or not math.isfinite(radius):
         raise ValidationError("bump radius must be positive and finite")
-    if not (0 <= direction < n):
+    if _count(direction, "direction", 0) >= n:
         raise ValidationError(f"direction must index a coordinate (0..{n - 1})")
     for c, (a, b) in zip(center, chart.box):
         if not (a < c - radius and c + radius < b):
@@ -266,8 +273,7 @@ def _boundary_faces(chart, per_side: int = 33):
             yield arrays
 
 
-def integral_vanishing_check(volume, field, resolution: int = 64,
-                             rule: QuadratureRule | None = None) -> float:
+def integral_vanishing_check(volume, field, resolution: int = 64) -> float:
     """Integral of the divergence of ``field`` against the volume density.
 
     For a field that vanishes near the chart boundary this is an integral of
@@ -288,5 +294,4 @@ def integral_vanishing_check(volume, field, resolution: int = 64,
             vals = comp.eval_many(arrays)
             if not np.all(np.abs(vals) <= 1e-12):
                 raise SupportError("field does not vanish on the chart boundary")
-    return _expr_integral(lie_derivative_top(field, volume), chart,
-                          resolution, rule)
+    return _expr_integral(lie_derivative_top(field, volume), chart, resolution)

@@ -45,7 +45,7 @@ from .geometry import (
     sample_points,
 )
 from .operators import DivOperator, _pairing, as_batch, difference
-from .quadrature import QuadratureRule, _count, default_rule
+from .quadrature import _count, _curve_integrals
 
 __all__ = [
     "DIVERGENCE",
@@ -188,7 +188,7 @@ def extract_oneform(op: DivOperator, base: DivOperator):
 
 
 def _worst(labels, values: np.ndarray, pts: np.ndarray):
-    """The largest residual of a sweep's (residuals x points) array with its
+    """The largest |residual| of a sweep's (residuals x points) array with its
     row's label and point, the first such row winning; a row with no finite
     value counts as inf with no point.  (0.0, None, None) when all are 0."""
     worst, label, where = 0.0, None, None
@@ -224,23 +224,16 @@ def closedness_residual(form, points, fd_step_scale: float = 1e-5) -> float:
     return _closedness_details(_pairing(form), pts, fd_step_scale)[0]
 
 
-def _segment_integrals(form, a: np.ndarray, b: np.ndarray,
-                       rule: QuadratureRule | None = None) -> np.ndarray:
+def _segment_integrals(form, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integral of the form along each straight segment a[k] -> b[k] of two
-    (m, n) point arrays, by the rule on [0, 1] split as for unit length;
-    every node's value comes from one ``values_matrix`` call."""
-    rule = rule or default_rule()
-    t_nodes, t_weights = rule.mapped(0.0, 1.0, segments=rule.segment_count(1.0))
-    m, n = b.shape
+    (m, n) point arrays: the curves a + t (b - a) of ``_curve_integrals``,
+    whose nodes of [0, 1] are split as for unit length."""
     deltas = b - a
-    seg = a[:, None, :] + t_nodes[None, :, None] * deltas[:, None, :]
-    vals = form.values_matrix(seg.reshape(m * len(t_nodes), n))
-    integrand = np.einsum("mkn,mn->mk", vals.reshape(m, len(t_nodes), n), deltas)
-    return integrand @ t_weights
+    return _curve_integrals(form, lambda t: (
+        a[:, None, :] + t[None, :, None] * deltas[:, None, :], deltas[:, None, :]))
 
 
-def integrate_potential(form, chart: Chart | None = None,
-                        rule: QuadratureRule | None = None) -> NumericScalarField:
+def integrate_potential(form, chart: Chart | None = None) -> NumericScalarField:
     """Potential of a closed form, integrated along the straight segment from
     the chart basepoint; the basepoint value is 0 by construction.
 
@@ -257,11 +250,10 @@ def integrate_potential(form, chart: Chart | None = None,
         raise ValidationError("potential integration needs a disk-free chart")
     base = np.asarray(chart.basepoint, dtype=float)
     return NumericScalarField(chart, None, lambda pts: _segment_integrals(
-        form, np.broadcast_to(base, pts.shape), pts, rule))
+        form, np.broadcast_to(base, pts.shape), pts))
 
 
-def monodromy_period(form, loop: Path,
-                     rule: QuadratureRule | None = None) -> float:
+def monodromy_period(form, loop: Path) -> float:
     """Integral of the form around a closed loop.
 
     A value bounded away from zero certifies the form is closed but not
@@ -269,7 +261,7 @@ def monodromy_period(form, loop: Path,
     """
     if not loop.is_loop():
         raise ValidationError("monodromy needs a closed loop")
-    return line_integral(form, loop, rule)
+    return line_integral(form, loop)
 
 
 def rebuild_volume(potential: NumericScalarField, base: VolumeForm) -> NumericVolume:
@@ -345,7 +337,7 @@ def _verification(form, potential: NumericScalarField, pts: np.ndarray) -> float
     error; no finite difference is taken."""
     values = potential.many(pts)
     gaps = values[1:] - values[:-1] - _segment_integrals(form, pts[:-1], pts[1:])
-    return _maxima(np.abs(gaps)[None, :])[0][0]
+    return _maxima(gaps[None, :])[0][0]
 
 
 def classify(op: DivOperator, base: DivOperator,

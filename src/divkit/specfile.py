@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ChartMismatch, SpecError, ValidationError
+from .errors import SpecError, ValidationError
 from .expr import Expr, ParseError, const, parse_expr
 from .geometry import Chart, OneForm, Path, VectorField, VolumeForm
 from .operators import (
@@ -191,7 +191,7 @@ def _build_chart(section: _Section) -> Chart:
         basepoint = _floats(value, line_no)
     try:
         return Chart(coords, tuple(box), disks=tuple(disks), basepoint=basepoint)
-    except (ValidationError, ChartMismatch) as e:
+    except ValidationError as e:  # ChartMismatch included
         raise SpecError(str(e), section.line) from None
 
 
@@ -208,10 +208,7 @@ def _build_connection(section: _Section, chart: Chart) -> Connection:
         if max(k, i, j) >= n:
             raise SpecError(f"index out of range for dimension {n}", line_no)
         gamma[k][i][j] = _expr(value, chart.coords, line_no)
-    try:
-        return Connection(chart, tuple(tuple(tuple(r) for r in p) for p in gamma))
-    except (ValidationError, ChartMismatch) as e:
-        raise SpecError(str(e), section.line) from None
+    return Connection(chart, tuple(tuple(tuple(r) for r in p) for p in gamma))
 
 
 def _build_operator(section: _Section, spec: SpecFile) -> DivOperator:
@@ -228,26 +225,23 @@ def _build_operator(section: _Section, spec: SpecFile) -> DivOperator:
             raise SpecError(f"unknown {key} {name!r}", line_no)
         return registry[name]
 
-    try:
-        if kind == "volume":
-            op = div_volume(resolve("volume", spec.volumes))
-        elif kind == "metric":
-            op = div_metric(resolve("metric", spec.metrics))
-        elif kind == "affine":
-            op = div_affine(resolve("connection", spec.connections))
-        elif kind == "sdensity":
-            line_no, s_text = _require(entries, "s", section)
-            try:
-                s = float(s_text)
-            except ValueError:
-                raise SpecError(f"s must be a number, got {s_text!r}",
-                                line_no) from None
-            op = div_sdensity(resolve("volume", spec.volumes), s)
-        else:
-            op = perturbed_operator(resolve("base", spec.operators),
-                                    resolve("oneform", spec.oneforms))
-    except (ValidationError, ChartMismatch) as e:
-        raise SpecError(str(e), section.line) from None
+    if kind == "volume":
+        op = div_volume(resolve("volume", spec.volumes))
+    elif kind == "metric":
+        op = div_metric(resolve("metric", spec.metrics))
+    elif kind == "affine":
+        op = div_affine(resolve("connection", spec.connections))
+    elif kind == "sdensity":
+        line_no, s_text = _require(entries, "s", section)
+        try:
+            s = float(s_text)
+        except ValueError:
+            raise SpecError(f"s must be a number, got {s_text!r}",
+                            line_no) from None
+        op = div_sdensity(resolve("volume", spec.volumes), s)
+    else:
+        op = perturbed_operator(resolve("base", spec.operators),
+                                resolve("oneform", spec.oneforms))
     if "blackbox" in entries:
         line_no, flag = entries["blackbox"]
         if flag not in ("true", "false"):
@@ -337,9 +331,7 @@ def parse_spec_text(text: str) -> SpecFile:
                 obj = Path(chart, comps, segments)
             else:
                 obj = _build_operator(section, spec)
-        except SpecError:
-            raise
-        except (ValidationError, ChartMismatch) as e:
+        except ValidationError as e:  # ChartMismatch included
             raise SpecError(str(e), section.line) from None
         except RecursionError:
             raise SpecError(_TOO_DEEP, line_no) from None

@@ -885,10 +885,11 @@ def test_warm_sweep_builds_no_tree_and_no_plan(monkeypatch):
 # the normal form as an oracle
 #
 # A symbolic D = s * div_flat + theta has closed-form residuals: div_flat
-# obeys the bracket rule exactly, so the cocycle residual of (X, Y) is
-# |d theta(X, Y)| and the Leibniz residual at weight w is |(s - w) X(f)|.
-# Each swept array must match its closed form to the rounding bound that
-# README states, gamma_k * S for k roundings on terms of total magnitude S.
+# obeys the bracket rule exactly, so the signed cocycle residual of (X, Y),
+# D([X,Y]) - X(D(Y)) + Y(D(X)), is -d theta(X, Y), and the Leibniz residual
+# at weight w is (s - w) X(f).  Each swept array must match its closed form,
+# sign included, to the rounding bound that README states, gamma_k * S for
+# k roundings on terms of total magnitude S.
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -968,7 +969,7 @@ def test_sweep_residuals_match_the_normal_form(case):
         x, y = fields[a], fields[b]
         closed = const(0.0)
         for i, j in itertools.product(range(chart.dim), repeat=2):
-            closed = closed + x.components[i] * y.components[j] * d_theta[i][j]
+            closed = closed - x.components[i] * y.components[j] * d_theta[i][j]
         dx, dy = op.symbolic(x), op.symbolic(y)
         computed = op.symbolic(battery.bracket(a, b))
         for comp, nm in zip(x.components, chart.coords):
@@ -984,7 +985,7 @@ def test_sweep_residuals_match_the_normal_form(case):
             want.append((closed, computed))
     assert len(swept) == len(want) > 0
     for got, (closed, computed) in zip(swept, want):
-        gap = np.abs(got - np.abs(closed.eval_many(arrays)))
+        gap = np.abs(got - closed.eval_many(arrays))
         allowed = _rounding_bound(closed, arrays, memo) \
             + _rounding_bound(computed, arrays, memo)
         assert np.all(gap <= allowed), (closed, float(np.max(gap - allowed)))

@@ -2,12 +2,16 @@
 
 Random trees and divkit's results for them are converted to sympy, with
 each binary constant kept to 40 digits.  sympy differentiates the input
-tree; both sides are then evaluated with mpmath to 30 digits at sample
-points.  Points where divkit's own evaluation leaves the domain, or where
-either side is not a finite real, are skipped.  Evaluating both in high
+tree; both sides are then evaluated with mpmath at sample points, from 30
+digits up, doubling the precision until two evaluations in a row agree.
+Points where divkit's own evaluation leaves the domain, or where either
+side is not a finite real, are skipped.  Evaluating both in high
 precision keeps double rounding in ill-conditioned trees (log(y^x) at
-y = 1e-238, say) out of a check on the symbolic rules.  bump is left out:
-sympy has no equivalent.
+y = 1e-238, say) out of a check on the symbolic rules; raising it until
+the value settles does the same for cancellation that eats more than 30
+digits (1/x - cot(x), sympy's form of d/dx log(x/sin(x)), at x = 4e-114
+is ~1e-114 but reads -3e82 at 30 digits).  bump is left out: sympy has
+no equivalent.
 """
 
 import math
@@ -46,21 +50,33 @@ def to_sympy(e):
     return FUNCS[e.kind](args[0])
 
 
+# 30 * 2^7 digits covers cancellation of terms as large as 1/x^2 at the
+# smallest subnormal x.
+PRECISIONS = tuple(30 * 2 ** k for k in range(8))
+
+
 def value(s, pt):
-    """30-digit value, or None off the real domain.  sympy may fold a
+    """Value settled to double precision, or None off the real domain or
+    when no precision up to PRECISIONS[-1] settles it.  sympy may fold a
     subtree to complex infinity (x - x to 0, so 0^-x to zoo^x), which
     mpmath cannot print and which is no finite real either."""
     if s.has(sp.zoo):
         return None
     f = sp.lambdify([SYMBOLS[k] for k in XY], s, modules="mpmath")
-    with mpmath.workdps(30):
-        try:
-            v = f(*(mpmath.mpf(pt[k]) for k in XY))
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return None
-        if not isinstance(v, mpmath.mpf) or not mpmath.isfinite(v):
-            return None
-        return float(v)
+    previous = None
+    for dps in PRECISIONS:
+        with mpmath.workdps(dps):
+            try:
+                v = f(*(mpmath.mpf(pt[k]) for k in XY))
+            except (ZeroDivisionError, ValueError, OverflowError):
+                return None
+            if not isinstance(v, mpmath.mpf) or not mpmath.isfinite(v):
+                return None
+            v = float(v)
+        if previous is not None and abs(v - previous) <= 1e-15 * abs(v):
+            return v
+        previous = v
+    return None
 
 
 def in_domain(e, pt):
@@ -88,6 +104,7 @@ def test_simplify_matches_sympy(e, pt):
 
 @settings(max_examples=100, deadline=None)
 @given(trees, _points)
+@example(p("sin(log(x/sin(x)))"), {"x": 3.9492424995520764e-114, "y": 0.0})
 def test_diff_matches_sympy(e, pt):
     assume(in_domain(e, pt))
     s = to_sympy(e)
