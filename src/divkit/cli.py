@@ -301,6 +301,10 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: not enough memory for this request "
+              "(lower --points or --resolution)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -211,9 +211,10 @@ class Expr:
 
         Domain violations are not raised here; offending positions come back
         as nan/inf for the caller to filter.  Shared subtrees are evaluated
-        once.  Constant trees are broadcast to the input shape.
+        once.  Constant trees are broadcast to the input shape.  Inputs
+        that are not float64 arrays are evaluated as float64.
         """
-        return _evaluate(self, arrays, {})
+        return _evaluate(self, _float64(arrays), {})
 
     # -- calculus ------------------------------------------------------------
 
@@ -265,23 +266,29 @@ def eval_roots(roots: Sequence[Expr],
 
     Every node is evaluated once over all the trees.  Each returned array
     is the caller's own: none is an input array or another root's value.
-    Non-finite positions and constant trees are handled as in ``eval_many``.
+    Non-finite positions and constant trees are handled as in ``eval_many``,
+    and so are inputs that are not float64 arrays: each is converted to
+    float64 first, so integer inputs do not wrap around and float32 ones are
+    not evaluated in float32 on one path only.
 
     Two paths give bit-identical values.  When every array is one-dimensional
     with the same length m, 0 < m <= ``_BATCH_POINTS``, the trees are
     evaluated level by level (``_Program``), and every root is computed
-    before the first one is yielded; their buffer is allocated once per
-    call and each column chunk is a contiguous view of it, so no chunk
-    allocates or faults in pages again.  Otherwise each root is computed
-    when it is requested, node by node: across roots only the values of
-    nodes with more than one parent are kept (a root counts as one
-    parent), and each is dropped after its last use.  The plans of the last
-    ``_PLAN_CACHE`` root sets are kept, so a root set evaluated again is not
-    walked again.
+    before the first one is yielded.  A node's buffer row is freed after
+    the last level group that reads it and reused by a later group, which
+    takes its rows by first fit, so the buffer holds about the rows live at
+    once; it is allocated once per call and each column chunk is a
+    contiguous view of it, so no chunk allocates or faults in pages again.
+    Otherwise each root is computed when it is requested, node by node:
+    across roots only the values of nodes with more than one parent are
+    kept (a root counts as one parent), and each is dropped after its last
+    use.  The plans of the last ``_PLAN_CACHE`` root sets are kept, so a
+    root set evaluated again is not walked again.
     """
     roots = tuple(roots)
     if not roots:
         return
+    arrays = _float64(arrays)
     plan = _plan(roots)
     shape = next((np.shape(v) for v in arrays.values() if np.shape(v)), ())
     if (len(shape) == 1 and 0 < shape[0] <= _BATCH_POINTS
@@ -296,6 +303,15 @@ def eval_roots(roots: Sequence[Expr],
     memo: dict = {}
     for root in roots:
         yield _evaluate(root, arrays, memo, uses)
+
+
+def _float64(arrays: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    """The coordinate arrays as float64 arrays; when every one already is,
+    the mapping itself, so float64 inputs stay the same objects."""
+    for v in arrays.values():
+        if v.__class__ is not np.ndarray or v.dtype != np.float64:
+            return {nm: np.asarray(v, dtype=np.float64) for nm, v in arrays.items()}
+    return arrays
 
 
 def _evaluate(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
@@ -380,25 +396,103 @@ _SINGLE = {"div": np.divide, "pow": np.power, **FUNCTIONS,
            "bump": lambda t, out: np.copyto(out, _bump(t))}
 
 
+def _place_rows(sizes: list[int], read: np.ndarray, reader: np.ndarray,
+                keep: list[int], n_coords: int, n_slots: int):
+    """Buffer rows for the slots of a program laid out one slot per node.
+
+    The slots are the ``n_coords`` coordinates, then the groups in run
+    order, ``sizes[g]`` slots each, then the constants up to ``n_slots``.
+    Group ``reader[i]`` reads slot ``read[i]``.  Coordinates keep their
+    rows.  Each group takes one contiguous range of rows, the first free
+    range large enough, and a node's row is free again once the last group
+    that reads it is done, unless the node is in ``keep`` (the roots).
+    Within a group, the nodes freed by the same later group take adjacent
+    rows, so each group frees a few ranges, not scattered rows.  The
+    constants take the rows above all others.
+
+    Returns the row of each slot, the inner slots (counted from the first
+    group's) in the order of their rows, each group's first row, and the
+    row above the groups' rows.
+    """
+    end = n_coords + sum(sizes)
+    if not sizes:
+        return np.arange(n_slots), np.arange(0), [], n_coords
+    # the last group that reads each slot, or -1 for one never freed
+    last = np.full(n_slots, -1, dtype=np.intp)
+    np.maximum.at(last, read, reader)
+    last[keep] = -1
+    # each group's slots sorted by the group that frees them, then cut into
+    # the runs that one group frees together
+    n_groups = len(sizes)
+    group = np.repeat(np.arange(n_groups), sizes)
+    key = group * (n_groups + 1) + last[n_coords:end]
+    order = np.argsort(key)
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=-2))
+    first = np.cumsum(sizes) - sizes
+    owner = group[start]
+    freed: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
+    for h, g, at, n in zip(owner.tolist(),
+                           (key[start] - owner * (n_groups + 1)).tolist(),
+                           (start - first[owner]).tolist(),
+                           np.diff(start, append=len(key)).tolist()):
+        if g >= 0:
+            freed[g].append((h, at, n))
+
+    # free row ranges, sorted; a freed range is merged with its neighbours
+    # when a first-fit scan passes it.  The top range is never used up.
+    free = [(n_coords, end)]
+    los: list[int] = []
+    for n, runs in zip(sizes, freed):
+        k = 0
+        lo, hi = free[0]
+        while True:
+            while k + 1 < len(free) and free[k + 1][0] == hi:
+                hi = free.pop(k + 1)[1]
+            if hi - lo >= n:
+                break
+            free[k] = (lo, hi)
+            k += 1
+            lo, hi = free[k]
+        if lo + n < hi:
+            free[k] = (lo + n, hi)
+        else:
+            del free[k]
+        los.append(lo)
+        if runs:
+            free += [(los[h] + at, los[h] + at + m) for h, at, m in runs]
+            free.sort()
+    lo = np.array(los)
+    top = int((lo + sizes).max())
+    rows = np.empty(n_slots, dtype=np.intp)
+    rows[:n_coords] = np.arange(n_coords)
+    rows[n_coords + order] = np.repeat(lo - first, sizes) + np.arange(len(order))
+    rows[end:] = np.arange(top, top + n_slots - end)
+    return rows, order, los, top
+
+
 class _Program:
     """A root set laid out level by level over a (rows x points) buffer.
 
-    The rows hold one value each: the coordinates, then the distinct inner
-    nodes sorted by (depth, kind), so the nodes of one kind at one depth
-    fill one contiguous slice, then the constants used as rows.  Each
-    ``add``/``sub``/``mul``/``neg`` group is one ufunc call on its gathered
-    argument rows.  ``div``, ``pow`` and the functions run one node at a
-    time, with a constant argument passed as a scalar as ``_eval_vector``
-    does: numpy's power takes other code paths for a scalar exponent such
-    as 2.0, 0.5 or -1 than for an array of them, and the bits differ.  A
-    subtree without coordinates is evaluated once here, by ``_eval_vector``,
-    and is a constant from then on.
+    The distinct inner nodes run in groups sorted by (depth, kind).  Each
+    group writes one contiguous slice of rows.  A row is freed after the
+    last group that reads it and is reused by a later group, which takes
+    its slice by first fit over the free ranges (``_place_rows``), so the
+    buffer holds about as many rows as are live at once, not one per node.
+    The coordinates, the constants used as rows and the roots keep their
+    rows for the whole run.  Each ``add``/``sub``/``mul``/``neg`` group is
+    one ufunc call on its gathered argument rows.  ``div``, ``pow`` and the
+    functions run one node at a time, with a constant argument passed as a
+    scalar as ``_eval_vector`` does: numpy's power takes other code paths
+    for a scalar exponent such as 2.0, 0.5 or -1 than for an array of
+    them, and the bits differ.  A subtree without coordinates is evaluated
+    once here, by ``_eval_vector``, and is a constant from then on.
     """
 
     __slots__ = ("coords", "consts", "n_rows", "steps", "root_rows")
 
     def __init__(self, roots: tuple[Expr, ...]):
-        rows: dict[int, int] = {}         # coordinate or inner node -> row
+        slots: dict[int, int] = {}        # coordinate or inner node -> slot
         coords: dict[str, int] = {}
         scalars: dict[int, object] = {}   # constant subtree -> its value
         depth: dict[int, int] = {}        # other node -> 1 + deepest argument
@@ -418,7 +512,7 @@ class _Program:
             if not args:
                 if node.kind == "var":
                     depth[key] = 0
-                    rows[key] = coords.setdefault(node.name, len(coords))
+                    slots[key] = coords.setdefault(node.name, len(coords))
                     return 0
                 scalars[key] = np.float64(node.value)
                 return -1
@@ -446,50 +540,100 @@ class _Program:
         # dicts would wait for the cycle collector
         del visit
         self.coords = list(coords)
-        end = len(coords) + sum(map(len, groups.values()))
-        const_rows: dict[str, int] = {}
+        n_coords = len(coords)
+        end = n_coords + sum(map(len, groups.values()))
+        const_slots: dict[str, int] = {}
         consts: list[float] = []
 
-        def row(node: Expr) -> int:
-            r = rows.get(id(node))
+        def slot(node: Expr) -> int:
+            r = slots.get(id(node))
             if r is not None:
                 return r
             value = float(scalars[id(node)])
             key = value.hex()  # tells -0.0 from 0.0
-            if key not in const_rows:
-                const_rows[key] = end + len(consts)
+            r = const_slots.get(key)
+            if r is None:
+                r = const_slots[key] = end + len(consts)
                 consts.append(value)
-            return const_rows[key]
+            slots[id(node)] = r  # the node is held by the roots
+            return r
 
-        # (ufunc, output rows, argument, second argument or None); an
-        # argument is a row, an index array of rows, or a scalar
-        self.steps: list[tuple] = []
-        rows_get = rows.get
-        first = len(coords)
-        for (_, kind), nodes in sorted(groups.items()):
+        # The steps are first laid out with one slot per node: the
+        # coordinates, the groups in order, then the constants.  (ufunc,
+        # output slot or group, argument, second argument or None); an
+        # argument is a slot, a group's index array of slots, or a scalar.
+        steps: list[tuple] = []
+        sizes: list[int] = []             # nodes per group
+        gathers: list[np.ndarray] = []    # the index arrays, in step order
+        gather_group: list[int] = []
+        singles: list[int] = []           # slots the one-node steps read
+        single_group: list[int] = []
+        slots_get = slots.get
+        first = n_coords
+        for g, ((_, kind), nodes) in enumerate(sorted(groups.items())):
             n = len(nodes)
-            rows.update(zip(map(id, nodes), range(first, first + n)))
+            slots.update(zip(map(id, nodes), range(first, first + n)))
             if kind in _GROUPED:
                 args = []
                 for j in range(len(nodes[0].args)):
-                    ix = [rows_get(id(e.args[j])) for e in nodes]
-                    if None in ix:  # a constant argument takes a row
-                        ix = [row(e.args[j]) for e in nodes]
+                    ix = [slots_get(id(e.args[j])) for e in nodes]
+                    if None in ix:  # a constant argument takes a slot
+                        ix = [slot(e.args[j]) if r is None else r
+                              for e, r in zip(nodes, ix)]
                     args.append(np.array(ix, dtype=np.int32))
+                gathers += args
+                gather_group += [g] * len(args)
                 args.append(None)
-                self.steps.append((_GROUPED[kind], slice(first, first + n),
-                                   args[0], args[1]))
+                steps.append((_GROUPED[kind], g, args[0], args[1]))
             else:
                 fn = _SINGLE[kind]
                 for k, node in enumerate(nodes):
-                    args = [scalars[id(a)] if id(a) in scalars else row(a)
+                    args = [scalars[id(a)] if id(a) in scalars else slot(a)
                             for a in node.args]
                     args.append(None)
-                    self.steps.append((fn, first + k, args[0], args[1]))
+                    steps.append((fn, first + k, args[0], args[1]))
+                    singles += [a for a in args if a.__class__ is int]
+                single_group += [g] * (len(singles) - len(single_group))
+            sizes.append(n)
             first += n
-        self.root_rows = np.array([row(r) for r in roots], dtype=np.intp)
+        root_slots = [slot(r) for r in roots]
+        gathered = np.concatenate(gathers) if gathers else np.empty(0, np.int32)
+        group_size = np.array(sizes, dtype=np.intp)
+        owner = np.array(gather_group, dtype=np.intp)
+        lens = group_size[owner]
+        rows, order, los, top = _place_rows(
+            sizes, np.concatenate((gathered, np.array(singles, np.int32))),
+            np.concatenate((np.repeat(owner, lens),
+                            np.array(single_group, np.intp))),
+            root_slots, n_coords, end + len(consts))
+        # A group's output rows hold its nodes in ``order``, so entry j of
+        # each of its index arrays is taken from the entry of its j-th node
+        # in that order; then every slot becomes a row.
+        start = np.cumsum(lens) - lens
+        shift = np.repeat((np.cumsum(group_size) - group_size)[owner] - start,
+                          lens)
+        gathered = rows[gathered[order[np.arange(len(gathered)) + shift] - shift]]
+        gathered = gathered.astype(np.int32)
+        at = rows.tolist()
+        self.steps = []
+        o = 0  # the next index array's offset in gathered
+        for fn, d, a, b in steps:
+            if a.__class__ is np.ndarray:
+                n = len(a)
+                d = slice(los[d], los[d] + n)
+                a = gathered[o:o + n]
+                o += n
+                if b is not None:
+                    b = gathered[o:o + n]
+                    o += n
+            else:
+                d = at[d]
+                a = at[a] if a.__class__ is int else a
+                b = at[b] if b.__class__ is int else b
+            self.steps.append((fn, d, a, b))
+        self.root_rows = rows[root_slots]
         self.consts = np.array(consts, dtype=float)
-        self.n_rows = end + len(consts)
+        self.n_rows = top + len(consts)
 
     def run(self, arrays: Mapping[str, np.ndarray], m: int) -> list[np.ndarray]:
         """Every root's value at the m points, each a row of one new

@@ -68,7 +68,8 @@ class Chart:
         if len(box) != len(coords):
             raise ValidationError("box must give one interval per coordinate")
         for a, b in box:
-            if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
+            # b - a must be finite too: sampling and quadrature scale by it
+            if not (a < b and math.isfinite(b - a)):
                 raise ValidationError(f"invalid box interval ({a}, {b})")
         disks = tuple((tuple(float(c) for c in center), float(r))
                       for center, r in self.disks)

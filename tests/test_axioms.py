@@ -881,6 +881,34 @@ def test_warm_sweep_builds_no_tree_and_no_plan(monkeypatch):
         == [(r.entries, r.manifest) for r in first]
 
 
+def test_warm_sweep_programs_take_few_column_chunks(monkeypatch):
+    # rows freed after their last reader are reused, so the 14 programs of
+    # one warm criterion-1 pass (seed 2501, 100 points) fit the buffer in
+    # 29 column chunks or fewer; with a row per node they took 49
+    from test_acceptance import fixture_operators
+
+    config = CheckConfig(seed=2501)
+    targets = [t for _, op in fixture_operators() for t in (op, op.as_blackbox())]
+    for target in targets:
+        check_axioms(target, config)
+    runs = {}
+    run = expr_module._Program.run
+
+    def recording(program, arrays, m):
+        runs[id(program)] = (program.n_rows, m)
+        return run(program, arrays, m)
+
+    monkeypatch.setattr(expr_module._Program, "run", recording)
+    for target in targets:
+        check_axioms(target, config)
+    monkeypatch.undo()
+    width = [max(1, min(m, expr_module._BUFFER_BYTES // (8 * n)))
+             for n, m in runs.values()]
+    chunks = [math.ceil(m / w) for (_, m), w in zip(runs.values(), width)]
+    assert len(chunks) == 14
+    assert sum(chunks) <= 29, chunks
+
+
 # ---------------------------------------------------------------------------
 # the normal form as an oracle
 #

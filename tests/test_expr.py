@@ -367,6 +367,39 @@ def test_eval_roots_allocates_one_buffer_per_run(monkeypatch):
     assert all(np.array_equal(a, r.eval_many(arrays)) for a, r in zip(got, roots))
 
 
+def test_deep_chain_program_reuses_rows():
+    # each level is read only by the next, so a 400-level chain takes the
+    # coordinate's row and two rows that take turns, not a row per level
+    x = var("x")
+    chain = x
+    for _ in range(400):
+        chain = Expr("add", (chain, x))
+    assert expr_module._Program((chain,)).n_rows == 3
+    arrays = {"x": np.linspace(-1.0, 1.0, 7)}
+    assert np.array_equal(next(eval_roots([chain], arrays)), chain.eval_many(arrays))
+
+
+@pytest.mark.parametrize("m", [3, 300])
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_eval_roots_paths_agree_on_coordinates_that_are_not_float64(dtype, m):
+    # 3 points go level by level and 300 node by node; both evaluate in
+    # float64, so an int64 x*x does not wrap around and a float32 x*x*x is
+    # not rounded to float32 on one path only
+    x = var("x")
+    square = Expr("mul", (x, x))
+    roots = [square, Expr("mul", (square, x)), x]
+    if dtype is np.int64:
+        xs = np.full(m, 3037000500, dtype=np.int64)  # x*x is above 2**63
+    else:
+        xs = np.linspace(0.1, 3.3, m).astype(np.float32)
+    want = [r.eval_many({"x": xs.astype(np.float64)}) for r in roots]
+    for got in (list(eval_roots(roots, {"x": xs})),
+                [r.eval_many({"x": xs}) for r in roots]):
+        for value, expected in zip(got, want):
+            assert value.dtype == np.float64
+            assert np.array_equal(value, expected)
+
+
 def test_eval_roots_keeps_a_bounded_number_of_plans():
     x, y = var("x"), var("y")
     small = {"x": np.array([0.5, -0.25]), "y": np.array([2.0, 0.75])}
@@ -458,6 +491,26 @@ def _columns(m, seed):
     return {"x": pts[:, 0], "y": pts[:, 1]}
 
 
+def _shared_forest():
+    """Roots in which a subtree is read by a shallow parent and by one a
+    dozen levels deeper, and in which a root is an argument of a shallow
+    and of a deep node; then three quotients of which each reads a row
+    that another one of them reads too.  A row freed before its last
+    reader has run shows as a wrong value."""
+    x, y = var("x"), var("y")
+    a, b, c = (Expr("add", (x, y)), Expr("add", (y, const(1.5))),
+               Expr("add", (x, const(0.25))))
+    ring = [Expr("div", (a, b)), Expr("div", (b, c)), Expr("div", (c, a))]
+    shared = Expr("sin", (Expr("mul", (x, y)),))
+    chain = Expr("add", (x, y))
+    for k in range(12):
+        chain = Expr("mul" if k % 2 else "add", (chain, y if k % 3 else x))
+    root = Expr("exp", (Expr("sub", (y, x)),))
+    return [Expr("add", (shared, y)), Expr("mul", (chain, shared)), root,
+            Expr("div", (root, Expr("add", (x, const(4.0))))),
+            Expr("sub", (chain, root))] + ring
+
+
 _EXPONENT_TREES = [Expr("pow", (var("x"), const(c))) for c in _SCALAR_EXPONENTS] \
     + [Expr("pow", (Expr("add", (var("y"), const(0.25))), Expr("neg", (const(-c),))))
        for c in _SCALAR_EXPONENTS]
@@ -469,6 +522,8 @@ _EXPONENT_TREES = [Expr("pow", (var("x"), const(c))) for c in _SCALAR_EXPONENTS]
                         "threshold+1"]))
 @example(_EXPONENT_TREES, 0, "threshold")
 @example(_EXPONENT_TREES + _EXPONENT_TREES[:2], 1, "chunk+1")
+@example(_shared_forest(), 2, "chunk+1")
+@example(_shared_forest()[::-1], 3, "threshold")
 def test_eval_roots_level_by_level_matches_node_by_node(roots, seed, size):
     # the buffer bound is set so that a chunk is 3 points wide; m is one
     # point, a chunk width -1, 0 or +1, or the largest level-by-level point

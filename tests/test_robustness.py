@@ -12,6 +12,7 @@ import io
 import pathlib
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from divkit import cli
@@ -75,6 +76,35 @@ def test_recursion_left_after_parsing_exits_two(monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: expression nested too deeply\n"
+
+
+def test_out_of_memory_exits_two(monkeypatch):
+    # a request too large for memory, such as --points 100000000, is a
+    # usage error: exit 1 would read as a negative verdict
+    def exhaust(spec, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "integrate-vanish", exhaust)
+    code, out, err = run_main(["integrate-vanish", "--spec", str(DATA / "box.dvk"),
+                               "weighted"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: not enough memory for this request "
+                   "(lower --points or --resolution)\n")
+
+
+@pytest.mark.parametrize("argv", [["classify", "D", "D0"],
+                                  ["integrate-vanish", "weighted"]])
+def test_box_width_that_overflows_exits_two(tmp_path, argv):
+    # both ends are finite, but b - a is not
+    path = tmp_path / "wide.dvk"
+    path.write_text(SOURCES["box.dvk"].replace("box = -1, 1; -1, 1",
+                                               "box = -1e308, 1e308; -1, 1"))
+    code, out, err = run_main([argv[0], "--spec", str(path), *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "box interval" in err
 
 
 # ---------------------------------------------------------------------------
