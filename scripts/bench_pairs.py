@@ -15,7 +15,9 @@ directory of their own (``PYTHONPYCACHEPREFIX``, written even under
 pair, so a ``__pycache__`` left in one checkout cannot make that side's
 start-up look faster.  The output file holds every run's metrics and, for each
 workload and end-to-end metric, each side's median and quartiles, the number
-of pairs in which the working tree was lower, and the median change.  Each
+of pairs in which the working tree was lower, and the median change; the
+same figures, with each side's median minor faults, are printed to stdout
+at the end, one line per workload.  Each
 run's minor page faults sit next to its metrics, summed the same way: the
 ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the ``perfbench/run.py``
 child, which counts every process that child waited for too (its setup
@@ -213,6 +215,21 @@ def bench(args, parent_dir: Path, pycache: Path) -> dict:
     return out
 
 
+def summary_line(workload: str, figures: dict) -> str:
+    """One workload's outcome on one line: each end-to-end metric's median
+    change and the pairs in which the change was lower, then each side's
+    median minor faults per run, so a flip between fault regimes shows in a
+    log without the output file."""
+    pairs = figures["pairs"]
+    parts = [f"{name} {m['median_change_pct']:+}% ({m['change_lower_in_pairs']}"
+             f"/{pairs} lower)" if m["median_change_pct"] is not None
+             else f"{name} n/a" for name, m in figures["metrics"].items()]
+    faults = figures["minor_faults"]
+    return (f"{workload}: " + ", ".join(parts)
+            + f"; minor faults {faults['parent']['median']:.0f} -> "
+              f"{faults['change']['median']:.0f}")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -220,6 +237,8 @@ def main(argv=None) -> int:
             out = bench(args, parent_dir, Path(tmp) / "pycache")
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
+    for workload, figures in out["workloads"].items():
+        print(summary_line(workload, figures))
     return 0
 
 

@@ -17,8 +17,10 @@ more call.  One combination then fills the rows.  The
 single-point residuals are one-point sweeps.  ``classify``'s tensoriality
 residual is the Leibniz-only sweep of D - D0 at weight 0, and its
 closedness residual the cocycle-only sweep over the chart's unit fields,
-``_units``.  A sweep returns one (residuals x points) array of signed
-residuals; ``_maxima`` takes each residual's worst magnitude in one pass.
+``_units``.  A sweep fills one work array with its values in the order
+they arrive, combines its last rows in place into the signed residuals
+and returns them, a (residuals x points) view; ``_maxima`` takes each
+residual's worst magnitude in one pass.
 Every finite difference in the package comes from one routine,
 ``_partials``, along the coordinate axes; ``classify`` takes one only in
 its closedness sweep of a blackbox.
@@ -33,7 +35,10 @@ the chart, the seed and the two counts, never on the operator, so
 ``classify`` with an equal chart and sizes reuses one, as each closedness
 sweep on an equal chart reuses its unit battery.  With the images
 an operator keeps, a second sweep builds no tree and ``eval_roots``
-reuses the plans of the first.
+reuses the plans of the first.  The battery also keeps each sweep's
+layout, ``_Layout``: the trees it evaluates, the fields it passes to an
+opaque operator and the rows where each value lands, weakly per operator,
+so a second sweep of an operator looks up no image and no battery tree.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -234,7 +240,9 @@ class _Battery:
 
     Every scalar is checked against the chart here, once.  Trees are never
     changed after they are built (only their ``simplify``/``diff`` memos
-    fill in), so one battery may serve any number of sweeps."""
+    fill in), so one battery may serve any number of sweeps.  Each sweep's
+    ``_Layout`` is kept too, per operator while the operator lives, then
+    per weight and whether the cocycle rows are swept."""
 
     def __init__(self, chart: Chart, fields: Sequence[tuple[str, VectorField]],
                  scalars: Sequence[tuple[str, Expr]]):
@@ -244,6 +252,7 @@ class _Battery:
         for _, f in self.scalars:
             _require_scalar_on(chart, f)
         self._trees: dict = {}
+        self._layouts = weakref.WeakKeyDictionary()
 
     def _tree(self, key, build):
         tree = self._trees.get(key)
@@ -263,6 +272,17 @@ class _Battery:
     def along(self, i: int, k: int) -> Expr:
         return self._tree(("along", i, k), lambda: apply_field(
             self.fields[i][1], self.scalars[k][1]))
+
+    def layout(self, op, weight: float, cocycle: bool) -> "_Layout":
+        """The layout of a sweep of ``op`` at ``weight``, with or without
+        the cocycle rows, built on first use."""
+        kept = self._layouts.get(op)
+        if kept is None:
+            kept = self._layouts[op] = {}
+        layout = kept.get((weight, cocycle))
+        if layout is None:
+            layout = kept[weight, cocycle] = _Layout(op, self, weight, cocycle)
+        return layout
 
 
 def _drawn(chart: Chart, seed: int, n_fields: int, n_scalars: int,
@@ -345,11 +365,45 @@ def _partials(chart: Chart, fn, pts: np.ndarray, fd_step_scale: float) -> np.nda
     return out
 
 
-def _fill(block: np.ndarray, values) -> np.ndarray:
-    """``block`` with each row taken from the next of ``values`` in turn."""
-    for row, v in zip(block, values):
-        row[:] = v
-    return block
+class _Layout:
+    """What a sweep of one operator over one battery works out once: the
+    trees it evaluates and where each value lands in its work array.
+
+    ``roots`` go to ``eval_roots``: f per scalar, X(f) per scalar and field
+    unless the weight is 0, each field's components when the cocycle rows
+    are swept, then for a symbolic operator its images' exact partials and
+    the images D(X) per field, bracket and fX.  An opaque operator takes
+    those images from ``apply_fields`` over ``applied`` instead.  The work
+    array's rows follow that order, so D(X) per field starts at row
+    ``images`` and the residual rows, D([X,Y]) and D(fX), fill its tail."""
+
+    __slots__ = ("roots", "applied", "at", "images", "rows")
+
+    def __init__(self, op, battery: "_Battery", weight: float, cocycle: bool):
+        fields = [x for _, x in battery.fields]
+        n, n_s = len(fields), len(battery.scalars)
+        pairs = list(itertools.combinations(range(n), 2)) if cocycle else []
+        derived = [battery.bracket(a, b) for a, b in pairs] \
+            + [battery.scaled(k, i) for k in range(n_s) for i in range(n)]
+        roots = [f for _, f in battery.scalars]
+        if weight:
+            roots += [battery.along(i, k) for k in range(n_s) for i in range(n)]
+        self.at = len(roots)
+        if pairs:
+            roots += [c for x in fields for c in x.components]
+        self.applied = ()
+        if op.is_symbolic:
+            images = [op.symbolic(x) for x in fields + derived]
+            if pairs:
+                roots += [image.diff(nm) for image in images[:n]
+                          for nm in op.chart.coords]
+            self.images = len(roots)
+            roots += images
+        else:
+            self.images = len(roots)
+            self.applied = tuple(fields + derived)
+        self.roots = tuple(roots)
+        self.rows = self.images + n + len(derived)
 
 
 def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
@@ -359,71 +413,65 @@ def _residuals(op, battery: _Battery, weight: float, pts: np.ndarray,
     of the battery's fields X_a, X_b with a < b, then one for the Leibniz
     residual at ``weight`` of each scalar and field.  The cocycle terms are
     swept only when a finite-difference ``fd_step_scale`` is given; a
-    symbolic operator differentiates exactly and does not use it.  Every
-    bracket, fX and X(f) comes from the battery.
+    symbolic operator differentiates exactly and does not use it.
 
     Both routes combine the same values, D at the samples of every field,
     bracket and fX, f and X(f), each field's components and the partials
     of its image D(X) along every axis; only the partials depend on how D
-    is held.  A symbolic operator evaluates them all in one ``eval_roots``
-    call, the partials taken exactly, so a subtree an image shares with its
-    partials is computed once.  An opaque one takes its images from one
-    ``apply_fields`` call at the samples, the other values from one
-    ``eval_roots`` call, and the partials from ``_partials`` through one
-    more ``apply_fields`` call, of every field over every probe, laid out
-    as (fields x axes x points) rows like the exact ones.  The rows are
-    filled as the values arrive and combined slice by slice: the pairs of
-    each field X_a with every X_b, b > a, then the terms of each scalar
-    with every field."""
-    fields = [x for _, x in battery.fields]
-    scalars = [f for _, f in battery.scalars]
-    n, n_s, m, d = len(fields), len(scalars), len(pts), op.chart.dim
-    pairs = [] if fd_step_scale is None \
-        else list(itertools.combinations(range(n), 2))
-    derived = [battery.bracket(a, b) for a, b in pairs] \
-        + [battery.scaled(k, i) for k in range(n_s) for i in range(n)]
-    if not derived:  # no rows, as in a 1-D chart's closedness sweep
+    is held.  Which trees give them, and where each lands, is the sweep's
+    ``_Layout``, which the battery keeps per operator, weight and cocycle
+    choice, so a warm sweep looks up no image or battery tree.  A symbolic
+    operator evaluates every value in one ``eval_roots`` call, the
+    partials taken exactly, so a subtree an image shares with its partials
+    is computed once.  An opaque one takes the other values from one
+    ``eval_roots`` call, its images from one ``apply_fields`` call at the
+    samples, and the partials from ``_partials`` through one more
+    ``apply_fields`` call, of every field over every probe, laid out as
+    (fields x axes x points) rows like the exact ones.
+
+    The values fill one work array in the order they arrive, its last rows
+    D([X,Y]) and D(fX), and the iterator that gave them is dropped before
+    the partials are taken.  Those last rows are combined in place, the
+    pairs of each field X_a with every X_b, b > a, then the terms of each
+    scalar with every field, and returned as a view of the work array.  One
+    array of a few MB at 2,000 points, instead of two, is mapped and
+    unmapped whole, which lifts glibc's trim threshold above the heap the
+    sweep's smaller arrays use, so that heap is not trimmed and faulted in
+    again after every sweep."""
+    n, n_s, m = len(battery.fields), len(battery.scalars), len(pts)
+    pairs = fd_step_scale is not None and n > 1
+    if not (pairs or n_s * n):  # no rows, as in a 1-D closedness sweep
         return np.empty((0, m))
-    # values in the order used: f, X(f) per scalar and field unless the
-    # weight is 0, with pairs each field's components and a symbolic
-    # image's exact partials, then D(X) per field, then D at each bracket
-    # and fX
-    roots = list(scalars)
-    if weight:
-        roots += [battery.along(i, k) for k in range(n_s) for i in range(n)]
-    at = len(roots)
+    layout = battery.layout(op, weight, fd_step_scale is not None)
+    values = eval_roots(layout.roots, op.chart.arrays(pts))
+    if not op.is_symbolic:
+        values = itertools.chain(values, op.apply_fields(layout.applied, pts))
+    work = np.empty((layout.rows, m))
+    for row, v in zip(work, values):
+        row[:] = v
+    del values  # and with it an opaque operator's images
+    d, at, images = op.chart.dim, layout.at, layout.images
+    f_vals, xf, dx = work[:n_s], work[n_s:at], work[images:images + n]
     if pairs:
-        roots += [c for x in fields for c in x.components]
-    arrays = op.chart.arrays(pts)
-    if op.is_symbolic:
-        images = [op.symbolic(x) for x in fields + derived]
-        if pairs:
-            roots += [image.diff(nm) for image in images[:n] for nm in op.chart.coords]
-        values = eval_roots(roots + images, arrays)
-    else:
-        values = itertools.chain(eval_roots(roots, arrays),
-                                 op.apply_fields(fields + derived, pts))
-    first = _fill(np.empty((len(roots) + n, m)), values)
-    f_vals, xf, dx = first[:n_s], first[n_s:n_s + n_s * n], first[len(roots):]
-    if pairs:
-        comps = first[at:at + n * d].reshape(n, d, m)
-        partials = first[at + n * d:len(roots)].reshape(n, d, m) if op.is_symbolic \
+        comps = work[at:at + n * d].reshape(n, d, m)
+        fields = layout.applied[:n]
+        partials = work[at + n * d:images].reshape(n, d, m) if op.is_symbolic \
             else np.broadcast_to(_partials(
                 op.chart, lambda rows: np.stack(op.apply_fields(fields, rows)),
                 pts, fd_step_scale), (n, d, m))
-    out = np.empty((len(derived), m))
+    out = work[images + n:]
     start = 0
     for a in range(n - 1 if pairs else 0):
         # D([X,Y]) - x_1 d_1 D(Y) - ... + y_1 d_1 D(X) + ... for X = X_a and
         # each Y = X_b, b > a
-        block = _fill(out[start:start + n - 1 - a], values)
+        block = out[start:start + n - 1 - a]
         start += n - 1 - a
         for i in range(d):
             block -= comps[a, i] * partials[a + 1:, i]
         for i in range(d):
             block += comps[a + 1:, i] * partials[a, i]
     for k in range(n_s):  # D(fX) - f D(X) - weight X(f), every X
-        block = _fill(out[start:start + n], values)
+        block = out[start:start + n]
         start += n
         block -= f_vals[k] * dx
         if weight:

@@ -330,9 +330,14 @@ def _evaluate(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
 
 
 # The largest point count evaluated level by level.  Each group of nodes
-# costs a gather of its argument rows, so past a few hundred points the
+# costs a gather of its argument rows, so past several hundred points the
 # gathers cost more than the numpy calls they save and node by node wins.
-_BATCH_POINTS = 256
+# Program time over node-by-node time, summed over the 50 root sets of 4 or
+# more roots that the axiom sweep and classify evaluate (Python 3.11,
+# numpy 2.4, 2 cores): 0.43 at 256 points, 0.74 at 512, 1.00 at 768 and
+# 1.24 at 1,024; sets of 1-3 roots read about 1.05 at every size.  So 512
+# keeps a margin and takes a blackbox sweep's 400-point probe sets.
+_BATCH_POINTS = 512
 # Bytes of the level-by-level buffer: its columns are taken in chunks so
 # that one chunk of every row fits.
 _BUFFER_BYTES = 1 << 20

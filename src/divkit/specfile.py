@@ -2,7 +2,8 @@
 
 The format is deliberately plain: `[section NAME]` headers, `key = value`
 entries, `#` comments, commas between components and `;` between matrix
-rows.  Every error carries the 1-based line number it was found on.
+rows.  Every error carries the 1-based line number it was found on: in
+the [chart] section, the line of the entry that made the chart invalid.
 
     [chart]
     coords = x, y
@@ -168,10 +169,24 @@ def _require(entries: dict, key: str, section: _Section):
 
 
 def _build_chart(section: _Section) -> Chart:
+    """The chart of the [chart] section.  Each entry is checked against the
+    ones before it, in the order coords, box, basepoint, each disk, so an
+    error names the line of the entry that made the chart invalid: a disk
+    that covers the basepoint, given or the box's centre, names the disk."""
     entries = _entry_map(section, ("coords", "box", "disk", "basepoint"),
                          repeatable=("disk",))
+    parts: dict = {}
+
+    def checked(line_no: int, **more) -> Chart:
+        parts.update(more)
+        try:
+            return Chart(**parts)
+        except ValidationError as e:  # ChartMismatch included
+            raise SpecError(str(e), line_no) from None
+
     line_no, value = _require(entries, "coords", section)
     coords = tuple(c.strip() for c in value.split(","))
+    checked(line_no, coords=coords, box=((0.0, 1.0),) * len(coords))
     line_no, value = _require(entries, "box", section)
     box = []
     for row in value.split(";"):
@@ -179,20 +194,18 @@ def _build_chart(section: _Section) -> Chart:
         if len(pair) != 2:
             raise SpecError("box rows are pairs low, high", line_no)
         box.append(tuple(pair))
+    chart = checked(line_no, box=tuple(box))
+    if "basepoint" in entries:
+        line_no, value = entries["basepoint"]
+        chart = checked(line_no, basepoint=_floats(value, line_no))
     disks = []
     for line_no, value in entries.get("disk", []):
         nums = _floats(value, line_no)
         if len(nums) != len(coords) + 1:
             raise SpecError("disk is center coordinates then radius", line_no)
         disks.append((tuple(nums[:-1]), nums[-1]))
-    basepoint = None
-    if "basepoint" in entries:
-        line_no, value = entries["basepoint"]
-        basepoint = _floats(value, line_no)
-    try:
-        return Chart(coords, tuple(box), disks=tuple(disks), basepoint=basepoint)
-    except ValidationError as e:  # ChartMismatch included
-        raise SpecError(str(e), section.line) from None
+        chart = checked(line_no, disks=tuple(disks))
+    return chart
 
 
 def _build_connection(section: _Section, chart: Chart) -> Connection:

@@ -1,8 +1,10 @@
 """Axiom residual sweeps: true divergences pass, perturbed ones are caught."""
 
+import gc
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -883,8 +885,10 @@ def test_warm_sweep_builds_no_tree_and_no_plan(monkeypatch):
 
 def test_warm_sweep_programs_take_few_column_chunks(monkeypatch):
     # rows freed after their last reader are reused, so the 14 programs of
-    # one warm criterion-1 pass (seed 2501, 100 points) fit the buffer in
-    # 29 column chunks or fewer; with a row per node they took 49
+    # one warm criterion-1 pass (seed 2501) that run at its 100 points fit
+    # the buffer in 29 column chunks or fewer; with a row per node they
+    # took 49.  The blackbox sweeps' 400-point probe sets run level by
+    # level too, in programs of their own, not counted here.
     from test_acceptance import fixture_operators
 
     config = CheckConfig(seed=2501)
@@ -895,7 +899,8 @@ def test_warm_sweep_programs_take_few_column_chunks(monkeypatch):
     run = expr_module._Program.run
 
     def recording(program, arrays, m):
-        runs[id(program)] = (program.n_rows, m)
+        if m == config.n_points:
+            runs[id(program)] = (program.n_rows, m)
         return run(program, arrays, m)
 
     monkeypatch.setattr(expr_module._Program, "run", recording)
@@ -907,6 +912,66 @@ def test_warm_sweep_programs_take_few_column_chunks(monkeypatch):
     chunks = [math.ceil(m / w) for (_, m), w in zip(runs.values(), width)]
     assert len(chunks) == 14
     assert sum(chunks) <= 29, chunks
+
+
+def test_warm_sweep_keeps_its_layout(monkeypatch):
+    # the battery keeps each sweep's roots and row offsets per operator, so
+    # a second sweep of one operator and battery looks up no image and no
+    # battery tree, for a symbolic operator and for a blackbox
+    op = div_sdensity(VolumeForm.from_string(BOX, "exp(x - 0.25*y)"), 0.5)
+    hidden = blackbox_operator(BOX, lambda x, p: op.apply(x, p),
+                               lambda x, pts: op.apply_many(x, pts), weight=0.5)
+    config = CheckConfig(seed=22, n_points=25, n_fields=2, n_scalars=2)
+    first = [check_axioms(target, config) for target in (op, hidden)]
+    calls = []
+    for owner, name in ((DivOperator, "symbolic"), (axioms._Battery, "bracket"),
+                        (axioms._Battery, "scaled"), (axioms._Battery, "along")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
+    second = [check_axioms(op, config)]
+    counted = list(calls)
+    second.append(check_axioms(hidden, config))
+    monkeypatch.undo()
+    assert counted == []
+    # the blackbox's own callable looks up op's images; the sweep does not
+    assert set(calls) <= {"symbolic"}
+    assert [r.entries for r in second] == [r.entries for r in first]
+
+
+def test_blackbox_probe_sets_run_level_by_level(monkeypatch):
+    # at 100 samples on a 2-D chart each field's probe set holds 400 points,
+    # under the level-by-level limit, so a blackbox of a symbolic operator
+    # evaluates its probes through a program too
+    op = div_volume(VolumeForm.from_string(BOX, "exp(x - 0.25*y)"))
+    config = CheckConfig(seed=23, n_points=100, n_fields=2, n_scalars=1)
+    sizes = []
+    run = expr_module._Program.run
+    monkeypatch.setattr(expr_module._Program, "run",
+                        lambda program, arrays, m: sizes.append(m)
+                        or run(program, arrays, m))
+    report = check_axioms(op.as_blackbox(), config)
+    monkeypatch.undo()
+    assert 4 * config.n_points in sizes
+    assert report.passed
+
+
+def test_kept_layout_does_not_keep_its_operator_alive():
+    # layouts are keyed weakly by the operator, so a battery that outlives
+    # the operator, as a generated one does, does not pin it
+    config = CheckConfig(seed=24, n_points=10, n_fields=2, n_scalars=1)
+    op = div_volume(VolumeForm.from_string(BOX, "exp(0.5*x*y)"))
+    hidden = op.as_blackbox()
+    check_axioms(op, config)
+    check_axioms(hidden, config)
+    battery = axioms._generated(BOX, config.seed, config.n_fields, config.n_scalars)
+    assert len(battery._layouts) == 2
+    refs = [weakref.ref(op), weakref.ref(hidden)]
+    del op, hidden
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert len(battery._layouts) == 0
 
 
 # ---------------------------------------------------------------------------

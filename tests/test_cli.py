@@ -302,6 +302,23 @@ def test_malformed_spec_reports_line(capsys, tmp_path):
     assert "line 4" in err and "positive" in err
 
 
+@pytest.mark.parametrize("line_no, entry, message", [
+    (4, "box = 1, -1; -1, 1", "error: line 4: invalid box interval (1.0, -1.0)"),
+    (3, "coords = x, x", "error: line 3: coordinate names must be distinct"),
+], ids=["box", "coords"])
+def test_chart_error_names_the_entry_line(capsys, tmp_path, line_no, entry,
+                                          message):
+    # the rejected [chart] entry's own line, not the section header's
+    lines = (DATA / "box.dvk").read_text().splitlines()
+    lines[line_no - 1] = entry
+    bad = tmp_path / "bad.dvk"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check-axioms", "--spec", str(bad), "D")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [message]
+
+
 def test_missing_argument_exits_two(capsys):
     assert run(capsys, "check-axioms", "--spec", BOX)[0] == 2
     assert run(capsys, "divergence", "--spec", BOX, "D")[0] == 2

@@ -379,10 +379,11 @@ def test_deep_chain_program_reuses_rows():
     assert np.array_equal(next(eval_roots([chain], arrays)), chain.eval_many(arrays))
 
 
-@pytest.mark.parametrize("m", [3, 300])
+@pytest.mark.parametrize("m", [3, expr_module._BATCH_POINTS + 1])
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])
 def test_eval_roots_paths_agree_on_coordinates_that_are_not_float64(dtype, m):
-    # 3 points go level by level and 300 node by node; both evaluate in
+    # 3 points go level by level and one past the limit node by node; both
+    # evaluate in
     # float64, so an int64 x*x does not wrap around and a float32 x*x*x is
     # not rounded to float32 on one path only
     x = var("x")

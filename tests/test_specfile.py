@@ -134,6 +134,28 @@ def test_errors_carry_line_numbers(text, line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("entries,line,fragment", [
+    ("coords = x, x\nbox = -1, 1; -1, 1", 2, "distinct"),
+    ("coords = x, y\nbox = 1, -1; -1, 1", 3, "invalid box interval"),
+    ("coords = x, y\nbox = -1, 1\nbasepoint = 0.5, 0", 3, "one interval"),
+    ("coords = x, y\nbox = -1, 1; -1, 1\nbasepoint = 0.6", 4, "dimension"),
+    ("coords = x, y\nbox = -1, 1; -1, 1\nbasepoint = 0.6, 0\n"
+     "disk = 0.6, 0, 0.2", 5, "basepoint lies outside"),
+    ("coords = x, y\nbox = -1, 1; -1, 1\ndisk = 0.5, 0.5, 0.2\n"
+     "disk = 0, 0, 0.2", 5, "basepoint lies outside"),
+    ("coords = x, y\nbox = -1, 1; -1, 1\ndisk = 0.5, 0.5, 0.2\n"
+     "disk = 0.5, -0.5, 0", 5, "radius"),
+], ids=["coords", "box", "box-size", "basepoint", "disk-over-basepoint",
+        "disk-over-centre", "second-disk"])
+def test_chart_errors_name_the_entry_line(entries, line, fragment):
+    # each [chart] entry is checked against those before it, in the order
+    # coords, box, basepoint, each disk; a disk over the basepoint is named
+    with pytest.raises(SpecError) as err:
+        parse_spec_text("[chart]\n" + entries)
+    assert err.value.line == line
+    assert fragment in str(err.value)
+
+
 def test_comments_and_blank_lines_ignored():
     spec = parse_spec_text("""
 # leading comment
