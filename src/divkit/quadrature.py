@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChartMismatch, SupportError, ValidationError
-from .expr import Expr, const, eval_roots, var
+from .expr import Expr, _eval_vector, const, eval_roots, var
 
 __all__ = [
     "QuadratureRule",
@@ -33,8 +33,9 @@ __all__ = [
 
 def _count(value, what: str, least: int) -> int:
     """``value`` as an int; ValidationError unless it is an integer, numpy's
-    included, of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    included but not a bool, of at least ``least``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < least):
         raise ValidationError(f"{what} must be an integer of at least {least}, "
                               f"not {value!r}")
     return int(value)
@@ -99,9 +100,11 @@ _GRID_POINTS = 8192  # block points per call of fn; a full-block array is 64 KB
 
 
 def _block_values(fn, arrays: dict, shape: tuple) -> np.ndarray:
-    """``fn``'s values on one block, written out C-contiguous in its shape:
-    a dot product sums a broadcast row of stride 0 in another order."""
+    """``fn``'s values on one block, copied out C-contiguous in its shape
+    unless they are: a dot product sums a stride-0 row in another order."""
     vals = np.asarray(fn(arrays), dtype=float)
+    if vals.shape == shape and vals.flags.c_contiguous:
+        return vals
     try:
         return np.ascontiguousarray(np.broadcast_to(vals, shape))
     except ValueError:
@@ -123,9 +126,11 @@ def grid_integral(fn, chart, resolution: int = 64) -> float:
     each) as fit in ``_GRID_POINTS`` points, or one larger slab, its
     coordinates shaped by ``np.ix_``, so a subtree of one coordinate costs
     one value per node of its axis in each call; the calls follow the first
-    axis in order.  Each slab is summed on its own, in order, so no bit
-    changes.  ``_expr_integral`` integrates an ``Expr`` with each such
-    subtree evaluated once per integral.
+    axis in order.  The ``np.ix_`` arrays are built once per integral.  One
+    ``np.vecdot`` sums a block's slabs, each by the dot routine of a 1-D
+    ``@`` (a matrix-vector product sums in another order), and the slab sums
+    are added in order, so no bit changes.  ``_expr_integral`` integrates an
+    ``Expr`` with each such subtree evaluated once per integral.
     """
     if chart.disks:
         raise ValidationError("grid integration requires a chart without excluded disks")
@@ -142,14 +147,16 @@ def grid_integral(fn, chart, resolution: int = 64) -> float:
     for w in rest_w:
         rest_weights = rest_weights * w.ravel()
 
+    first_axis, *rest_axes = np.ix_(first_nodes, *(nodes for nodes, _ in rest))
     total = 0.0
     per_call = max(1, _GRID_POINTS // rest_weights.size)
     for lo in range(0, first_nodes.size, per_call):
-        x0 = first_nodes[lo:lo + per_call]
-        arrays = dict(zip(names, np.ix_(x0, *(nodes for nodes, _ in rest))))
-        vals = _block_values(fn, arrays, (x0.size,) + rest_w[0].shape)
-        for w0, row in zip(first_weights[lo:lo + per_call], vals.reshape(x0.size, -1)):
-            total += w0 * float(rest_weights @ row)
+        x0 = first_axis[lo:lo + per_call]
+        vals = _block_values(fn, dict(zip(names, (x0, *rest_axes))),
+                             (len(x0),) + rest_w[0].shape)
+        sums = np.vecdot(vals.reshape(len(x0), -1), rest_weights)
+        for w0, s in zip(first_weights[lo:lo + per_call], sums):
+            total += w0 * s
     return float(total)
 
 
@@ -161,9 +168,10 @@ def _expr_integral(expr: Expr, chart, resolution: int) -> float:
     block; each maximal subtree of the other coordinates alone becomes a
     leaf computed once over their ``np.ix_`` shapes.  Each block evaluates
     only the nodes that mix the first coordinate with another, by
-    ``eval_many``: one root needs no plan, so repeating an integral of a
-    fresh tree adds no entry to ``eval_roots``' plans.  Every value is the
-    one the block would have computed, so no bit changes.
+    ``_eval_vector`` under ``np.errstate``, as ``eval_many`` would but with
+    no float64 scan or copy: one root needs no plan, so repeating an
+    integral of a fresh tree adds no entry to ``eval_roots``' plans.  Every
+    value is the one the block would have computed, so no bit changes.
     """
     first = chart.coords[0]
     used: dict[int, frozenset] = {}
@@ -211,7 +219,8 @@ def _expr_integral(expr: Expr, chart, resolution: int) -> float:
         for leaf in along:
             block[leaf] = leaves[leaf][offset:offset + size]
         offset += size
-        return root.eval_many(block)  # one root needs no plan
+        with np.errstate(all="ignore"):
+            return _eval_vector(root, block, {})  # one root needs no plan
 
     return grid_integral(fn, chart, resolution=resolution)
 

@@ -281,8 +281,12 @@ def test_report_invariants():
 def test_check_config_validation():
     # a fractional count once raised TypeError, a negative seed numpy's
     # ValueError, both at the first draw
+    # a bool is an Integral, but no count: True once built a one-point
+    # config whose manifest kept the bools
     for bad in ({"n_points": 0}, {"n_points": 2.5}, {"n_fields": 1.5},
-                {"n_scalars": -1}, {"seed": -1}, {"seed": 0.5}):
+                {"n_scalars": -1}, {"seed": -1}, {"seed": 0.5},
+                {"n_points": True, "seed": False}, {"n_points": True},
+                {"seed": False}, {"n_fields": False}):
         with pytest.raises(ValidationError):
             CheckConfig(**bad)
     for tol in (-1.0, math.inf, math.nan):

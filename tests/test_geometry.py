@@ -109,7 +109,9 @@ def test_sample_points_deterministic_and_inside():
     for p in pts:
         assert ANNULUS.contains(p, margin=margin * 0.999)
         assert math.dist(p, (0.0, 0.0)) > 0.2 + margin * 0.999
-    for count, seed in ((0, 7), (2.5, 7), (5, -1), (5, 1.5)):
+    # True once drew one point, as a bool is an Integral
+    for count, seed in ((0, 7), (2.5, 7), (5, -1), (5, 1.5), (True, False),
+                        (5, False), (True, 7)):
         with pytest.raises(ValidationError):
             sample_points(ANNULUS, count=count, seed=seed)
 

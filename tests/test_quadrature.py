@@ -207,6 +207,84 @@ def test_grid_integral_broadcasts_the_return():
                 grid_integral(lambda a: wrong, chart, resolution=2)
 
 
+@pytest.mark.parametrize("coords, resolution, blocks", [
+    (("x", "y"), 128, 512),
+    (("x", "y", "z"), 6, 96),
+], ids=["2d", "3d"])
+def test_grid_integral_builds_axis_arrays_once(monkeypatch, coords, resolution,
+                                               blocks):
+    # the np.ix_ arrays are built once per integral, not once per block;
+    # each block gets its own slice of the first one
+    ix_calls, firsts = [], []
+    ix_ = np.ix_
+    monkeypatch.setattr(np, "ix_", lambda *axes: ix_calls.append(len(axes))
+                        or ix_(*axes))
+
+    def fn(arrays):
+        firsts.append(arrays["x"].ravel().tolist())
+        return 1.0
+
+    chart = Chart(coords, ((-1.0, 1.0),) * len(coords))
+    assert grid_integral(fn, chart, resolution) == pytest.approx(
+        2.0 ** len(coords), rel=1e-13)
+    assert ix_calls == [len(coords)]
+    assert len(firsts) == blocks
+    nodes = sum(firsts, [])
+    assert nodes == default_rule().mapped(-1.0, 1.0, resolution)[0].tolist()
+
+
+def test_block_values_copies_only_what_it_must():
+    # a full C-contiguous return is summed as it is; a return that
+    # broadcasts, or is strided, is copied out C-contiguous in the block
+    shape = (3, 5)
+    full = np.arange(15.0).reshape(shape)
+    assert quadrature._block_values(lambda a: full, {}, shape) is full
+    column = np.arange(3.0).reshape(3, 1)
+    for ret in (column, 2.5, np.asfortranarray(full), full[:, ::-1]):
+        got = quadrature._block_values(lambda a: ret, {}, shape)
+        assert got.shape == shape and got.flags.c_contiguous
+        assert not np.shares_memory(got, ret)
+        assert np.array_equal(got, np.broadcast_to(ret, shape))
+    with pytest.raises(ValidationError, match="broadcast"):
+        quadrature._block_values(lambda a: np.ones(4), {}, shape)
+
+
+@pytest.mark.parametrize("length", [1, 7, 2048, 4097])
+def test_vecdot_sums_each_row_as_a_dot_product(length):
+    # grid_integral sums a block's slabs by one np.vecdot and keeps the bits
+    # of the slab-by-slab sum only if vecdot sums each row as ``w @ row``
+    # does; a numpy whose vecdot loop sums in another order fails here by
+    # name.  (A matrix-vector product ``rows @ w`` does not keep them.)
+    rng = np.random.default_rng(length)
+    rows = rng.standard_normal((8, length)) * np.exp(rng.uniform(-15, 15, (8, length)))
+    specials = [np.inf, -np.inf, np.nan, -0.0, 5e-324, -1e-310]
+    for i, value in enumerate(specials, start=1):
+        rows[i, rng.integers(length, size=max(1, length // 8))] = value
+    rows[2, 0] = np.inf  # and -inf elsewhere in the row, from above
+    rows[7] = rng.choice(specials[3:], size=length)  # -0.0 and subnormals only
+    w = rng.random(length)
+    w[::3] *= 1e-310  # subnormal weights
+    with np.errstate(all="ignore"):
+        got = np.vecdot(rows, w)
+        want = np.array([w @ r for r in rows])
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+
+def test_grid_integral_of_opposite_infinities_is_nan():
+    # +inf and -inf in one slab sum to nan, an invalid operation numpy
+    # reports (an error under this suite's filters) unless the caller
+    # silences it, as the slab-by-slab sum did
+    def fn(arrays):
+        return np.where(arrays["y"] < 0, np.inf, -np.inf) * np.ones_like(arrays["x"])
+
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(grid_integral(fn, BOX2, resolution=2))
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        grid_integral(fn, BOX2, resolution=2)
+
+
 def test_vanishing_integral_matches_slab_by_slab():
     weighted = VolumeForm.from_string(BOX2, "exp(x+0.5*y)")
     f = bump_field(BOX2, (0.1, -0.2), 0.55, 1)
@@ -223,7 +301,8 @@ def test_grid_integral_rejects_disks_and_bad_resolution():
         grid_integral(lambda a: np.ones_like(a["x"]), holed)
     with pytest.raises(ValidationError):
         grid_integral(lambda a: np.ones_like(a["x"]), BOX2, resolution=0)
-    for bad in (2.5, math.nan, math.inf, 2.0):
+    # True once integrated at resolution 1
+    for bad in (2.5, math.nan, math.inf, 2.0, True, False):
         with pytest.raises(ValidationError, match="integer"):
             grid_integral(lambda a: np.ones_like(a["x"]), BOX2, resolution=bad)
     assert grid_integral(lambda a: np.ones_like(a["x"]), BOX2,
