@@ -10,8 +10,8 @@ side's ``perfbench/workloads.py``, builds every ``axiom-sweep``,
 ``classify-verdicts`` and ``dense-eval`` operation once per seed and runs
 them all twice, so a cache that goes stale when it is reused shows in the
 second pass.  ``dense-eval`` evaluates 2,000 points, so it holds the
-node-by-node evaluation path to identity as the other two hold the
-level-by-level one.  The child prints the repr of every report entry (max
+tape of ``eval_roots`` to identity as the other two hold the
+level-by-level path.  The child prints the repr of every report entry (max
 residual, argmax point, samples, skipped), of every classification field
 (verdict, residuals, periods, witness, restricted box) and of the integral's
 value, one line each; both passes are compared with the parent's.  Each

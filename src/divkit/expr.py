@@ -58,12 +58,17 @@ class EvalDomainError(ExprError):
 # Function kinds, each mapping to a numpy ufunc-like callable.  bump is the
 # standard compactly supported mollifier: exp(-1/(1-t^2)) inside |t|<1,
 # identically 0 outside.  t is squared only inside the support, so a large
-# argument outside it cannot overflow in the discarded branch.
-def _bump(t: np.ndarray) -> np.ndarray:
+# argument outside it cannot overflow in the discarded branch.  Like the
+# ufuncs, it writes into ``out`` when one is given.
+def _bump(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     inside = np.abs(t) < 1.0
     denom = 1.0 - np.where(inside, t, 0.0) ** 2
-    return np.where(inside, np.exp(-1.0 / denom), 0.0)
+    value = np.where(inside, np.exp(-1.0 / denom), 0.0)
+    if out is None:
+        return value
+    np.copyto(out, value)
+    return out
 
 
 FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -214,7 +219,10 @@ class Expr:
         once.  Constant trees are broadcast to the input shape.  Inputs
         that are not float64 arrays are evaluated as float64.
         """
-        return _evaluate(self, _float64(arrays), {})
+        arrays = _float64(arrays)
+        with np.errstate(all="ignore"):
+            value = _eval_vector(self, arrays, {})
+        return _own(value, arrays, self.kind == "var")
 
     # -- calculus ------------------------------------------------------------
 
@@ -279,11 +287,11 @@ def eval_roots(roots: Sequence[Expr],
     takes its rows by first fit, so the buffer holds about the rows live at
     once; it is allocated once per call and each column chunk is a
     contiguous view of it, so no chunk allocates or faults in pages again.
-    Otherwise each root is computed when it is requested, node by node:
-    across roots only the values of nodes with more than one parent are
-    kept (a root counts as one parent), and each is dropped after its last
-    use.  The plans of the last ``_PLAN_CACHE`` root sets are kept, so a
-    root set evaluated again is not walked again.
+    Otherwise the root set runs as a flat tape of numpy calls (``_Tape``),
+    each root computed when it is requested, with the values that later
+    steps read kept in a few reused registers.  The plans of the last
+    ``_PLAN_CACHE`` root sets are kept, so a root set evaluated again is
+    not walked again.
     """
     roots = tuple(roots)
     if not roots:
@@ -291,18 +299,15 @@ def eval_roots(roots: Sequence[Expr],
     arrays = _float64(arrays)
     plan = _plan(roots)
     shape = next((np.shape(v) for v in arrays.values() if np.shape(v)), ())
-    if (len(shape) == 1 and 0 < shape[0] <= _BATCH_POINTS
-            and all(np.shape(v) == shape for v in arrays.values())):
+    fixed = len(shape) == 1 and all(np.shape(v) == shape for v in arrays.values())
+    if fixed and 0 < shape[0] <= _BATCH_POINTS:
         if plan.program is None:
             plan.program = _Program(roots)
         yield from plan.program.run(arrays, shape[0])
         return
-    if plan.counts is None:
-        plan.counts = _parent_counts(roots)
-    uses = dict(plan.counts)  # a copy: evaluation counts it down
-    memo: dict = {}
-    for root in roots:
-        yield _evaluate(root, arrays, memo, uses)
+    if plan.tape is None:
+        plan.tape = _Tape(roots)
+    yield from plan.tape.run(arrays, shape[0] if fixed else None)
 
 
 def _float64(arrays: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
@@ -314,29 +319,27 @@ def _float64(arrays: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
     return arrays
 
 
-def _evaluate(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
-              uses: dict | None = None) -> np.ndarray:
-    """One root's value as an array of the caller's own; without ``uses``,
-    as for a single root, every node's value is kept until it is done."""
-    with np.errstate(all="ignore"):
-        out = np.asarray(_eval_vector(root, arrays, memo, uses), dtype=float)
+def _own(value, arrays: Mapping[str, np.ndarray], copy: bool) -> np.ndarray:
+    """A root's value as an array of the caller's own: a copy when ``copy``
+    is set, and a constant broadcast to the shape of the first non-scalar
+    input."""
+    out = np.asarray(value, dtype=float)
     if out.ndim == 0:
-        # a constant tree takes the shape of the first non-scalar input
         shape = next((np.shape(v) for v in arrays.values() if np.shape(v)), ())
-        out = np.full(shape, float(out))
-    elif root.kind == "var" or (uses is not None and id(root) in memo):
-        out = out.copy()
-    return out
+        return np.full(shape, float(out))
+    return out.copy() if copy else out
 
 
 # The largest point count evaluated level by level.  Each group of nodes
-# costs a gather of its argument rows, so past several hundred points the
-# gathers cost more than the numpy calls they save and node by node wins.
-# Program time over node-by-node time, summed over the 50 root sets of 4 or
-# more roots that the axiom sweep and classify evaluate (Python 3.11,
-# numpy 2.4, 2 cores): 0.43 at 256 points, 0.74 at 512, 1.00 at 768 and
-# 1.24 at 1,024; sets of 1-3 roots read about 1.05 at every size.  So 512
-# keeps a margin and takes a blackbox sweep's 400-point probe sets.
+# costs a gather of its argument rows, so past a few hundred points the
+# gathers cost more than the numpy calls they save and the tape wins.  Tape
+# time over program time, summed over the 50 root sets of 4 or more roots
+# that the axiom sweep and classify evaluate (Python 3.11, numpy 2.4, 2
+# cores): 2.31 at 100 points, 0.94 at 256, 0.79 at 320, 0.64 at 400 and
+# 0.62 at 512; sets of 1-3 roots read about 0.70 at every size.  Yet 256,
+# with those small sets on the tape, read a slower axiom-sweep op_p50 (+1.7%,
+# in 6 of 6 benchmark pairs), so the limit stays at 512, which takes a
+# blackbox sweep's 400-point probe sets.
 _BATCH_POINTS = 512
 # Bytes of the level-by-level buffer: its columns are taken in chunks so
 # that one chunk of every row fits.
@@ -351,16 +354,16 @@ _plans: dict[tuple[int, ...], "_Plan"] = {}
 
 
 class _Plan:
-    """What one root set's evaluation works out once: the parent counts of
-    the node-by-node path and the program of the level-by-level path, each
-    built on first use."""
+    """What one root set's evaluation works out once: the program of the
+    level-by-level path and the tape of every other, each built on first
+    use."""
 
-    __slots__ = ("roots", "counts", "program")
+    __slots__ = ("roots", "program", "tape")
 
     def __init__(self, roots: tuple[Expr, ...]):
         self.roots = roots
-        self.counts: dict[int, int] | None = None
         self.program: _Program | None = None
+        self.tape: _Tape | None = None
 
 
 def _plan(roots: tuple[Expr, ...]) -> _Plan:
@@ -376,29 +379,11 @@ def _plan(roots: tuple[Expr, ...]) -> _Plan:
     return plan
 
 
-def _parent_counts(roots: Sequence[Expr]) -> dict[int, int]:
-    """Parent count of each inner node with more than one parent over the
-    union of the trees, a root counting as one parent.  Leaves are left out:
-    they cost no more to rebuild than to look up."""
-    counts: dict[int, int] = {}
-    stack = list(roots)  # one entry per reference
-    while stack:
-        node = stack.pop()
-        if node.args:
-            key = id(node)
-            seen = counts.get(key, 0)
-            counts[key] = seen + 1
-            if not seen:
-                stack.extend(node.args)
-    return {key: n for key, n in counts.items() if n > 1}
-
-
 # Node kinds evaluated a whole level at a time: exact IEEE operations, whose
 # bits do not depend on the operand layout.
 _GROUPED = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
             "neg": np.negative}
-_SINGLE = {"div": np.divide, "pow": np.power, **FUNCTIONS,
-           "bump": lambda t, out: np.copyto(out, _bump(t))}
+_SINGLE = {"div": np.divide, "pow": np.power, **FUNCTIONS}
 
 
 def _place_rows(sizes: list[int], read: np.ndarray, reader: np.ndarray,
@@ -671,19 +656,187 @@ class _Program:
         return list(out)
 
 
-def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
-                 uses: dict | None = None):
-    """Value of ``root`` over the coordinate arrays.  Without ``uses`` every
-    node's value is kept in ``memo``; with it, only the nodes it counts, and
-    each is dropped from ``memo`` when its remaining count reaches 0."""
+class _Tape:
+    """A root set as a flat list of numpy calls, for the point sets that are
+    not evaluated level by level.
+
+    The distinct inner nodes run in depth-first order, one call each, root
+    after root, so each root's steps run when it is requested.  A subtree
+    without coordinates is evaluated once here, by ``_eval_vector``, and is
+    an ``np.float64`` scalar from then on, as in ``_Program``.  A run keeps
+    its values in one list: the coordinate arrays, those scalars, then
+    ``n_regs`` registers.  A step whose value only one root's own hand-over
+    reads is computed into a new array, which is handed over as it is.
+    Every other step writes into a register with ``out=``.  A register is
+    free again once the last step that reads its value has run and every
+    root it holds has been handed over; the next step takes the one freed
+    last, and takes it before its own arguments' registers are freed, so it
+    never writes into one of its arguments.  A root that is a coordinate,
+    is repeated or is read by another step is handed over as a copy.
+
+    When the input arrays do not all share one one-dimensional shape, the
+    same steps run with every call allocating its result.
+
+    A register is allocated for the root whose steps first write it and
+    dropped once the root at which it is last freed has been computed, so
+    a run holds only the registers that the roots around it use.
+
+    ``segments`` holds per root the registers to allocate, the steps that
+    run for it, (function, destination, argument, second argument or None)
+    as indices into the value list, then the root's own step (function,
+    argument, second argument or None), or None and the index of the value
+    to copy, and the registers to drop.
+    """
+
+    __slots__ = ("coords", "consts", "n_regs", "segments")
+
+    def __init__(self, roots: tuple[Expr, ...]):
+        coords: dict[str, int] = {}
+        scalars: dict[int, object] = {}   # constant subtree -> its value
+        index: dict[int, int] = {}        # inner node -> its step
+        nodes: list[Expr] = []
+        ends: list[int] = []              # steps up to each root's last
+        with np.errstate(all="ignore"):
+            for root in roots:
+                stack = [(root, False)]
+                while stack:
+                    node, expanded = stack.pop()
+                    key = id(node)
+                    if key in index or key in scalars:
+                        continue
+                    if not node.args:
+                        if node.kind == "var":
+                            coords.setdefault(node.name, len(coords))
+                        else:
+                            scalars[key] = np.float64(node.value)
+                    elif not expanded:
+                        stack.append((node, True))
+                        stack.extend((a, False) for a in reversed(node.args))
+                    elif all(id(a) in scalars for a in node.args):
+                        # the arguments are in the memo: no deeper recursion
+                        scalars[key] = np.float64(_eval_vector(node, {}, scalars))
+                    else:
+                        index[key] = len(nodes)
+                        nodes.append(node)
+                ends.append(len(nodes))
+
+        # Step k of root i's steps runs at time k + i, and root i is handed
+        # over at time ends[i] + i.
+        consts: dict[int, int] = {}       # constant subtree -> its value's index
+        n_coords = len(coords)
+        last = [-1] * len(nodes)          # the time of each value's last use
+        kept = [False] * len(nodes)       # read by a step or handed over twice
+        i = 0
+        for k, node in enumerate(nodes):
+            while k == ends[i]:
+                i += 1
+            for a in node.args:
+                j = index.get(id(a))
+                if j is not None:
+                    last[j] = k + i
+                    kept[j] = True
+                elif id(a) in scalars:
+                    consts.setdefault(id(a), n_coords + len(consts))
+        for i, root in enumerate(roots):
+            j = index.get(id(root))
+            if j is not None:
+                kept[j] = kept[j] or last[j] >= 0
+                last[j] = max(last[j], ends[i] + i)
+            elif id(root) in scalars:
+                consts.setdefault(id(root), n_coords + len(consts))
+
+        def at(e: Expr) -> int:
+            """The value index of a coordinate, a scalar or a kept value."""
+            if e.kind == "var":
+                return coords[e.name]
+            j = index.get(id(e))
+            return consts[id(e)] if j is None else held[j]
+
+        base = n_coords + len(consts)
+        held = [-1] * len(nodes)          # each kept value's register
+        free: list[int] = []              # registers, the last freed on top
+        done: dict[int, int] = {}         # register -> the root it is last freed at
+        n_regs = 0
+        self.segments = []
+        start = 0
+        for i, root in enumerate(roots):
+            steps: list[tuple] = []
+            fresh: list[int] = []         # registers first written for this root
+            own = None
+            for k in range(start, ends[i]):
+                node = nodes[k]
+                fn = _GROUPED.get(node.kind) or _SINGLE[node.kind]
+                args = [at(a) for a in node.args]
+                args.append(None)
+                if kept[k]:
+                    if not free:
+                        free.append(base + n_regs)
+                        fresh.append(base + n_regs)
+                        n_regs += 1
+                    held[k] = free.pop()
+                    steps.append((fn, held[k], args[0], args[1]))
+                else:  # the root itself, handed over as it is
+                    own = (fn, args[0], args[1])
+                for j in dict.fromkeys(index.get(id(a)) for a in node.args):
+                    if j is not None and last[j] == k + i:
+                        free.append(held[j])
+                        done[held[j]] = i
+            start = ends[i]
+            j = index.get(id(root))
+            if j is not None and last[j] == ends[i] + i and kept[j]:
+                free.append(held[j])
+                done[held[j]] = i
+            self.segments.append((fresh, steps, own, None if own else at(root), []))
+        for r, i in done.items():
+            self.segments[i][4].append(r)
+        self.coords = list(coords)
+        self.consts = [None] * len(consts)
+        for key, r in consts.items():
+            self.consts[r - n_coords] = scalars[key]
+        self.n_regs = n_regs
+
+    def run(self, arrays: Mapping[str, np.ndarray],
+            m: int | None) -> Iterator[np.ndarray]:
+        """Each root's value, computed when it is requested: with m, every
+        array one-dimensional of m points, into registers of m floats; with
+        None, into arrays each call allocates."""
+        v = [arrays[nm] for nm in self.coords]
+        v += self.consts
+        v += [None] * self.n_regs
+        for fresh, steps, own, src, drop in self.segments:
+            if m is not None:
+                for r in fresh:
+                    v[r] = np.empty(m)
+            # entered per root, so the caller's code between two roots runs
+            # under its own floating-point state
+            with np.errstate(all="ignore"):
+                if m is None:
+                    for fn, d, a, b in steps:
+                        v[d] = fn(v[a]) if b is None else fn(v[a], v[b])
+                else:
+                    for fn, d, a, b in steps:
+                        if b is None:
+                            fn(v[a], v[d])
+                        else:
+                            fn(v[a], v[b], v[d])
+                if own is not None:
+                    fn, a, b = own
+                    out = fn(v[a]) if b is None else fn(v[a], v[b])
+            out = _own(v[src], arrays, True) if own is None \
+                else _own(out, arrays, False)
+            for r in drop:
+                v[r] = None
+            yield out
+
+
+def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
+    """Value of ``root`` over the coordinate arrays, node by node, keeping
+    every node's value in ``memo``: ``eval_many`` and ``Expr.eval``, the
+    constant folding of plans, and the mixed nodes of each block of
+    ``quadrature._expr_integral``."""
     key = id(root)
     hit = memo.get(key)
     if hit is not None:
-        if uses is not None:
-            left = uses[key] - 1
-            uses[key] = left
-            if not left:
-                del memo[key]
         return hit
     kind = root.kind
     if kind == "const":
@@ -692,10 +845,10 @@ def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
     elif kind == "var":
         out = arrays[root.name]
     elif kind == "neg":
-        out = -_eval_vector(root.args[0], arrays, memo, uses)
+        out = -_eval_vector(root.args[0], arrays, memo)
     elif kind in _BINARY:
-        a = _eval_vector(root.args[0], arrays, memo, uses)
-        b = _eval_vector(root.args[1], arrays, memo, uses)
+        a = _eval_vector(root.args[0], arrays, memo)
+        b = _eval_vector(root.args[1], arrays, memo)
         if kind == "add":
             out = a + b
         elif kind == "sub":
@@ -707,14 +860,8 @@ def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict,
         else:
             out = np.power(a, b)
     else:
-        out = FUNCTIONS[kind](_eval_vector(root.args[0], arrays, memo, uses))
-    if uses is None:
-        memo[key] = out
-    else:
-        left = uses.get(key)
-        if left is not None:
-            memo[key] = out
-            uses[key] = left - 1
+        out = FUNCTIONS[kind](_eval_vector(root.args[0], arrays, memo))
+    memo[key] = out
     return out
 
 

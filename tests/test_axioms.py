@@ -875,7 +875,7 @@ def test_warm_sweep_builds_no_tree_and_no_plan(monkeypatch):
     hidden = op.as_blackbox()
     first = [check_axioms(target, config) for target in (op, hidden)]
     built = _count_builds(monkeypatch)
-    for name in ("_Program", "_parent_counts", "_simplify"):
+    for name in ("_Program", "_Tape", "_simplify"):
         original = getattr(expr_module, name)
         monkeypatch.setattr(expr_module, name,
                             lambda *args, _name=name, _original=original:

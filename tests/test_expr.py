@@ -280,41 +280,53 @@ def test_eval_roots_values_are_independent():
     assert np.array_equal(arrays["x"], before["x"])
 
 
-def _node_by_node():
+def _tape_arrays(m=None):
     """Coordinate arrays with more points than the level-by-level path
-    takes, so ``eval_roots`` goes node by node."""
-    m = expr_module._BATCH_POINTS + 1
+    takes, so ``eval_roots`` runs every root set from its tape."""
+    m = expr_module._BATCH_POINTS + 1 if m is None else m
     return {"x": np.linspace(-1.0, 1.0, m), "y": np.linspace(2.0, 0.5, m)}
+
+
+def _height(roots):
+    """The number of inner nodes on the longest path down from a root."""
+    heights = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            pending = [a for a in node.args if id(a) not in heights]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            heights[id(node)] = (1 + max(heights[id(a)] for a in node.args)
+                                 if node.args else 0)
+    return max(heights[id(r)] for r in roots)
 
 
 @settings(max_examples=100, deadline=None)
 @given(shared_forests())
-def test_eval_roots_holds_only_multi_parent_values(roots):
-    # record the memo after every node, through the module-level evaluator
-    # that the recursion calls by name
-    sizes, memos = [], []
-    original = expr_module._eval_vector
-
-    def recording(root, arrays, memo, uses=None):
-        out = original(root, arrays, memo, uses)
-        sizes.append(len(memo))
-        memos.append(memo)
-        return out
-
-    arrays = _node_by_node()
-    between = []
-    expr_module._eval_vector = recording
+def test_eval_roots_tape_bounds_its_registers_and_live_values(roots):
+    # a register holds a value that a later step or hand-over still reads:
+    # one with more than one parent, or the one finished argument of each
+    # node on the path of the walk, plus the step's own and its arguments
+    tape = expr_module._Tape(tuple(roots))
+    assert tape.n_regs <= _multi_parent_count(roots) + _height(roots) + 2
+    # no step writes into one of its arguments
+    for _, steps, _, _, _ in tape.segments:
+        assert all(d not in (a, b) for _, d, a, b in steps)
+    # a run consumed root by root holds its registers, the value being
+    # computed and the temporaries of one call, not a value per node
+    arrays = _tape_arrays(2_000)
+    list(eval_roots(roots, arrays))  # builds the plan
+    tracemalloc.start()
     try:
-        for _ in eval_roots(roots, arrays):
-            between.append(len(memos[0]))
+        for value in eval_roots(roots, arrays):
+            del value
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        expr_module._eval_vector = original
-    bound = _multi_parent_count(roots)
-    assert len(between) == len(roots)
-    assert max(sizes) <= bound
-    assert max(between) <= bound
-    # each kept value is dropped after its last use
-    assert between[-1] == 0
+        tracemalloc.stop()
+    assert peak <= (tape.n_regs + 8) * 8 * 2_000 + 4096
 
 
 def _wide_program():
@@ -382,10 +394,9 @@ def test_deep_chain_program_reuses_rows():
 @pytest.mark.parametrize("m", [3, expr_module._BATCH_POINTS + 1])
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])
 def test_eval_roots_paths_agree_on_coordinates_that_are_not_float64(dtype, m):
-    # 3 points go level by level and one past the limit node by node; both
-    # evaluate in
-    # float64, so an int64 x*x does not wrap around and a float32 x*x*x is
-    # not rounded to float32 on one path only
+    # 3 points go level by level and one past the limit from the tape; both
+    # evaluate in float64, so an int64 x*x does not wrap around and a
+    # float32 x*x*x is not rounded to float32 on one path only
     x = var("x")
     square = Expr("mul", (x, x))
     roots = [square, Expr("mul", (square, x)), x]
@@ -410,17 +421,19 @@ def test_eval_roots_keeps_a_bounded_number_of_plans():
         got = list(eval_roots(roots, small))
         assert np.array_equal(got[1], np.sin(small["x"] * k))
         assert len(expr_module._plans) <= expr_module._PLAN_CACHE
-    # the latest set is kept with its own roots; each path builds its part
-    # of the plan once, and node by node counts down a copy of the counts
+    # the latest set is kept with its own roots, and each path builds its
+    # part of the plan once
     plan = expr_module._plans[tuple(map(id, roots))]
     assert all(a is b for a, b in zip(plan.roots, roots))
     program = plan.program
-    assert program is not None and plan.counts is None
-    large = _node_by_node()
+    assert program is not None and plan.tape is None
+    large = _tape_arrays()
     want = [r.eval_many(large) for r in roots]
+    tape = None
     for _ in range(2):
         assert all(np.array_equal(a, b) for a, b in zip(eval_roots(roots, large), want))
-        assert plan.counts == {id(shared): 2}
+        assert plan.tape is not None and plan.tape is (tape or plan.tape)
+        tape = plan.tape
         again = list(eval_roots(roots, small))
         assert all(np.array_equal(a, b) for a, b in zip(again, got))
         assert plan.program is program
@@ -528,8 +541,8 @@ _EXPONENT_TREES = [Expr("pow", (var("x"), const(c))) for c in _SCALAR_EXPONENTS]
 def test_eval_roots_level_by_level_matches_node_by_node(roots, seed, size):
     # the buffer bound is set so that a chunk is 3 points wide; m is one
     # point, a chunk width -1, 0 or +1, or the largest level-by-level point
-    # count and one above it, where eval_roots goes node by node too.
-    # eval_many is node by node at any size.
+    # count and one above it, where eval_roots runs its tape.  eval_many is
+    # node by node at any size.
     m = {"one": 1, "chunk-1": 2, "chunk": 3, "chunk+1": 4,
          "threshold": expr_module._BATCH_POINTS,
          "threshold+1": expr_module._BATCH_POINTS + 1}[size]
@@ -548,6 +561,106 @@ def test_eval_roots_level_by_level_matches_node_by_node(roots, seed, size):
     assert not any(np.shares_memory(a, b) for k, a in enumerate(got)
                    for b in got[k + 1:])
     assert list(eval_roots([], arrays)) == []
+
+
+def _tape_forest():
+    """Roots handed over in every way a tape hands them over: coordinates, a
+    constant and a constant tree, a repeated root, a root that is an inner
+    node of an earlier root, and a root that a later root reads."""
+    x, y = var("x"), var("y")
+    inner = Expr("mul", (x, y))
+    outer = Expr("add", (Expr("sin", (inner,)), inner))
+    later = Expr("exp", (Expr("neg", (y,)),))
+    return [x, outer, inner, const(2.0), Expr("neg", (const(1.5),)), outer,
+            later, Expr("div", (later, Expr("add", (x, const(3.0))))), y]
+
+
+def _special_columns(m, seed):
+    """``_columns`` with nan, +-inf, -0.0 and subnormals among the values."""
+    arrays = _columns(m, seed)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310])
+    arrays["x"][5:5 + len(special)] = special
+    arrays["y"][-5 - len(special):-5] = special[::-1]
+    return arrays
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_forests(), st.integers(0, 2**32 - 1),
+       st.sampled_from([expr_module._BATCH_POINTS + 1, 2_000]))
+@example(_tape_forest(), 0, 2_000)
+@example(_tape_forest()[::-1], 1, expr_module._BATCH_POINTS + 1)
+@example(_shared_forest(), 2, 2_000)
+@example(_EXPONENT_TREES + _EXPONENT_TREES[:2], 3, 2_000)
+def test_eval_roots_tape_matches_program_and_eval_many(roots, seed, m):
+    # past the level-by-level limit every root set runs from its tape; its
+    # values are the bits of the program run at the same points and of
+    # eval_many, and none of them is another one or an input
+    arrays = _special_columns(m, seed)
+    got = list(eval_roots(roots, arrays))
+    assert expr_module._plans[tuple(map(id, roots))].tape is not None
+    rows = expr_module._Program(tuple(roots)).run(arrays, m)
+    assert len(got) == len(roots)
+    for root, value, row in zip(roots, got, rows):
+        want = root.eval_many(arrays)
+        assert value.dtype == want.dtype and value.shape == want.shape
+        assert np.array_equal(value, want, equal_nan=True), str(root)
+        assert np.array_equal(value, row, equal_nan=True), str(root)
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(got)
+                   for b in got[k + 1:])
+    assert not any(np.shares_memory(a, v) for a in got for v in arrays.values())
+
+
+@pytest.mark.parametrize("roots", [_tape_forest(), _tape_forest()[::-1],
+                                   _shared_forest()])
+def test_eval_roots_tape_hands_over_no_register(monkeypatch, roots):
+    # the registers are the arrays a run takes from np.empty; a root read
+    # from one is handed over as a copy
+    arrays = _tape_arrays(2_000)
+    want = list(eval_roots(roots, arrays))  # builds the plan
+    tape = expr_module._plans[tuple(map(id, roots))].tape
+    empty, registers = np.empty, []
+    monkeypatch.setattr(np, "empty", lambda *args, **kwargs:
+                        registers.append(empty(*args, **kwargs)) or registers[-1])
+    got = list(eval_roots(roots, arrays))
+    monkeypatch.undo()
+    assert len(registers) == tape.n_regs > 0
+    assert not any(np.shares_memory(a, r) for a in got for r in registers)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_deep_chain_tape_takes_two_registers():
+    # each level is read only by the next, so a 400-level chain writes two
+    # registers in turn and the root into its own array
+    x = var("x")
+    chain = x
+    for _ in range(400):
+        chain = Expr("add", (chain, x))
+    assert expr_module._Tape((chain,)).n_regs <= 2
+    arrays = {"x": np.linspace(-1.0, 1.0, 2_000)}
+    assert np.array_equal(next(eval_roots([chain], arrays)), chain.eval_many(arrays))
+
+
+def test_eval_roots_tape_on_empty_and_broadcast_inputs():
+    # 0 points run the tape on empty registers; np.ix_ arrays of differing
+    # shapes run it with every call allocating its result, and a constant
+    # root takes the first input's shape, as with eval_many
+    z = var("z")
+    roots = _tape_forest()
+    roots += [Expr("mul", (z, roots[1])), Expr("add", (roots[2], z)), z]
+    xs, ys, zs = np.ix_(np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.0, 4),
+                        np.linspace(-2.0, 0.0, 3))
+    for arrays in ({"x": np.empty(0), "y": np.empty(0), "z": np.empty(0)},
+                   {"x": xs, "y": ys, "z": zs}):
+        got = list(eval_roots(roots, arrays))
+        assert len(got) == len(roots)
+        for root, value in zip(roots, got):
+            want = root.eval_many(arrays)
+            assert value.dtype == want.dtype and value.shape == want.shape
+            assert np.array_equal(value, want, equal_nan=True), str(root)
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(got)
+                       for b in got[k + 1:])
+        assert not any(np.shares_memory(a, v) for a in got for v in arrays.values())
+    assert got[3].shape == xs.shape and got[1].shape == (5, 4, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -380,11 +380,11 @@ def test_one_dimensional_closedness_evaluates_nothing(monkeypatch):
 
     blackbox = DivOperator(line, "blackbox", fn_fields=fn_fields)
     built = []
-    program, counts = expr_module._Program, expr_module._parent_counts
+    program, tape = expr_module._Program, expr_module._Tape
     monkeypatch.setattr(expr_module, "_Program",
                         lambda roots: built.append(roots) or program(roots))
-    monkeypatch.setattr(expr_module, "_parent_counts",
-                        lambda roots: built.append(roots) or counts(roots))
+    monkeypatch.setattr(expr_module, "_Tape",
+                        lambda roots: built.append(roots) or tape(roots))
     pts = box_points(line)
     for op in (symbolic, blackbox):
         assert _closedness_details(op, pts, 1e-5) == (0.0, None, None)
@@ -910,11 +910,11 @@ def test_second_classify_of_a_pair_reuses_the_difference(monkeypatch):
         diff = difference(op, base)
         assert difference(op, base) is diff
         built = []
-        program, counts = expr_module._Program, expr_module._parent_counts
+        program, tape = expr_module._Program, expr_module._Tape
         monkeypatch.setattr(expr_module, "_Program",
                             lambda roots: built.append(roots) or program(roots))
-        monkeypatch.setattr(expr_module, "_parent_counts",
-                            lambda roots: built.append(roots) or counts(roots))
+        monkeypatch.setattr(expr_module, "_Tape",
+                            lambda roots: built.append(roots) or tape(roots))
         second = classify(op, base, config=config)
         monkeypatch.undo()
         assert built == []
