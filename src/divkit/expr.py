@@ -740,7 +740,7 @@ class _Tape:
         for i, root in enumerate(roots):
             j = index.get(id(root))
             if j is not None:
-                kept[j] = kept[j] or last[j] >= 0
+                kept[j] = last[j] >= 0  # read by a step or handed over
                 last[j] = max(last[j], ends[i] + i)
             elif id(root) in scalars:
                 consts.setdefault(id(root), n_coords + len(consts))
