@@ -208,10 +208,8 @@ def run_verify_kn(spec, args) -> int:
     tol = tol if tol is not None else 1e-8
     chart = volume.chart
     pts = sample_points(chart, points, seed)
-    arrays = chart.arrays(pts)
     residual_form = parallel_residual(connection, volume)
-    parallel_max = float(np.max([np.abs(comp.eval_many(arrays)).max()
-                                 for comp in residual_form.components]))
+    parallel_max = float(np.abs(residual_form.values_matrix(pts)).max())
     gap = difference(div_volume(volume), div_affine(connection))
     fields = [field for _, field in library_fields(chart)]
     operator_max = float(np.max([np.abs(v).max() for v in gap.apply_fields(fields, pts)]))

@@ -81,7 +81,9 @@ FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "bump": _bump,
 }
 
-_BINARY = frozenset({"add", "sub", "mul", "div", "pow"})
+# The numpy call of each inner node kind, for all three evaluators.
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+           "neg": np.negative, "div": np.divide, "pow": np.power, **FUNCTIONS}
 _LEAF = frozenset({"const", "var"})
 
 # Printing precedence; atoms (leaves, function calls) bind tightest.
@@ -381,9 +383,68 @@ def _plan(roots: tuple[Expr, ...]) -> _Plan:
 
 # Node kinds evaluated a whole level at a time: exact IEEE operations, whose
 # bits do not depend on the operand layout.
-_GROUPED = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
-            "neg": np.negative}
-_SINGLE = {"div": np.divide, "pow": np.power, **FUNCTIONS}
+_GROUPED = frozenset({"add", "sub", "mul", "neg"})
+
+
+def _walk(roots: tuple[Expr, ...]):
+    """One depth-first walk over a root set, for both plans.
+
+    Returns the coordinates by name, in order of first use; each coordinate
+    node's slot, its coordinate's index; each constant subtree's value, an
+    ``np.float64`` folded once here by its ``_UFUNCS`` call; the distinct
+    inner nodes that read a coordinate in depth-first order, each after
+    its arguments; their depths; and the length of that list after each
+    root.  One frame per tree level, as in ``_eval_vector``.
+    """
+    coords: dict[str, int] = {}
+    slots: dict[int, int] = {}        # coordinate node -> its coordinate
+    scalars: dict[int, np.float64] = {}   # constant subtree -> its value
+    nodes: list[Expr] = []
+    depths: list[int] = []            # 1 + the deepest argument's
+    depth: dict[int, int] = {}        # the memo: coordinates at depth 0
+    depth_get = depth.get
+
+    def visit(node: Expr) -> int:
+        """The node's depth, or -1 for a constant subtree."""
+        key = id(node)
+        d = depth_get(key)
+        if d is not None:
+            return d
+        if key in scalars:
+            return -1
+        args = node.args
+        if not args:
+            if node.kind == "var":
+                depth[key] = 0
+                slots[key] = coords.setdefault(node.name, len(coords))
+                return 0
+            scalars[key] = np.float64(node.value)
+            return -1
+        d = visit(args[0])
+        if len(args) > 1:
+            d1 = visit(args[1])
+            if d1 > d:
+                d = d1
+        if d < 0:
+            # the arguments are in the memo: no deeper recursion
+            fn, a = _UFUNCS[node.kind], scalars[id(args[0])]
+            scalars[key] = np.float64(
+                fn(a) if len(args) == 1 else fn(a, scalars[id(args[1])]))
+            return -1
+        depth[key] = d + 1
+        nodes.append(node)
+        depths.append(d + 1)
+        return d + 1
+
+    ends: list[int] = []              # len(nodes) after each root
+    with np.errstate(all="ignore"):
+        for root in roots:
+            visit(root)
+            ends.append(len(nodes))
+    # visit holds itself through its closure; without this the walk's
+    # dicts would wait for the cycle collector
+    del visit
+    return coords, slots, scalars, nodes, depths, ends
 
 
 def _place_rows(sizes: list[int], read: np.ndarray, reader: np.ndarray,
@@ -475,60 +536,22 @@ class _Program:
     functions run one node at a time, with a constant argument passed as a
     scalar as ``_eval_vector`` does: numpy's power takes other code paths
     for a scalar exponent such as 2.0, 0.5 or -1 than for an array of
-    them, and the bits differ.  A subtree without coordinates is evaluated
-    once here, by ``_eval_vector``, and is a constant from then on.
+    them, and the bits differ.  A subtree without coordinates is folded
+    once by ``_walk`` and is a constant from then on.
     """
 
     __slots__ = ("coords", "consts", "n_rows", "steps", "root_rows")
 
     def __init__(self, roots: tuple[Expr, ...]):
-        slots: dict[int, int] = {}        # coordinate or inner node -> slot
-        coords: dict[str, int] = {}
-        scalars: dict[int, object] = {}   # constant subtree -> its value
-        depth: dict[int, int] = {}        # other node -> 1 + deepest argument
+        coords, slots, scalars, nodes, depths, _ = _walk(roots)
         groups: dict[tuple[int, str], list[Expr]] = {}
-        depth_get, groups_get = depth.get, groups.get
-
-        def visit(node: Expr) -> int:
-            """The node's depth, or -1 for a constant subtree.  One frame
-            per tree level, as in ``_eval_vector``."""
-            key = id(node)
-            d = depth_get(key)
-            if d is not None:
-                return d
-            if key in scalars:
-                return -1
-            args = node.args
-            if not args:
-                if node.kind == "var":
-                    depth[key] = 0
-                    slots[key] = coords.setdefault(node.name, len(coords))
-                    return 0
-                scalars[key] = np.float64(node.value)
-                return -1
-            d = visit(args[0])
-            if len(args) > 1:
-                d1 = visit(args[1])
-                if d1 > d:
-                    d = d1
-            if d < 0:
-                # the arguments are in the memo: no deeper recursion
-                scalars[key] = np.float64(_eval_vector(node, {}, scalars))
-                return -1
-            depth[key] = d + 1
-            group = groups_get((d + 1, node.kind))
+        groups_get = groups.get
+        for node, d in zip(nodes, depths):
+            group = groups_get((d, node.kind))
             if group is None:
-                groups[d + 1, node.kind] = [node]
+                groups[d, node.kind] = [node]
             else:
                 group.append(node)
-            return d + 1
-
-        with np.errstate(all="ignore"):
-            for root in roots:
-                visit(root)
-        # visit holds itself through its closure; without this the walk's
-        # dicts would wait for the cycle collector
-        del visit
         self.coords = list(coords)
         n_coords = len(coords)
         end = n_coords + sum(map(len, groups.values()))
@@ -574,9 +597,9 @@ class _Program:
                 gathers += args
                 gather_group += [g] * len(args)
                 args.append(None)
-                steps.append((_GROUPED[kind], g, args[0], args[1]))
+                steps.append((_UFUNCS[kind], g, args[0], args[1]))
             else:
-                fn = _SINGLE[kind]
+                fn = _UFUNCS[kind]
                 for k, node in enumerate(nodes):
                     args = [scalars[id(a)] if id(a) in scalars else slot(a)
                             for a in node.args]
@@ -662,17 +685,17 @@ class _Tape:
 
     The distinct inner nodes run in depth-first order, one call each, root
     after root, so each root's steps run when it is requested.  A subtree
-    without coordinates is evaluated once here, by ``_eval_vector``, and is
-    an ``np.float64`` scalar from then on, as in ``_Program``.  A run keeps
-    its values in one list: the coordinate arrays, those scalars, then
-    ``n_regs`` registers.  A step whose value only one root's own hand-over
-    reads is computed into a new array, which is handed over as it is.
-    Every other step writes into a register with ``out=``.  A register is
-    free again once the last step that reads its value has run and every
-    root it holds has been handed over; the next step takes the one freed
-    last, and takes it before its own arguments' registers are freed, so it
-    never writes into one of its arguments.  A root that is a coordinate,
-    is repeated or is read by another step is handed over as a copy.
+    without coordinates is folded once by ``_walk`` to an ``np.float64``
+    scalar, as for ``_Program``.  A run keeps its values in one list: the
+    coordinate arrays, those scalars, then ``n_regs`` registers.  A step
+    whose value only one root's own hand-over reads is computed into a new
+    array, which is handed over as it is.  Every other step writes into a
+    register with ``out=``.  A register is free again once the last step
+    that reads its value has run and every root it holds has been handed
+    over; the next step takes the one freed last, and takes it before its
+    own arguments' registers are freed, so it never writes into one of its
+    arguments.  A root that is a coordinate, is repeated or is read by
+    another step is handed over as a copy.
 
     When the input arrays do not all share one one-dimensional shape, the
     same steps run with every call allocating its result.
@@ -691,35 +714,8 @@ class _Tape:
     __slots__ = ("coords", "consts", "n_regs", "segments")
 
     def __init__(self, roots: tuple[Expr, ...]):
-        coords: dict[str, int] = {}
-        scalars: dict[int, object] = {}   # constant subtree -> its value
-        index: dict[int, int] = {}        # inner node -> its step
-        nodes: list[Expr] = []
-        ends: list[int] = []              # steps up to each root's last
-        with np.errstate(all="ignore"):
-            for root in roots:
-                stack = [(root, False)]
-                while stack:
-                    node, expanded = stack.pop()
-                    key = id(node)
-                    if key in index or key in scalars:
-                        continue
-                    if not node.args:
-                        if node.kind == "var":
-                            coords.setdefault(node.name, len(coords))
-                        else:
-                            scalars[key] = np.float64(node.value)
-                    elif not expanded:
-                        stack.append((node, True))
-                        stack.extend((a, False) for a in reversed(node.args))
-                    elif all(id(a) in scalars for a in node.args):
-                        # the arguments are in the memo: no deeper recursion
-                        scalars[key] = np.float64(_eval_vector(node, {}, scalars))
-                    else:
-                        index[key] = len(nodes)
-                        nodes.append(node)
-                ends.append(len(nodes))
-
+        coords, _, scalars, nodes, _, ends = _walk(roots)
+        index = {id(node): k for k, node in enumerate(nodes)}  # node -> step
         # Step k of root i's steps runs at time k + i, and root i is handed
         # over at time ends[i] + i.
         consts: dict[int, int] = {}       # constant subtree -> its value's index
@@ -765,7 +761,7 @@ class _Tape:
             own = None
             for k in range(start, ends[i]):
                 node = nodes[k]
-                fn = _GROUPED.get(node.kind) or _SINGLE[node.kind]
+                fn = _UFUNCS[node.kind]
                 args = [at(a) for a in node.args]
                 args.append(None)
                 if kept[k]:
@@ -831,9 +827,9 @@ class _Tape:
 
 def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
     """Value of ``root`` over the coordinate arrays, node by node, keeping
-    every node's value in ``memo``: ``eval_many`` and ``Expr.eval``, the
-    constant folding of plans, and the mixed nodes of each block of
-    ``quadrature._expr_integral``."""
+    every node's value in ``memo`` and computing each inner one by its
+    ``_UFUNCS`` call: ``eval_many`` and ``Expr.eval``, and the mixed nodes
+    of each block of ``quadrature._expr_integral``."""
     key = id(root)
     hit = memo.get(key)
     if hit is not None:
@@ -844,23 +840,13 @@ def _eval_vector(root: Expr, arrays: Mapping[str, np.ndarray], memo: dict):
         out = np.float64(root.value)
     elif kind == "var":
         out = arrays[root.name]
-    elif kind == "neg":
-        out = -_eval_vector(root.args[0], arrays, memo)
-    elif kind in _BINARY:
-        a = _eval_vector(root.args[0], arrays, memo)
-        b = _eval_vector(root.args[1], arrays, memo)
-        if kind == "add":
-            out = a + b
-        elif kind == "sub":
-            out = a - b
-        elif kind == "mul":
-            out = a * b
-        elif kind == "div":
-            out = np.divide(a, b)
-        else:
-            out = np.power(a, b)
     else:
-        out = FUNCTIONS[kind](_eval_vector(root.args[0], arrays, memo))
+        args = root.args
+        a = _eval_vector(args[0], arrays, memo)
+        if len(args) > 1:
+            out = _UFUNCS[kind](a, _eval_vector(args[1], arrays, memo))
+        else:
+            out = _UFUNCS[kind](a)
     memo[key] = out
     return out
 

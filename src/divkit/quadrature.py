@@ -239,6 +239,8 @@ def bump_field(chart, center: Sequence[float], radius: float, direction: int):
     n = chart.dim
     if len(center) != n:
         raise ValidationError("bump center has wrong dimension")
+    if not all(map(math.isfinite, center)):
+        raise ValidationError("bump center must be finite")
     if not (radius > 0.0) or not math.isfinite(radius):
         raise ValidationError("bump radius must be positive and finite")
     if _count(direction, "direction", 0) >= n:

@@ -508,6 +508,8 @@ def test_sweeps_get_only_the_settings_given(capsys, tmp_path, monkeypatch):
     ["divergence", "--spec", BOX, "D", "dilation", "--seed", "-1"],
     ["verify-kn", "--spec", POLAR, "area", "lc", "--seed", "-1"],
     ["integrate-vanish", "--spec", BOX, "weighted", "--seed", "-1"],
+    # a bump center that is not finite, which once exited 3 as a support error
+    ["integrate-vanish", "--spec", BOX, "weighted", "--center", "nan,0"],
 ])
 def test_bad_tolerance_or_seed_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -525,6 +525,23 @@ def _shared_forest():
             Expr("sub", (chain, root))] + ring
 
 
+def _constant_forest():
+    """Roots holding constant subtrees that fold to nan (0/0), -inf
+    (log 0), -0.0 and a subnormal (1e-310), alone and as arguments of
+    nodes over x and y; -0.0 and 0.0 take different constant rows."""
+    x, y = var("x"), var("y")
+    nan = Expr("div", (const(0.0), const(0.0)))
+    neg_inf = Expr("log", (Expr("mul", (const(0.0), const(3.0))),))
+    neg_zero = Expr("neg", (Expr("sub", (const(0.5), const(0.5))),))
+    tiny = Expr("mul", (const(1e-300), const(1e-10)))
+    return [nan, neg_inf, neg_zero, tiny,
+            Expr("add", (x, nan)), Expr("mul", (y, neg_inf)),
+            Expr("div", (x, neg_zero)), Expr("pow", (y, neg_zero)),
+            Expr("add", (Expr("mul", (x, tiny)), const(0.0))),
+            Expr("sin", (Expr("mul", (tiny, y)),)),
+            Expr("div", (neg_zero, Expr("add", (x, y))))]
+
+
 _EXPONENT_TREES = [Expr("pow", (var("x"), const(c))) for c in _SCALAR_EXPONENTS] \
     + [Expr("pow", (Expr("add", (var("y"), const(0.25))), Expr("neg", (const(-c),))))
        for c in _SCALAR_EXPONENTS]
@@ -538,6 +555,8 @@ _EXPONENT_TREES = [Expr("pow", (var("x"), const(c))) for c in _SCALAR_EXPONENTS]
 @example(_EXPONENT_TREES + _EXPONENT_TREES[:2], 1, "chunk+1")
 @example(_shared_forest(), 2, "chunk+1")
 @example(_shared_forest()[::-1], 3, "threshold")
+@example(_constant_forest(), 4, "chunk+1")
+@example(_constant_forest()[::-1], 5, "threshold")
 def test_eval_roots_level_by_level_matches_node_by_node(roots, seed, size):
     # the buffer bound is set so that a chunk is 3 points wide; m is one
     # point, a chunk width -1, 0 or +1, or the largest level-by-level point
@@ -591,6 +610,8 @@ def _special_columns(m, seed):
 @example(_tape_forest()[::-1], 1, expr_module._BATCH_POINTS + 1)
 @example(_shared_forest(), 2, 2_000)
 @example(_EXPONENT_TREES + _EXPONENT_TREES[:2], 3, 2_000)
+@example(_constant_forest(), 4, 2_000)
+@example(_constant_forest()[::-1], 5, expr_module._BATCH_POINTS + 1)
 def test_eval_roots_tape_matches_program_and_eval_many(roots, seed, m):
     # past the level-by-level limit every root set runs from its tape; its
     # values are the bits of the program run at the same points and of
@@ -638,6 +659,37 @@ def test_deep_chain_tape_takes_two_registers():
     assert expr_module._Tape((chain,)).n_regs <= 2
     arrays = {"x": np.linspace(-1.0, 1.0, 2_000)}
     assert np.array_equal(next(eval_roots([chain], arrays)), chain.eval_many(arrays))
+
+
+def test_every_route_takes_its_calls_from_the_one_table(monkeypatch):
+    # eval_many, the level-by-level program (100 points) and the tape (2,000
+    # points) take each node's numpy call from one table, and so does the
+    # folding of a constant subtree: a wrapper put there is called on every
+    # route, and the three give the same bits
+    monkeypatch.setattr(expr_module, "_plans", {})
+    sin, calls = expr_module._UFUNCS["sin"], []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return sin(*args, **kwargs)
+
+    monkeypatch.setitem(expr_module._UFUNCS, "sin", counted)
+    x, y = var("x"), var("y")
+    root = Expr("mul", (Expr("sin", (Expr("add", (x, y)),)),
+                        Expr("sin", (const(0.5),))))
+    for m, path in ((100, "program"), (2_000, "tape")):
+        arrays = _special_columns(m, 0)
+        calls.clear()
+        want = root.eval_many(arrays)
+        assert sorted(calls) == [1, m]
+        calls.clear()
+        got = next(eval_roots([root], arrays))
+        assert sorted(calls) == [1, m]
+        assert getattr(expr_module._plans[(id(root),)], path) is not None
+        assert np.array_equal(got, want, equal_nan=True)
+        with np.errstate(invalid="ignore"):
+            direct = np.sin(arrays["x"] + arrays["y"]) * np.sin(0.5)
+        assert np.array_equal(got, direct, equal_nan=True)
 
 
 def test_eval_roots_tape_on_empty_and_broadcast_inputs():

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from divkit import expr as expr_module
 from divkit import quadrature
 from divkit.errors import ChartMismatch, SupportError, ValidationError
-from divkit.expr import FUNCTIONS, parse_expr
+from divkit.expr import parse_expr
 from divkit.geometry import Chart, VectorField, VolumeForm, lie_derivative_top
 from divkit.quadrature import (
     QuadratureRule,
@@ -333,6 +333,11 @@ def test_bump_field_support_validation():
         bump_field(BOX2, (0.0, 0.0), 0.5, 2)
     with pytest.raises(ValidationError):
         bump_field(BOX2, (0.0,), 0.5, 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="center"):
+            bump_field(BOX2, (bad, 0.0), 0.5, 0)
+        with pytest.raises(ValidationError, match="center"):
+            bump_field(BOX2, (0.0, bad), 0.5, 1)
 
 
 def test_bump_field_direction_is_an_index():
@@ -376,14 +381,15 @@ def test_vanishing_integral_evaluates_each_bump_factor_once(monkeypatch):
     # bump factors on each of the four faces
     weighted = VolumeForm.from_string(BOX2, "exp(x+0.5*y)")
     f = bump_field(BOX2, (0.1, -0.2), 0.55, 1)
-    bump = FUNCTIONS["bump"]
+    bump = expr_module._UFUNCS["bump"]
     calls = []
 
     def counted(t):
         calls.append(np.size(t))
         return bump(t)
 
-    monkeypatch.setitem(FUNCTIONS, "bump", counted)
+    # every evaluator takes its numpy calls from the one table
+    monkeypatch.setitem(expr_module._UFUNCS, "bump", counted)
     counts = []
     for resolution in (16, 128):
         calls.clear()
